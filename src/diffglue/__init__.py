@@ -23,13 +23,12 @@ from .forms import (BlockForm, FibreElement, FibreModel, GluedForm,
                     split_section)
 from .metric import (BlockMetric, DualMetric, GluedMetric,
                      check_metrics_compatible, constant_metric, dual_metric,
-                     eval_block_metric, eval_glued_metric, glue_metrics,
-                     pairing_apply, pairing_invert)
+                     eval_block_metric, glue_metrics, pairing_apply,
+                     pairing_invert)
 from .connection import (BlockConnection, DualSection, GluedConnection,
-                         TorsionValue, action, apply_block, apply_connection,
-                         check_connections_compatible, check_metric_compatible,
-                         christoffel_closed_form, covariant_derivative,
-                         glue_connections, koszul_solve, lie_bracket_dual,
+                         TorsionValue, action, apply_block,
+                         check_connections_compatible, christoffel_closed_form,
+                         covariant_derivative, glue_connections, koszul_solve,
                          lie_bracket_forms, torsion, torsion_values,
                          zero_connection)
 

@@ -3,7 +3,8 @@
 ``diffglue run <scenario> [--suite NAME]... [--mode dual|fd] [--seed N]
 [--report-out PATH]`` executes the selected verification suites and writes
 a human-readable summary plus a machine-readable JSON report; exit status
-is 0 iff every selected suite passed.
+is 0 iff every selected suite passed, 1 if a suite failed, and 2 on bad
+input (an unreadable or malformed scenario, an unknown suite).
 
 ``diffglue inspect <scenario> --point <region:coords>`` prints the fibre,
 the metric Gram, and the Christoffel slice at one point.
@@ -55,11 +56,12 @@ def run_command(args) -> int:
     diagnostic = {"status": "skipped"}
     try:
         ctx = build_context(scenario, mode=mode, seed=args.seed)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DiffglueError as exc:
         # construction failure: every selected suite fails with the witness
-        witness = {"error": type(exc).__name__, "detail": str(exc)}
-        results = [SuiteResult(name, False, float("inf"), [witness], 0)
-                   for name in selected]
+        results = [SuiteResult.failed(name, exc) for name in selected]
         ctx = None
     if ctx is not None:
         try:
@@ -133,11 +135,10 @@ def inspect_command(args) -> int:
         print("metric Gram on the fibre basis:")
         for row in G.gram_at(point, fibre):
             print(f"  {np.round(row, 12).tolist()}")
-        if ctx.connection_kind != "none":
-            gamma = ctx.nabla1.gamma(point.coords) if point.region != "block2" \
-                else ctx.nabla2.gamma(point.coords)
-            print("christoffel slice Gamma[k][i][j]:")
-            print(np.round(gamma, 10))
+        gamma = ctx.nabla1.gamma(point.coords) if point.region != "block2" \
+            else ctx.nabla2.gamma(point.coords)
+        print("christoffel slice Gamma[k][i][j]:")
+        print(np.round(gamma, 10))
         return 0
     except DiffglueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -300,32 +300,40 @@ def perturb_connection(C: BlockConnection, rng: np.random.Generator,
 
 # -- compatibility checks -----------------------------------------------------
 
+def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
+    """Scalar field x -> g(s, t)(x) = s_i Gram_ij t_j, dual-safe."""
+    d = g.block.dim
+
+    def field(x):
+        gram = g.gram_generic(x)
+        total = 0.0
+        for i in range(d):
+            for j in range(d):
+                total = total + s.components[i](x) * gram[i][j] * t.components[j](x)
+        return total
+
+    return field
+
+
+def _compat_sides(C: BlockConnection, g: BlockMetric, s: BlockForm, t: BlockForm,
+                  coords, engine: DiffEngine) -> tuple:
+    """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at one point."""
+    lhs = engine.gradient_array(_gram_pair_field(g, s, t), list(coords),
+                                within=g.block.contains)
+    gram = g.gram(list(coords))
+    rhs = tensor_array(apply_block(C, s, engine), coords) @ gram @ t.at(coords) \
+        + tensor_array(apply_block(C, t, engine), coords) @ gram @ s.at(coords)
+    return lhs, rhs
+
+
 def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
                                   pairs: Sequence, points: Sequence,
                                   engine: DiffEngine, tol: float) -> CompatResult:
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points."""
-    d = g.block.dim
     worst, witness, n = 0.0, None, 0
     for s, t in pairs:
-        tensor_s = apply_block(C, s, engine)
-        tensor_t = apply_block(C, t, engine)
-
-        def k_field(x, s=s, t=t):
-            gram = g.gram_generic(x)
-            total = 0.0
-            for i in range(d):
-                for j in range(d):
-                    total = total + s.components[i](x) * gram[i][j] * t.components[j](x)
-            return total
-
         for x in points:
-            lhs = engine.gradient_array(k_field, x, within=g.block.contains)
-            gram = g.gram(list(x))
-            ts = tensor_array(tensor_s, x)
-            tt = tensor_array(tensor_t, x)
-            sv = s.at(x)
-            tv = t.at(x)
-            rhs = ts @ gram @ tv + tt @ gram @ sv
+            lhs, rhs = _compat_sides(C, g, s, t, x, engine)
             res = float(np.max(np.abs(lhs - rhs)))
             n += 1
             if res > worst:
@@ -368,7 +376,7 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
                 worst = res
                 witness = {"point": list(y), "residual": res,
                            "pulled1": lhs.tolist(), "pulled2": rhs.tolist()}
-    tol = max(10.0 * eng.config.derivative_tol, EPS_NUM * 100)
+    tol = max(10.0 * eng.config.suite_tol, EPS_NUM * 100)
     return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
 
 
@@ -446,18 +454,6 @@ class GluedConnection:
                                 apply_block(self.nabla2, s.s2, eng))
 
 
-def apply_connection(C, s, engine: Optional[DiffEngine] = None):
-    """Apply a block or glued connection to a matching section.
-
-    Block connections take a BlockForm and return the tensor field
-    callable; glued connections take a LambdaSection and return a
-    GluedTensorField following the three-case rule.
-    """
-    if isinstance(C, BlockConnection):
-        return apply_block(C, s, engine or DiffEngine())
-    return C.apply(s, engine)
-
-
 def glue_connections(space: GluedSpace, metric: GluedMetric,
                      nabla1: BlockConnection, nabla2: BlockConnection,
                      engine: Optional[DiffEngine] = None,
@@ -501,11 +497,6 @@ def phi_glued(G: GluedMetric, s: LambdaSection) -> DualSection:
     return DualSection(G.space, phi_apply_block(G.g1, s.s1), phi_apply_block(G.g2, s.s2))
 
 
-def phi_glued_invert(G: GluedMetric, t: DualSection) -> LambdaSection:
-    return LambdaSection(G.space, phi_invert_block(G.g1, t.t1),
-                         phi_invert_block(G.g2, t.t2))
-
-
 def action(t: DualSection, h: GluedFunction, engine: Optional[DiffEngine] = None) -> Callable:
     """t(h): pointwise pairing with the differential; half-weighted on the locus."""
     space = t.space
@@ -522,14 +513,6 @@ def action(t: DualSection, h: GluedFunction, engine: Optional[DiffEngine] = None
             + 0.5 * float(_primal(a2(list(point.coords2))))
 
     return value
-
-
-def lie_bracket_dual(space: GluedSpace, t: DualSection, u: DualSection,
-                     engine: Optional[DiffEngine] = None) -> DualSection:
-    eng = engine or space.engine
-    return DualSection(space,
-                       lie_bracket_dual_block(t.t1, u.t1, eng, space.block1),
-                       lie_bracket_dual_block(t.t2, u.t2, eng, space.block2))
 
 
 def lie_bracket_forms(G: GluedMetric, s: LambdaSection, r: LambdaSection,
@@ -621,13 +604,6 @@ def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedP
     return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
 
 
-def check_metric_compatible(C, g_or_pairs, *args, **kwargs) -> CompatResult:
-    """Dispatch to the block or glued metric-compatibility check."""
-    if isinstance(C, BlockConnection):
-        return check_metric_compatible_block(C, g_or_pairs, *args, **kwargs)
-    return check_metric_compatible_glued(C, g_or_pairs, *args, **kwargs)
-
-
 def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                                   samples: dict, tol: float,
                                   engine: Optional[DiffEngine] = None) -> CompatResult:
@@ -642,37 +618,13 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     eng = engine or space.engine
     g1, g2 = C.metric.g1, C.metric.g2
     worst, witness, n = 0.0, None, 0
-
-    def gram_pair_field(g, s, t):
-        d = g.block.dim
-
-        def field(x):
-            gram = g.gram_generic(x)
-            total = 0.0
-            for i in range(d):
-                for j in range(d):
-                    total = total + s.components[i](x) * gram[i][j] * t.components[j](x)
-            return total
-
-        return field
-
     for s, t in pairs:
-        k1 = gram_pair_field(g1, s.s1, t.s1)
-        k2 = gram_pair_field(g2, s.s2, t.s2)
-        tensors = {
-            1: (apply_block(C.nabla1, s.s1, eng), apply_block(C.nabla1, t.s1, eng)),
-            2: (apply_block(C.nabla2, s.s2, eng), apply_block(C.nabla2, t.s2, eng)),
-        }
+        k1 = _gram_pair_field(g1, s.s1, t.s1)
+        k2 = _gram_pair_field(g2, s.s2, t.s2)
 
         def block_residual(which, coords):
-            g = g1 if which == 1 else g2
-            k = k1 if which == 1 else k2
-            sv = (s.s1 if which == 1 else s.s2).at(coords)
-            tv = (t.s1 if which == 1 else t.s2).at(coords)
-            ts, tt = tensors[which]
-            lhs = eng.gradient_array(k, list(coords), within=g.block.contains)
-            gram = g.gram(list(coords))
-            rhs = tensor_array(ts, coords) @ gram @ tv + tensor_array(tt, coords) @ gram @ sv
+            side = (C.nabla1, g1, s.s1, t.s1) if which == 1 else (C.nabla2, g2, s.s2, t.s2)
+            lhs, rhs = _compat_sides(*side, coords, eng)
             return float(np.max(np.abs(lhs - rhs)))
 
         for p in samples[BLOCK1]:

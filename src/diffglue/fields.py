@@ -72,10 +72,6 @@ class PolyField:
         return "PolyField(" + " + ".join(parts) + ")"
 
 
-def zero_vector_field(dim: int):
-    return [PolyField.constant(dim, 0.0) for _ in range(dim)]
-
-
 def evaluate_vector(components: Sequence[Callable], coords) -> list:
     return [f(coords) for f in components]
 
@@ -92,15 +88,6 @@ def evaluate_matrix(entries: Sequence[Sequence[Callable]], coords) -> list:
 def evaluate_matrix_array(entries, coords) -> np.ndarray:
     from .numerics import _primal
     return np.asarray([[_primal(f(coords)) for f in row] for row in entries], dtype=float)
-
-
-def scale_components(h: Callable, components: Sequence[Callable]):
-    """Componentwise product field h * s, dual-safe."""
-    return [lambda x, f=f: h(x) * f(x) for f in components]
-
-
-def add_components(a: Sequence[Callable], b: Sequence[Callable]):
-    return [lambda x, f=f, g=g: f(x) + g(x) for f, g in zip(a, b)]
 
 
 def random_poly(rng: np.random.Generator, dim: int, degree: int = 2,

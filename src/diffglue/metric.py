@@ -33,7 +33,7 @@ from .errors import (DimensionMismatch, IncompatibleMetrics, OutsideDomain,
 from .fields import evaluate_matrix, evaluate_matrix_array
 from .forms import (PAIR_FIBRE, CompatResult, FibreElement, FibreModel,
                     compute_fibre, rho1, rho2)
-from .numerics import EPS_NUM, PD_FLOOR_REL, invert_matrix_generic
+from .numerics import EPS_NUM, PD_FLOOR_REL
 from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 
@@ -63,9 +63,6 @@ class BlockMetric:
 
     def dual_gram(self, coords) -> np.ndarray:
         return np.linalg.inv(self.gram(coords))
-
-    def dual_gram_generic(self, coords) -> list:
-        return invert_matrix_generic(self.gram_generic(coords))
 
 
 def _require_spd(g: np.ndarray, where: str = ""):
@@ -245,12 +242,6 @@ class GluedMetric:
 
     def dual_gram_at(self, point: GluedPoint, fibre=None) -> np.ndarray:
         return np.linalg.inv(self.gram_at(point, fibre))
-
-
-def eval_glued_metric(G: GluedMetric, point: GluedPoint, e1: FibreElement,
-                      e2: FibreElement) -> float:
-    """Three-case evaluation of the glued metric on two fibre elements."""
-    return G.eval(point, e1, e2)
 
 
 def glue_metrics(space: GluedSpace, g1: BlockMetric, g2: BlockMetric) -> GluedMetric:

@@ -9,6 +9,7 @@ is 2xy on a plane).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,12 +24,9 @@ from .numerics import DiffConfig, DiffEngine, SamplePlan
 from .space import (EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
                     OpenSubdomainLocus, PointSetLocus, SubmanifoldLocus,
                     build_glued_space)
+from .suites import SUITES
 
-SUITE_CATALOGUE = (
-    "fibres", "metric-gluing", "koszul", "leibniz", "symmetry",
-    "metric-compat", "bracket-split", "covderiv-split", "torsion-split",
-    "levi-civita-inheritance",
-)
+SUITE_CATALOGUE = tuple(SUITES)
 
 
 # -- poly / field parsing -----------------------------------------------------
@@ -168,8 +166,7 @@ def parse_metric(spec: dict, block: EuclideanBlock, where: str) -> BlockMetric:
     for i in range(d):
         row = []
         for j in range(d):
-            p = polys.get((i, j)) or polys.get((j, i)) or zero
-            row.append(lambda x, p=p: p(x))
+            row.append(polys.get((i, j)) or polys.get((j, i)) or zero)
         entries.append(tuple(row))
     return BlockMetric(block, tuple(entries))
 
@@ -248,6 +245,15 @@ class ScenarioContext:
         return self._glued_connection
 
 
+@contextmanager
+def _section(where: str):
+    """Report malformed data in one section of a scenario as a ParseError."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{where}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -261,16 +267,19 @@ def load_scenario(path) -> Scenario:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: scenario document must be a mapping")
     name = raw.get("name") or "scenario"
-    diff_spec = raw.get("diff", {})
-    diff = DiffConfig(mode=diff_spec.get("mode", "forward_dual"),
-                      fd_step=float(diff_spec.get("fd_step", 1e-5)))
-    s = raw.get("samples", {})
-    plan = SamplePlan(per_axis=int(s.get("per_axis", 16)),
-                      locus_count=int(s.get("locus_count", 8)),
-                      probe_steps=int(s.get("probe_steps", 6)),
-                      probe_ratio=float(s.get("probe_ratio", 0.5)),
-                      seed=int(s.get("seed", 0)))
-    suites = tuple(raw.get("suites") or SUITE_CATALOGUE)
+    with _section(f"{path}: diff"):
+        diff_spec = raw.get("diff", {})
+        diff = DiffConfig(mode=diff_spec.get("mode", "forward_dual"),
+                          fd_step=float(diff_spec.get("fd_step", 1e-5)))
+    with _section(f"{path}: samples"):
+        s = raw.get("samples", {})
+        plan = SamplePlan(per_axis=int(s.get("per_axis", 16)),
+                          locus_count=int(s.get("locus_count", 8)),
+                          probe_steps=int(s.get("probe_steps", 6)),
+                          probe_ratio=float(s.get("probe_ratio", 0.5)),
+                          seed=int(s.get("seed", 0)))
+    with _section(f"{path}: suites"):
+        suites = tuple(raw.get("suites") or SUITE_CATALOGUE)
     for su in suites:
         if su not in SUITE_CATALOGUE:
             raise ValidationError(f"unknown suite {su!r}; catalogue: {SUITE_CATALOGUE}")
@@ -291,14 +300,17 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
     sp = raw.get("space")
     if not isinstance(sp, dict):
         raise ParseError("scenario: missing 'space' section")
-    block1 = parse_block(sp["block1"], "block1")
-    block2 = parse_block(sp["block2"], "block2")
-    locus = parse_locus(sp["locus"], block1.dim, "space.locus")
-    gmap = parse_map(sp.get("map", {}), block1.dim, block2.dim, "space.map")
-    flags_spec = sp.get("hypothesis_flags")
-    flags = None
-    if flags_spec is not None:
-        flags = HypothesisFlags(
+    with _section("space.block1"):
+        block1 = parse_block(sp["block1"], "block1")
+    with _section("space.block2"):
+        block2 = parse_block(sp["block2"], "block2")
+    with _section("space.locus"):
+        locus = parse_locus(sp["locus"], block1.dim, "space.locus")
+    with _section("space.map"):
+        gmap = parse_map(sp.get("map", {}), block1.dim, block2.dim, "space.map")
+    with _section("space.hypothesis_flags"):
+        flags_spec = sp.get("hypothesis_flags")
+        flags = None if flags_spec is None else HypothesisFlags(
             bool(flags_spec.get("pullback_equality_asserted", False)),
             bool(flags_spec.get("omega_diffeology_equality_asserted", False)))
     space = build_glued_space(block1, block2, locus, gmap, flags,
@@ -307,19 +319,22 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
     mets = raw.get("metrics")
     if not isinstance(mets, dict) or "g1" not in mets or "g2" not in mets:
         raise ParseError("scenario: 'metrics' must define g1 and g2")
-    g1 = parse_metric(mets["g1"], block1, "metrics.g1")
-    g2 = parse_metric(mets["g2"], block2, "metrics.g2")
+    with _section("metrics.g1"):
+        g1 = parse_metric(mets["g1"], block1, "metrics.g1")
+    with _section("metrics.g2"):
+        g2 = parse_metric(mets["g2"], block2, "metrics.g2")
 
     conn = raw.get("connections", {"kind": "levi_civita"})
-    kind = conn.get("kind", "levi_civita")
     n1_spec = n2_spec = None
-    if kind == "explicit":
-        n1_spec = parse_connection(conn.get("gamma1", {}), block1, "connections.gamma1")
-        n2_spec = parse_connection(conn.get("gamma2", {}), block2, "connections.gamma2")
-    elif kind == "flat":
-        n1_spec, n2_spec = zero_connection(block1), zero_connection(block2)
-    elif kind != "levi_civita":
-        raise ParseError(f"connections: unknown kind {kind!r}")
+    with _section("connections"):
+        kind = conn.get("kind", "levi_civita")
+        if kind == "explicit":
+            n1_spec = parse_connection(conn.get("gamma1", {}), block1, "connections.gamma1")
+            n2_spec = parse_connection(conn.get("gamma2", {}), block2, "connections.gamma2")
+        elif kind == "flat":
+            n1_spec, n2_spec = zero_connection(block1), zero_connection(block2)
+        elif kind != "levi_civita":
+            raise ParseError(f"connections: unknown kind {kind!r}")
 
     return ScenarioContext(scenario, space, g1, g2, kind, n1_spec, n2_spec, engine)
 

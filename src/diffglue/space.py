@@ -230,26 +230,29 @@ class GluedSpace:
         return LocusFrames(tuple(y), fy, t1, t2)
 
     # -- sampling ----------------------------------------------------------
-    def block_samples(self, which: int) -> list:
-        """Off-locus interior sample coordinates for one block."""
+    def block_grid(self, which: int) -> list:
+        """Per-axis interior grid of one block, locus points included.
+
+        Each axis through the first seed point is sampled at ``per_axis``
+        points spanning the seed points' range widened by 1 on both sides.
+        """
         block = self.block1 if which == 1 else self.block2
-        pts = []
         seeds = block.seed_points
         lo = [min(s[i] for s in seeds) - 1.0 for i in range(block.dim)]
         hi = [max(s[i] for s in seeds) + 1.0 for i in range(block.dim)]
-        base = seeds[0]
+        pts = []
         for axis in range(block.dim):
             for v in np.linspace(lo[axis], hi[axis], self.plan.per_axis):
-                p = list(base)
+                p = list(seeds[0])
                 p[axis] = float(v)
-                if not block.contains(p):
-                    continue
-                if which == 1 and self.locus_contains(p):
-                    continue
-                if which == 2 and self.in_glued_image(p):
-                    continue
-                pts.append(tuple(p))
+                if block.contains(p):
+                    pts.append(tuple(p))
         return pts
+
+    def block_samples(self, which: int) -> list:
+        """Off-locus interior sample coordinates for one block."""
+        on_seam = self.locus_contains if which == 1 else self.in_glued_image
+        return [p for p in self.block_grid(which) if not on_seam(p)]
 
     def in_glued_image(self, z) -> bool:
         """Is a block-2 coordinate in f(Y)?"""
@@ -306,7 +309,9 @@ class GluedSpace:
 
 
 def _close(a, b, tol: float = EPS_NUM) -> bool:
-    return max(abs(float(x) - float(y)) for x, y in zip(a, b)) <= tol
+    """Componentwise agreement, relative to the size of the coordinates."""
+    return all(abs(float(x) - float(y)) <= tol * (1.0 + max(abs(float(x)), abs(float(y))))
+               for x, y in zip(a, b))
 
 
 def default_flags(locus) -> HypothesisFlags:

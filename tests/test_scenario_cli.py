@@ -1,11 +1,13 @@
 """Scenario parsing, fixture loading, the CLI, and report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import diffglue
 from diffglue.cli import main
 from diffglue.errors import ParseError, ValidationError
 from diffglue.scenario import (SUITE_CATALOGUE, build_context, fixture_path,
@@ -121,15 +123,57 @@ def test_inspect_block_point(capsys):
     assert "dim=1" in capsys.readouterr().out
 
 
+def _del_locus_bound(doc):
+    del doc["space"]["locus"]["domain"]["bound"]
+
+
+def _word_dim(doc):
+    doc["space"]["block1"]["dim"] = "one"
+
+
+def _one_index_metric_key(doc):
+    doc["metrics"]["g1"]["entries"] = {"0": {"0": 1.0, "2": 1.0}}
+
+
+def _zero_per_axis(doc):
+    doc["samples"]["per_axis"] = 0
+
+
+def _unknown_domain_kind(doc):
+    doc["space"]["block1"]["domain"]["kind"] = "nowhere"
+
+
+def _scalar_suite_list(doc):
+    doc["suites"] = 5
+
+
+@pytest.mark.parametrize("damage", [_del_locus_bound, _word_dim, _one_index_metric_key,
+                                    _zero_per_axis, _unknown_domain_kind,
+                                    _scalar_suite_list])
+def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
+    import yaml
+    doc = load_scenario(fixture_path("halfline_curved")).raw
+    damage(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path)]) == 2
+    assert main(["inspect", str(path), "--point", "block1:1.0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_inspect_malformed_point_spec(capsys):
     rc = main(["inspect", str(fixture_path("cross_flat")), "--point", "origin"])
     assert rc == 2
 
 
 def test_console_entrypoint_runs():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(diffglue.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "diffglue.cli", "run",
          str(fixture_path("cross_flat")), "--suite", "fibres"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fibres" in proc.stdout

@@ -57,6 +57,19 @@ def test_broken_roundtrip_rejected():
                              dg.HypothesisFlags(True, True))
 
 
+def test_roundtrip_tolerance_scales_with_coordinates():
+    # z = 3y + 0.1 is a valid gluing; at |y| ~ 1.6e7 its round trip is off
+    # by one ulp (about 2e-9), so the tolerance must scale with the coordinates
+    from diffglue.scenario import parse_map
+    f = parse_map({"kind": "affine", "matrix": [[3.0]], "offset": [0.1]}, 1, 1, "map")
+    y = (16340733.664249789,)
+    space = dg.build_glued_space(line("a1", ((0.0,),)), line("a2", ((0.0,),)),
+                                 dg.OpenSubdomainLocus(lambda x: True, [y]), f,
+                                 dg.HypothesisFlags(True, True))
+    assert space.locus_points() == [y]
+    assert dg.classify_point(space, 2, space.map_forward(y)).region == "locus"
+
+
 def test_locus_outside_block_rejected():
     half = dg.EuclideanBlock(1, lambda x: x[0] > 0.0, [(1.0,), (2.0,)], "halfblock")
     with pytest.raises(dg.LocusOutsideBlock):
