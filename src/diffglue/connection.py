@@ -28,7 +28,7 @@ from .forms import (BlockForm, CompatResult, FibreElement, GluedFunction,
                     LambdaSection, compute_fibre, coordinate_form,
                     pair_residual, rho_pair_inverse, zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _primal
+from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
 from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 
@@ -58,8 +58,8 @@ def apply_block(C: BlockConnection, s: BlockForm, engine: DiffEngine) -> Callabl
 
     def tensor(x):
         gam = C.christoffel(list(x))
-        sval = [f(x) for f in s.components]
-        jac = [engine.gradient(f, x, within=C.block.contains) for f in s.components]
+        sval = s(x)
+        jac = engine.jacobian(s, x, within=C.block.contains)
         rows = []
         for i in range(d):
             row = []
@@ -79,79 +79,69 @@ def tensor_array(tensor: Callable, x) -> np.ndarray:
     return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
 
 
-def covariant_block(C: BlockConnection, t_comps: Sequence[Callable],
-                    s: BlockForm, engine: DiffEngine) -> BlockForm:
-    """Contraction of apply_block in the direction slot against dual components."""
-    d = C.block.dim
+def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
+                    engine: DiffEngine) -> BlockForm:
+    """Contraction of apply_block in the direction slot against the dual field t."""
     tensor = apply_block(C, s, engine)
 
-    def component(x, j):
-        rows = tensor(x)
-        total = 0.0
-        for i in range(d):
-            total = total + t_comps[i](x) * rows[i][j]
-        return total
+    def field(x):
+        tv = t(x)
+        return [_dot(tv, col) for col in zip(*tensor(x))]
 
-    return BlockForm(C.block, tuple((lambda x, j=j: component(x, j)) for j in range(d)))
+    return BlockForm(C.block, field)
 
 
 # -- dual-side machinery -----------------------------------------------------
+#
+# Dual-side fields are single callables x -> [d coefficients] against the
+# coordinate frame, like the field of a BlockForm.
 
-def action_block(t_comps: Sequence[Callable], h: Callable, engine: DiffEngine,
+def _dual_value(t: Callable, coords) -> np.ndarray:
+    return np.asarray([_primal(v) for v in t(list(coords))])
+
+
+def action_block(t: Callable, h: Callable, engine: DiffEngine,
                  block: EuclideanBlock) -> Callable:
     """Scalar field x -> sum_a t_a(x) * d_a h(x); composable and dual-safe."""
+    return lambda x: _dot(t(x), engine.gradient(h, x, within=block.contains))
+
+
+def lie_bracket_dual_block(t: Callable, u: Callable, engine: DiffEngine,
+                           block: EuclideanBlock) -> Callable:
+    """Classical bracket of coefficient fields: [t,u]^b = t^a d_a u^b - u^a d_a t^b."""
+    d = block.dim
 
     def field(x):
-        grad = engine.gradient(h, x, within=block.contains)
-        total = 0.0
-        for a in range(block.dim):
-            total = total + t_comps[a](x) * grad[a]
-        return total
+        ju = engine.jacobian(u, x, within=block.contains)
+        jt = engine.jacobian(t, x, within=block.contains)
+        tv, uv = t(x), u(x)
+        out = []
+        for b in range(d):
+            total = 0.0
+            for a in range(d):
+                total = total + tv[a] * ju[b][a] - uv[a] * jt[b][a]
+            out.append(total)
+        return out
 
     return field
 
 
-def lie_bracket_dual_block(t: Sequence[Callable], u: Sequence[Callable],
-                           engine: DiffEngine, block: EuclideanBlock) -> tuple:
-    """Classical bracket of coefficient fields: [t,u]^b = t^a d_a u^b - u^a d_a t^b."""
-    d = block.dim
+def phi_apply_block(g: BlockMetric, s: BlockForm) -> Callable:
+    """Pairing-map image of a covector field: x -> Gram(x) @ s(x) (generic)."""
 
-    def component(x, b):
-        gu = engine.gradient(u[b], x, within=block.contains)
-        gt = engine.gradient(t[b], x, within=block.contains)
-        total = 0.0
-        for a in range(d):
-            total = total + t[a](x) * gu[a] - u[a](x) * gt[a]
-        return total
+    def field(x):
+        sv = s(x)
+        return [_dot(row, sv) for row in g.gram_generic(x)]
 
-    return tuple((lambda x, b=b: component(x, b)) for b in range(d))
+    return field
 
 
-def phi_apply_block(g: BlockMetric, s: BlockForm) -> tuple:
-    """Pairing-map image of a covector field: components Gram @ s (generic)."""
-    d = g.block.dim
+def phi_invert_block(g: BlockMetric, t: Callable) -> BlockForm:
+    def field(x):
+        tv = t(x)
+        return [_dot(row, tv) for row in invert_matrix_generic(g.gram_generic(x))]
 
-    def component(x, a):
-        gram = g.gram_generic(x)
-        total = 0.0
-        for b in range(d):
-            total = total + gram[a][b] * s.components[b](x)
-        return total
-
-    return tuple((lambda x, a=a: component(x, a)) for a in range(d))
-
-
-def phi_invert_block(g: BlockMetric, comps: Sequence[Callable]) -> BlockForm:
-    d = g.block.dim
-
-    def component(x, a):
-        inv = invert_matrix_generic(g.gram_generic(x))
-        total = 0.0
-        for b in range(d):
-            total = total + inv[a][b] * comps[b](x)
-        return total
-
-    return BlockForm(g.block, tuple((lambda x, a=a: component(x, a)) for a in range(d)))
+    return BlockForm(g.block, field)
 
 
 def lie_bracket_forms_block(g: BlockMetric, s: BlockForm, r: BlockForm,
@@ -172,39 +162,30 @@ def torsion_block(C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm
     return cov_sr + cov_rs.scaled(minus_one) + br.scaled(minus_one)
 
 
-def covariant_dual_block(C: BlockConnection, t: Sequence[Callable],
-                         u: Sequence[Callable], engine: DiffEngine,
-                         coords) -> np.ndarray:
+def covariant_dual_block(C: BlockConnection, t: Callable, u: Callable,
+                         engine: DiffEngine, coords) -> np.ndarray:
     """Dual-bundle covariant derivative (nabla*_t u)^c = t^a (d_a u^c + G^c_ab u^b)."""
     d = C.block.dim
     gam = C.gamma(coords)
-    tv = np.asarray([_primal(f(list(coords))) for f in t])
-    uv = np.asarray([_primal(f(list(coords))) for f in u])
-    du = np.asarray([[_primal(v) for v in
-                      engine.gradient(f, list(coords), within=C.block.contains)]
-                     for f in u])  # du[c][a] = d_a u^c
+    tv = _dual_value(t, coords)
+    uv = _dual_value(u, coords)
+    du = engine.jacobian_array(u, list(coords), within=C.block.contains)  # du[c][a] = d_a u^c
     out = np.empty(d)
     for c in range(d):
         out[c] = float(tv @ du[c]) + float(tv @ gam[c] @ uv)
     return out
 
 
-def torsion_dual_block(C: BlockConnection, t: Sequence[Callable],
-                       u: Sequence[Callable], engine: DiffEngine,
-                       coords) -> np.ndarray:
+def torsion_dual_block(C: BlockConnection, t: Callable, u: Callable,
+                       engine: DiffEngine, coords) -> np.ndarray:
     """Dual-side torsion value nabla*_t u - nabla*_u t - [t,u] at one point."""
     br = lie_bracket_dual_block(t, u, engine, C.block)
-    brv = np.asarray([_primal(f(list(coords))) for f in br])
+    brv = _dual_value(br, coords)
     return covariant_dual_block(C, t, u, engine, coords) \
         - covariant_dual_block(C, u, t, engine, coords) - brv
 
 
 # -- Koszul solver ------------------------------------------------------------
-
-def _dual_gram_entry_field(g: BlockMetric, b: int, c: int) -> Callable:
-    """Entry (b, c) of the dual-side Gram as a generic scalar field."""
-    return lambda x: invert_matrix_generic(g.gram_generic(x))[b][c]
-
 
 def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
     """Unique symmetric metric-compatible connection, by the Koszul identity.
@@ -218,33 +199,30 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
     d = block.dim
 
     # coordinate dual-frame brackets must vanish; assert rather than trust
-    frame = [tuple((lambda x, i=i, a=a: 1.0 if i == a else 0.0) for i in range(d))
-             for a in range(d)]
+    frame = [coordinate_form(block, a) for a in range(d)]
     for seed in block.seed_points:
         for a in range(d):
             for b in range(d):
                 br = lie_bracket_dual_block(frame[a], frame[b], engine, block)
-                vals = [abs(_primal(c(list(seed)))) for c in br]
+                vals = [abs(_primal(c)) for c in br(list(seed))]
                 if max(vals) > EPS_NUM:
                     raise ValidationError("coordinate-frame bracket failed to vanish")
 
-    entry_fields = [[_dual_gram_entry_field(g, b, c) for c in range(d)] for b in range(d)]
+    def dual_gram(x):
+        """Dual-side Gram, flattened row-major: entry (b, c) at b * d + c."""
+        return [v for row in invert_matrix_generic(g.gram_generic(x)) for v in row]
 
     def christoffel(x):
-        # dgs[a][b][c] = d_a of dual Gram entry (b, c)
-        grads = [[engine.gradient(entry_fields[b][c], x, within=block.contains)
-                  for c in range(d)] for b in range(d)]
+        # dgs[b * d + c][a] = d_a of dual Gram entry (b, c)
+        dgs = engine.jacobian(dual_gram, x, within=block.contains)
         gram = g.gram_generic(x)
         gamma = [[[0.0] * d for _ in range(d)] for _ in range(d)]
         for a in range(d):
             for b in range(d):
-                rhs = [grads[b][c][a] + grads[c][a][b] - grads[a][b][c]
+                rhs = [dgs[b * d + c][a] + dgs[c * d + a][b] - dgs[a * d + b][c]
                        for c in range(d)]
                 for k in range(d):
-                    total = 0.0
-                    for c in range(d):
-                        total = total + gram[k][c] * rhs[c]
-                    gamma[k][a][b] = 0.5 * total
+                    gamma[k][a][b] = 0.5 * _dot(gram[k], rhs)
         return gamma
 
     return BlockConnection(block, christoffel)
@@ -261,15 +239,14 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
     block = g.block
     d = block.dim
 
+    def gram_flat(x):
+        return [v for row in g.gram_generic(x) for v in row]
+
     def christoffel(x):
         gram = g.gram(x)
         gd = np.linalg.inv(gram)
-        dgram = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                grad = engine.gradient_array(
-                    lambda xx, i=i, j=j: g.entries[i][j](xx), x, within=block.contains)
-                dgram[:, i, j] = grad
+        # dgram[a, i, j] = d_a Gram[i, j]
+        dgram = engine.jacobian_array(gram_flat, x, within=block.contains).T.reshape(d, d, d)
         dgd = np.empty((d, d, d))
         for a in range(d):
             dgd[a] = -gd @ dgram[a] @ gd
@@ -284,11 +261,10 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
     return christoffel
 
 
-def perturb_connection(C: BlockConnection, rng: np.random.Generator,
-                       scale: float = 0.1) -> BlockConnection:
+def perturb_connection(C: BlockConnection, rng: np.random.Generator) -> BlockConnection:
     """Add a fixed random offset to the Christoffel field (spot checks)."""
     d = C.block.dim
-    delta = rng.uniform(0.2, 1.0, size=(d, d, d)) * scale
+    delta = rng.uniform(0.2, 1.0, size=(d, d, d)) * 0.1
 
     def christoffel(x):
         base = C.christoffel(list(x))
@@ -306,10 +282,11 @@ def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
 
     def field(x):
         gram = g.gram_generic(x)
+        sv, tv = s(x), t(x)
         total = 0.0
         for i in range(d):
             for j in range(d):
-                total = total + s.components[i](x) * gram[i][j] * t.components[j](x)
+                total = total + sv[i] * gram[i][j] * tv[j]
         return total
 
     return field
@@ -345,8 +322,7 @@ def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
 
 def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
                                  nabla2: BlockConnection,
-                                 engine: Optional[DiffEngine] = None,
-                                 pairs: Optional[Sequence] = None) -> CompatResult:
+                                 engine: Optional[DiffEngine] = None) -> CompatResult:
     """Locus pullback agreement of the two connection tensors.
 
     For each sampled locus point and compatible section pair, both tensor
@@ -358,8 +334,7 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     eng = engine or space.engine
     if space.locus.kind == "point_set":
         return CompatResult(True, 0.0, None, 0)
-    if pairs is None:
-        pairs = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
+    pairs = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
     worst, witness, n = 0.0, None, 0
     for y in space.locus_points():
         fr = space.locus_frames(y)
@@ -411,12 +386,10 @@ def joint_range_residual(fibre, a1: np.ndarray, a2: np.ndarray) -> float:
 class GluedTensorField:
     """Section of the tensor square over the glued space, via block splits."""
 
-    def __init__(self, space: GluedSpace, f1: Callable, f2: Callable,
-                 check_membership: bool = True):
+    def __init__(self, space: GluedSpace, f1: Callable, f2: Callable):
         self.space = space
         self.f1 = f1
         self.f2 = f2
-        self.check_membership = check_membership
 
     def at(self, point: GluedPoint) -> TensorValue:
         if point.region == BLOCK1:
@@ -425,15 +398,13 @@ class GluedTensorField:
             return TensorValue(point, None, tensor_array(self.f2, point.coords))
         a1 = tensor_array(self.f1, point.coords)
         a2 = tensor_array(self.f2, point.coords2)
-        res = 0.0
-        if self.check_membership:
-            fibre = compute_fibre(self.space, point)
-            res = joint_range_residual(fibre, a1, a2)
-            scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
-            if res > 1e-6 * scale:
-                raise IncompatiblePair(
-                    f"tensor pair escapes the compatible square at {point.coords} "
-                    f"(residual {res:.3e})")
+        fibre = compute_fibre(self.space, point)
+        res = joint_range_residual(fibre, a1, a2)
+        scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
+        if res > 1e-6 * scale:
+            raise IncompatiblePair(
+                f"tensor pair escapes the compatible square at {point.coords} "
+                f"(residual {res:.3e})")
         return TensorValue(point, a1, a2, res)
 
 
@@ -456,10 +427,9 @@ class GluedConnection:
 
 def glue_connections(space: GluedSpace, metric: GluedMetric,
                      nabla1: BlockConnection, nabla2: BlockConnection,
-                     engine: Optional[DiffEngine] = None,
-                     pairs: Optional[Sequence] = None) -> GluedConnection:
+                     engine: Optional[DiffEngine] = None) -> GluedConnection:
     """Gate the pair through both compatibility checks and assemble."""
-    result = check_connections_compatible(space, nabla1, nabla2, engine, pairs)
+    result = check_connections_compatible(space, nabla1, nabla2, engine)
     if not result:
         raise IncompatibleConnections(f"connections incompatible: {result.witness}")
     return GluedConnection(space, metric, nabla1, nabla2)
@@ -470,24 +440,25 @@ def glue_connections(space: GluedSpace, metric: GluedMetric,
 
 @dataclass(frozen=True)
 class DualSection:
-    """Dual section over the glued space, via block coefficient fields.
+    """Dual section over the glued space, via block coefficient fields
+    ``x -> [d coefficients]``.
 
     Over a locus point the pair acts on the compatible subspace only,
     through the half-weighted pairing (consistent with the glued metric).
     """
 
     space: GluedSpace
-    t1: tuple
-    t2: tuple
+    t1: Callable
+    t2: Callable
 
     def at(self, point: GluedPoint) -> np.ndarray:
         if point.region == BLOCK1:
-            return np.asarray([_primal(f(list(point.coords))) for f in self.t1])
+            return _dual_value(self.t1, point.coords)
         if point.region == BLOCK2:
-            return np.asarray([_primal(f(list(point.coords))) for f in self.t2])
+            return _dual_value(self.t2, point.coords)
         fibre = compute_fibre(self.space, point)
-        v1 = np.asarray([_primal(f(list(point.coords))) for f in self.t1])
-        v2 = np.asarray([_primal(f(list(point.coords2))) for f in self.t2])
+        v1 = _dual_value(self.t1, point.coords)
+        v2 = _dual_value(self.t2, point.coords2)
         b1 = fibre.basis[:, : fibre.d1]
         b2 = fibre.basis[:, fibre.d1:]
         return 0.5 * (b1 @ v1) + 0.5 * (b2 @ v2)
@@ -558,8 +529,8 @@ def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
     if point.region == BLOCK2:
         tau = t.at(point)
         return FibreElement(fibre, tau @ tv.m2)
-    tau1 = np.asarray([_primal(f(list(point.coords))) for f in t.t1])
-    tau2 = np.asarray([_primal(f(list(point.coords2))) for f in t.t2])
+    tau1 = _dual_value(t.t1, point.coords)
+    tau2 = _dual_value(t.t2, point.coords2)
     return rho_pair_inverse(fibre, tau1 @ tv.m1, tau2 @ tv.m2,
                             tol=eng.config.membership_tol)
 
@@ -623,24 +594,27 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
         k2 = _gram_pair_field(g2, s.s2, t.s2)
 
         def block_residual(which, coords):
+            """Residual and d(g(s,t)) on one side at one point."""
             side = (C.nabla1, g1, s.s1, t.s1) if which == 1 else (C.nabla2, g2, s.s2, t.s2)
             lhs, rhs = _compat_sides(*side, coords, eng)
-            return float(np.max(np.abs(lhs - rhs)))
+            return float(np.max(np.abs(lhs - rhs))), lhs
 
         for p in samples[BLOCK1]:
-            res = block_residual(1, p.coords)
+            res, _ = block_residual(1, p.coords)
             n += 1
             if res > worst:
                 worst, witness = res, {"point": list(p.coords), "region": BLOCK1,
                                        "residual": res}
         for p in samples[BLOCK2]:
-            res = block_residual(2, p.coords)
+            res, _ = block_residual(2, p.coords)
             n += 1
             if res > worst:
                 worst, witness = res, {"point": list(p.coords), "region": BLOCK2,
                                        "residual": res}
         for p in samples[LOCUS]:
-            res = max(block_residual(1, p.coords), block_residual(2, p.coords2))
+            res1, dk1 = block_residual(1, p.coords)
+            res2, dk2 = block_residual(2, p.coords2)
+            res = max(res1, res2)
             # collapse: the split values of g(s,t) agree over the locus, so
             # the function is glued there.  Point-set loci admit mixing
             # section pairs for which no glued function exists; the identity
@@ -655,8 +629,6 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
             if collapse <= 1e-6:
                 # well-posed glued function: its split differentials must
                 # form a compatible pair over the locus fibre
-                dk1 = eng.gradient_array(k1, list(p.coords), within=g1.block.contains)
-                dk2 = eng.gradient_array(k2, list(p.coords2), within=g2.block.contains)
                 fibre = compute_fibre(space, p)
                 _, mem = pair_residual(fibre, dk1, dk2)
                 res = max(res, mem)
@@ -679,37 +651,32 @@ def pushforward_form(space: GluedSpace, s1: BlockForm,
     derivatives amplify.
     """
     eng = engine or space.engine
-    d2 = space.block2.dim
 
-    def component(z, j):
+    def field(z):
         y = space.f.inverse(list(z))
         if space.f.jacobian is not None:
             rows = invert_matrix_generic(space.f.jacobian(list(y)))
         else:
             rows = eng.jacobian(space.f.inverse, z)
         w = s1(y)
-        total = 0.0
-        for i in range(space.block1.dim):
-            total = total + rows[i][j] * w[i]
-        return total
+        return [_dot(col, w) for col in zip(*rows)]
 
-    return BlockForm(space.block2, tuple((lambda z, j=j: component(z, j))
-                                         for j in range(d2)))
+    return BlockForm(space.block2, field)
 
 
 def block_form_family(block: EuclideanBlock, rng: np.random.Generator,
                       extra: int = 8) -> list:
     """Coordinate sections, low-degree scaled sections, and random sections."""
-    out = [coordinate_form(block, a) for a in range(block.dim)]
-    for a in range(block.dim):
-        for b in range(block.dim):
-            p = PolyField.coordinate(block.dim, b)
-            comps = tuple((lambda x, i=i, a=a, p=p: p(x) if i == a else 0.0)
-                          for i in range(block.dim))
-            out.append(BlockForm(block, comps))
+    d = block.dim
+    out = [coordinate_form(block, a) for a in range(d)]
+    for a in range(d):
+        for b in range(d):
+            p = PolyField.coordinate(d, b)
+            out.append(BlockForm(block, lambda x, a=a, p=p: [p(x) if i == a else 0.0
+                                                             for i in range(d)]))
     for _ in range(extra):
-        polys = [random_poly(rng, block.dim, degree=2) for _ in range(block.dim)]
-        out.append(BlockForm(block, tuple((lambda x, f=f: f(x)) for f in polys)))
+        polys = [random_poly(rng, d) for _ in range(d)]
+        out.append(BlockForm(block, lambda x, polys=polys: [f(x) for f in polys]))
     return out
 
 
@@ -760,15 +727,14 @@ def _image_residual_fields(space: GluedSpace) -> list:
     return []
 
 
-def glued_function_family(space: GluedSpace, rng: np.random.Generator,
-                          count: int = 5) -> list:
+def glued_function_family(space: GluedSpace, rng: np.random.Generator) -> list:
     """Compatible scalar-function pairs: mirrored polynomials plus seam extras."""
     if space.locus.kind != "point_set" and not space.f.extends_globally:
         raise ValidationError("cannot synthesize glued functions without a "
                               "globally extending gluing map")
     out = []
-    for _ in range(count):
-        h1 = random_poly(rng, space.block1.dim, degree=2)
+    for _ in range(5):
+        h1 = random_poly(rng, space.block1.dim)
 
         def h2(z, h1=h1):
             return h1(space.f.inverse(list(z)))

@@ -2,7 +2,9 @@
 
 Scalar fields throughout the library are callables ``coords -> scalar``
 whose body uses only generic arithmetic, so they evaluate equally on floats
-and on :class:`~diffglue.numerics.DualScalar` inputs.
+and on :class:`~diffglue.numerics.DualScalar` inputs.  Vector fields (block
+covector fields and their duals) are single callables ``coords -> [d
+scalars]`` under the same rule.
 """
 
 from __future__ import annotations
@@ -72,15 +74,6 @@ class PolyField:
         return "PolyField(" + " + ".join(parts) + ")"
 
 
-def evaluate_vector(components: Sequence[Callable], coords) -> list:
-    return [f(coords) for f in components]
-
-
-def evaluate_vector_array(components, coords) -> np.ndarray:
-    from .numerics import _primal
-    return np.asarray([_primal(f(coords)) for f in components], dtype=float)
-
-
 def evaluate_matrix(entries: Sequence[Sequence[Callable]], coords) -> list:
     return [[f(coords) for f in row] for row in entries]
 
@@ -90,15 +83,14 @@ def evaluate_matrix_array(entries, coords) -> np.ndarray:
     return np.asarray([[_primal(f(coords)) for f in row] for row in entries], dtype=float)
 
 
-def random_poly(rng: np.random.Generator, dim: int, degree: int = 2,
-                scale: float = 1.0) -> PolyField:
-    """Dense random polynomial of total degree <= degree with O(scale) coeffs."""
+def random_poly(rng: np.random.Generator, dim: int) -> PolyField:
+    """Dense random polynomial of total degree <= 2 with coefficients in [-1, 1]."""
     coeffs = {}
     def rec(prefix, remaining):
         if len(prefix) == dim:
-            coeffs[tuple(prefix)] = scale * rng.uniform(-1.0, 1.0)
+            coeffs[tuple(prefix)] = rng.uniform(-1.0, 1.0)
             return
         for e in range(remaining + 1):
             rec(prefix + [e], remaining - e)
-    rec([], degree)
+    rec([], 2)
     return PolyField(dim, coeffs)

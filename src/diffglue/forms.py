@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IncompatiblePair, IncompatibleSections,
                      NotAFunctionOnGluedSpace, OutsideDomain, RankAmbiguous)
-from .fields import evaluate_vector, evaluate_vector_array
-from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine
+from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine, _dot, _primal
 from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 BLOCK1_FIBRE, BLOCK2_FIBRE, PAIR_FIBRE = "block1", "block2", "pair"
@@ -30,82 +29,70 @@ BLOCK1_FIBRE, BLOCK2_FIBRE, PAIR_FIBRE = "block1", "block2", "pair"
 
 @dataclass(frozen=True)
 class BlockForm:
-    """Covector field on a block: components in the coordinate coframe."""
+    """Covector field on a block: one callable ``x -> [dim components]`` in
+    the coordinate coframe, with generic arithmetic (dual-safe)."""
 
     block: EuclideanBlock
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.block.dim:
-            raise DimensionMismatch(
-                f"form has {len(self.components)} components on a dim-{self.block.dim} block")
+    field: Callable
 
     def __call__(self, coords) -> list:
-        return evaluate_vector(self.components, coords)
+        out = self.field(coords)
+        if len(out) != self.block.dim:
+            raise DimensionMismatch(
+                f"form has {len(out)} components on a dim-{self.block.dim} block")
+        return out
 
     def at(self, coords) -> np.ndarray:
         if not self.block.contains(list(coords)):
             raise OutsideDomain(f"{tuple(coords)} outside {self.block.name}")
-        return evaluate_vector_array(self.components, coords)
+        return np.asarray([_primal(v) for v in self(coords)], dtype=float)
 
     def __add__(self, other: "BlockForm") -> "BlockForm":
-        comps = tuple(lambda x, f=f, g=g: f(x) + g(x)
-                      for f, g in zip(self.components, other.components))
-        return BlockForm(self.block, comps)
+        return BlockForm(self.block,
+                         lambda x: [a + b for a, b in zip(self(x), other(x))])
 
     def scaled(self, h: Callable) -> "BlockForm":
         """Product h * form for a scalar field h."""
-        return BlockForm(self.block,
-                         tuple(lambda x, f=f: h(x) * f(x) for f in self.components))
+        def field(x):
+            hx = h(x)
+            return [hx * v for v in self(x)]
+
+        return BlockForm(self.block, field)
 
     def scaled_const(self, c: float) -> "BlockForm":
-        return BlockForm(self.block,
-                         tuple(lambda x, f=f, c=c: c * f(x) for f in self.components))
+        return BlockForm(self.block, lambda x: [c * v for v in self(x)])
 
 
 def zero_block_form(block: EuclideanBlock) -> BlockForm:
-    return BlockForm(block, tuple((lambda x: 0.0) for _ in range(block.dim)))
+    return BlockForm(block, lambda x: [0.0] * block.dim)
 
 
 def coordinate_form(block: EuclideanBlock, axis: int) -> BlockForm:
-    comps = tuple((lambda x, i=i, a=axis: 1.0 if i == a else 0.0)
-                  for i in range(block.dim))
-    return BlockForm(block, comps)
+    return BlockForm(block, lambda x: [1.0 if i == axis else 0.0
+                                       for i in range(block.dim)])
 
 
 def differential_block(block: EuclideanBlock, h: Callable, engine: DiffEngine) -> BlockForm:
     """Differential of a scalar field: components are the gradient."""
-    comps = tuple(
-        (lambda x, i=i: engine.gradient(h, x, within=block.contains)[i])
-        for i in range(block.dim))
-    return BlockForm(block, comps)
+    return BlockForm(block, lambda x: engine.gradient(h, x, within=block.contains))
 
 
 def pullback(form: BlockForm, mapping: Callable, source: EuclideanBlock,
-             engine: DiffEngine, jacobian: Optional[Callable] = None) -> BlockForm:
+             engine: DiffEngine) -> BlockForm:
     """Pullback along a smooth map into the form's block.
 
     Component i at u is sum_j J[j][i](u) * omega_j(mapping(u)).
     """
     target_dim = form.block.dim
 
-    def component(u, i):
+    def field(u):
         y = mapping(list(u))
         if len(y) != target_dim:
             raise DimensionMismatch("map target dimension does not match the form's block")
         w = form(y)
-        if jacobian is not None:
-            rows = jacobian(list(u))
-        else:
-            rows = engine.jacobian(mapping, u)
-        total = 0.0
-        for j in range(target_dim):
-            total = total + rows[j][i] * w[j]
-        return total
+        return [_dot(col, w) for col in zip(*engine.jacobian(mapping, u))]
 
-    comps = tuple((lambda u, i=i: component(u, i)) for i in range(source.dim))
-    return BlockForm(source, comps)
+    return BlockForm(source, field)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Differentiation engine and sampling plans.
 
 Every derivative taken anywhere in the library goes through
-:class:`DiffEngine`, which offers two modes:
+:class:`DiffEngine`.  Its primitive is :meth:`DiffEngine.jacobian`, which
+differentiates a vector field ``x -> [m generic scalars]`` in one pass;
+:meth:`DiffEngine.gradient` is its one-output case.  Block covector fields
+and their dual-side counterparts are such vector fields, so each derived
+field is differentiated by one Jacobian call.  The engine offers two modes:
 
 * ``forward_dual`` -- forward-mode dual numbers, exact to machine precision
-  for the polynomial and analytic built-ins (the default);
-* ``central_fd`` -- central finite differences, kept as the independent
-  cross-check (:meth:`DiffEngine.fd_cross_check`).
+  for the polynomial and analytic built-ins (the default); one evaluation
+  on seeded duals yields the whole Jacobian;
+* ``central_fd`` -- central finite differences, two evaluations per axis,
+  kept as the independent cross-check (:meth:`DiffEngine.fd_cross_check`).
 
 Dual coefficients are generic: the partials of a :class:`DualScalar` may
 themselves be dual, so nesting engine calls yields exact higher-order
@@ -171,6 +176,21 @@ def cos(x):
     return _unary(x, math.cos, lambda v: -sin(v))
 
 
+def _dot(u, v):
+    """sum_i u_i * v_i accumulated left to right from 0.0 (dual-safe)."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+def _seeds(coords) -> list:
+    """One dual per coordinate, seeded with the unit partial along its axis."""
+    n = len(coords)
+    return [DualScalar(coords[i], tuple(1.0 if j == i else 0.0 for j in range(n)))
+            for i in range(n)]
+
+
 def invert_matrix_generic(rows):
     """Invert a square matrix given as nested lists of generic scalars.
 
@@ -269,31 +289,44 @@ class DiffEngine:
     def __init__(self, config: DiffConfig | None = None):
         self.config = config or DiffConfig()
 
-    # -- gradients -----------------------------------------------------
+    # -- derivatives ---------------------------------------------------
     def gradient(self, field: Callable, coords: Sequence, within: Callable | None = None):
         """Gradient of a scalar field at ``coords``; returns a list.
 
-        Entries are floats for float input and DualScalar for dual input
-        (which happens when engine calls nest).  ``within`` guards the
-        finite-difference stencil against leaving the domain.
+        The one-output case of :meth:`jacobian`.  Entries are floats for
+        float input and DualScalar for dual input (which happens when
+        engine calls nest).  ``within`` guards the finite-difference
+        stencil against leaving the domain.
         """
         if self.config.mode == "forward_dual":
-            return self._gradient_dual(field, coords)
-        return self._gradient_fd(field, coords, within)
+            out = field(_seeds(coords))
+            if isinstance(out, DualScalar):
+                return list(out.partials)
+            return [0.0] * len(coords)  # field did not depend on the coordinates
+        return self._jacobian_fd(lambda x: (field(x),), coords, within)[0]
 
     def gradient_array(self, field, coords, within=None) -> np.ndarray:
         return np.asarray([_primal(g) for g in self.gradient(field, coords, within)], dtype=float)
 
-    def _gradient_dual(self, field, coords):
-        n = len(coords)
-        seeds = [DualScalar(coords[i], tuple(1.0 if j == i else 0.0 for j in range(n)))
-                 for i in range(n)]
-        out = field(seeds)
-        if isinstance(out, DualScalar):
-            return list(out.partials)
-        return [0.0] * n  # field did not depend on the coordinates
+    def jacobian(self, mapping: Callable, coords: Sequence, within=None):
+        """Jacobian rows J[j][i] = d mapping_j / d x_i, as a list of lists.
 
-    def _gradient_fd(self, field, coords, within):
+        ``mapping`` is a vector field ``x -> [m generic scalars]``.  In dual
+        mode it is evaluated once on seeded duals and each output's partials
+        are read off; an output that stayed a float gives a zero row.  In fd
+        mode it is evaluated twice per axis.
+        """
+        if self.config.mode != "forward_dual":
+            return self._jacobian_fd(mapping, coords, within)
+        n = len(coords)
+        return [list(v.partials) if isinstance(v, DualScalar) else [0.0] * n
+                for v in mapping(_seeds(coords))]
+
+    def jacobian_array(self, mapping, coords, within=None) -> np.ndarray:
+        rows = self.jacobian(mapping, coords, within)
+        return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
+
+    def _jacobian_fd(self, mapping, coords, within):
         h = self.config.fd_step
         n = len(coords)
         if within is not None:
@@ -304,27 +337,15 @@ class DiffEngine:
                     if not within(probe):
                         raise OutsideDomain(
                             f"fd stencil leaves the domain at {tuple(coords)} (axis {i})")
-        grad = []
+        stencils = []
         for i in range(n):
             up = list(coords)
             dn = list(coords)
             up[i] = up[i] + h
             dn[i] = dn[i] - h
-            grad.append((field(up) - field(dn)) / (2.0 * h))
-        return grad
-
-    def jacobian(self, mapping: Callable, coords: Sequence, within=None):
-        """Jacobian rows J[j][i] = d mapping_j / d x_i, as a list of lists."""
-        outputs = mapping(list(coords))
-        m = len(outputs)
-        rows = []
-        for j in range(m):
-            rows.append(self.gradient(lambda x, j=j: mapping(x)[j], coords, within))
-        return rows
-
-    def jacobian_array(self, mapping, coords, within=None) -> np.ndarray:
-        rows = self.jacobian(mapping, coords, within)
-        return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
+            stencils.append(zip(mapping(up), mapping(dn)))
+        # row j pairs output j of the up and down evaluations along every axis
+        return [[(a - b) / (2.0 * h) for a, b in row] for row in zip(*stencils)]
 
     # -- smoothness probe (fd mode) -------------------------------------
     def gradient_checked(self, field, coords, within=None):
@@ -335,9 +356,9 @@ class DiffEngine:
         """
         if self.config.mode == "forward_dual":
             return self.gradient(field, coords)
-        g1 = self._gradient_fd(field, coords, within)
+        g1 = self.gradient(field, coords, within)
         half = DiffEngine(DiffConfig(mode="central_fd", fd_step=self.config.fd_step / 2))
-        g2 = half._gradient_fd(field, coords, within)
+        g2 = half.gradient(field, coords, within)
         scale = 1.0 + max(abs(v) for v in g1 + g2)
         if max(abs(a - b) for a, b in zip(g1, g2)) > 1e-4 * scale:
             raise NonSmoothField(f"finite differences do not converge at {tuple(coords)}")

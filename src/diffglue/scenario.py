@@ -110,16 +110,26 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
     raise ParseError(f"{where}: unknown map kind {kind!r}")
 
 
+def parse_points(raw, dim: int, where: str) -> tuple:
+    """Coordinate tuples that must each have ``dim`` entries."""
+    points = tuple(tuple(p) for p in raw)
+    for p in points:
+        if len(p) != dim:
+            raise ParseError(f"{where}: point {list(p)} has {len(p)} coordinates, "
+                             f"expected {dim}")
+    return points
+
+
 def parse_locus(spec: dict, d1: int, where: str):
     kind = spec.get("kind")
     if kind == "point_set":
-        return PointSetLocus(tuple(tuple(p) for p in spec.get("points", [])))
+        return PointSetLocus(parse_points(spec.get("points", []), d1, where + ".points"))
     if kind == "open_subdomain":
         dom = parse_domain(spec.get("domain", {}), d1, where + ".domain")
         samples = spec.get("sample_points")
         if not samples:
             raise ParseError(f"{where}: open_subdomain locus needs sample_points")
-        return OpenSubdomainLocus(dom, tuple(tuple(p) for p in samples))
+        return OpenSubdomainLocus(dom, parse_points(samples, d1, where + ".sample_points"))
     if kind == "submanifold":
         chart_spec = spec.get("chart", {})
         if chart_spec.get("kind") != "axis_embed":
@@ -139,7 +149,8 @@ def parse_locus(spec: dict, d1: int, where: str):
         samples = spec.get("param_samples")
         if not samples:
             raise ParseError(f"{where}: submanifold locus needs param_samples")
-        return SubmanifoldLocus(k, chart, invert, tuple(tuple(p) for p in samples))
+        return SubmanifoldLocus(k, chart, invert,
+                                parse_points(samples, k, where + ".param_samples"))
     raise ParseError(f"{where}: unknown locus kind {kind!r}")
 
 
@@ -149,7 +160,7 @@ def parse_block(spec: dict, name: str) -> EuclideanBlock:
     seeds = spec.get("seed_points")
     if not seeds:
         raise ParseError(f"{name}: seed_points required")
-    return EuclideanBlock(dim, dom, tuple(tuple(p) for p in seeds), name)
+    return EuclideanBlock(dim, dom, parse_points(seeds, dim, name + ".seed_points"), name)
 
 
 def parse_metric(spec: dict, block: EuclideanBlock, where: str) -> BlockMetric:

@@ -308,9 +308,9 @@ class GluedSpace:
         return out
 
 
-def _close(a, b, tol: float = EPS_NUM) -> bool:
-    """Componentwise agreement, relative to the size of the coordinates."""
-    return all(abs(float(x) - float(y)) <= tol * (1.0 + max(abs(float(x)), abs(float(y))))
+def _close(a, b) -> bool:
+    """Componentwise agreement within EPS_NUM, relative to the size of the coordinates."""
+    return all(abs(float(x) - float(y)) <= EPS_NUM * (1.0 + max(abs(float(x)), abs(float(y))))
                for x, y in zip(a, b))
 
 

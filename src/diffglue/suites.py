@@ -260,7 +260,7 @@ def suite_leibniz(ctx, out: Checks) -> SuiteResult:
     tol = ctx.engine.config.suite_tol
     rng = np.random.default_rng(ctx.scenario.plan.seed + 2)
     sections = _sections(ctx)[:8]
-    functions = cx.glued_function_family(space, rng, count=5)
+    functions = cx.glued_function_family(space, rng)
     points = _points(ctx, per_region=4)
     for h in functions:
         for s in sections:
@@ -327,7 +327,7 @@ def suite_bracket_split(ctx, out: Checks) -> SuiteResult:
     sections = _sections(ctx)[:5]
     pairs = _section_pairs(sections, count=4)
     points = _points(ctx, per_region=3)
-    probes = cx.glued_function_family(ctx.space, rng, count=5)
+    probes = cx.glued_function_family(ctx.space, rng)
     for s, r in pairs:
         formula = cx.lie_bracket_forms(G, s, r, ctx.engine)
         for p in points:

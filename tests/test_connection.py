@@ -27,7 +27,7 @@ def engine():
 def test_apply_flat_line(engine):
     b = line()
     C = dg.zero_connection(b)
-    s = dg.BlockForm(b, ((lambda x: x[0]),))
+    s = dg.BlockForm(b, lambda x: [x[0]])
     tensor = dg.apply_block(C, s, engine)
     assert cx.tensor_array(tensor, (0.7,)) == pytest.approx(np.array([[1.0]]))
 
@@ -46,7 +46,7 @@ def test_apply_leibniz_random(engine):
     b = line()
     C = dg.BlockConnection(b, lambda x: [[[x[0] ** 2]]])
     h = lambda x: 1.0 + 2.0 * x[0]
-    s = dg.BlockForm(b, ((lambda x: x[0] ** 2 - 1.0),))
+    s = dg.BlockForm(b, lambda x: [x[0] ** 2 - 1.0])
     hs = s.scaled(h)
     dh = dg.differential_block(b, h, engine)
     for x in ((0.4,), (-1.1,)):
@@ -60,40 +60,40 @@ def test_apply_leibniz_random(engine):
 
 def test_action_directional_derivative(engine):
     b = line()
-    t = ((lambda x: 1.0),)
+    t = lambda x: [1.0]
     field = cx.action_block(t, lambda x: x[0] ** 2, engine, b)
     assert field((3.0,)) == pytest.approx(6.0)
 
 
 def test_action_constant_function(engine):
     b = line()
-    t = ((lambda x: x[0] ** 3),)
+    t = lambda x: [x[0] ** 3]
     field = cx.action_block(t, lambda x: 42.0, engine, b)
     assert field((0.7,)) == pytest.approx(0.0)
 
 
 def test_bracket_constant_fields(engine):
     b = line()
-    t = ((lambda x: 2.0),)
-    u = ((lambda x: -3.0),)
+    t = lambda x: [2.0]
+    u = lambda x: [-3.0]
     br = cx.lie_bracket_dual_block(t, u, engine, b)
-    assert br[0]((0.5,)) == pytest.approx(0.0)
+    assert br((0.5,))[0] == pytest.approx(0.0)
 
 
 def test_bracket_classic_example(engine):
     # [x d, d] = -d
     b = line()
-    t = ((lambda x: x[0]),)
-    u = ((lambda x: 1.0),)
+    t = lambda x: [x[0]]
+    u = lambda x: [1.0]
     br = cx.lie_bracket_dual_block(t, u, engine, b)
-    assert br[0]((0.9,)) == pytest.approx(-1.0)
+    assert br((0.9,))[0] == pytest.approx(-1.0)
 
 
 def test_bracket_antisymmetry(engine):
     b = line()
-    t = ((lambda x: x[0] ** 2),)
+    t = lambda x: [x[0] ** 2]
     br = cx.lie_bracket_dual_block(t, t, engine, b)
-    assert br[0]((1.3,)) == pytest.approx(0.0)
+    assert br((1.3,))[0] == pytest.approx(0.0)
 
 
 def test_bracket_jacobi(engine):
@@ -102,9 +102,8 @@ def test_bracket_jacobi(engine):
     fields = []
     for _ in range(3):
         c = rng.uniform(-1, 1, size=(2, 3))
-        fields.append(tuple(
-            (lambda x, a=a, c=c: c[a][0] + c[a][1] * x[0] + c[a][2] * x[1] * x[0])
-            for a in range(2)))
+        fields.append(lambda x, c=c: [c[a][0] + c[a][1] * x[0] + c[a][2] * x[1] * x[0]
+                                      for a in range(2)])
     t, u, v = fields
     def bracket(a, b_):
         return cx.lie_bracket_dual_block(a, b_, engine, b)
@@ -113,7 +112,7 @@ def test_bracket_jacobi(engine):
     for a, b_, c_ in ((t, u, v), (u, v, t), (v, t, u)):
         inner = bracket(b_, c_)
         outer = bracket(a, inner)
-        total += np.array([outer[k](x) for k in range(2)])
+        total += np.array(outer(x))
     assert total == pytest.approx(np.zeros(2), abs=1e-9)
 
 
@@ -122,7 +121,7 @@ def test_bracket_forms_identity_gram(engine):
     # [x dx, dx] = -dx
     b = line()
     g = dg.constant_metric(b, [[1.0]])
-    s = dg.BlockForm(b, ((lambda x: x[0]),))
+    s = dg.BlockForm(b, lambda x: [x[0]])
     r = coordinate_form(b, 0)
     br = cx.lie_bracket_forms_block(g, s, r, engine)
     assert br.at((0.4,)) == pytest.approx([-1.0])
@@ -135,8 +134,8 @@ def test_bracket_forms_identity_gram(engine):
 def test_covariant_flat(engine):
     b = line()
     C = dg.zero_connection(b)
-    t = ((lambda x: 1.0),)
-    s = dg.BlockForm(b, ((lambda x: x[0]),))
+    t = lambda x: [1.0]
+    s = dg.BlockForm(b, lambda x: [x[0]])
     out = cx.covariant_block(C, t, s, engine)
     assert out.at((2.0,)) == pytest.approx([1.0])
 
@@ -144,8 +143,8 @@ def test_covariant_flat(engine):
 def test_covariant_zero_direction(engine):
     b = line()
     C = dg.BlockConnection(b, lambda x: [[[3.0]]])
-    t = ((lambda x: 0.0),)
-    s = dg.BlockForm(b, ((lambda x: x[0] ** 3),))
+    t = lambda x: [0.0]
+    s = dg.BlockForm(b, lambda x: [x[0] ** 3])
     out = cx.covariant_block(C, t, s, engine)
     assert out.at((1.1,)) == pytest.approx([0.0])
 
@@ -157,7 +156,7 @@ def test_torsion_flat_vanishes(engine):
     g = dg.constant_metric(b, [[1.0]])
     C = dg.zero_connection(b)
     s = coordinate_form(b, 0)
-    r = dg.BlockForm(b, ((lambda x: x[0] ** 2),))
+    r = dg.BlockForm(b, lambda x: [x[0] ** 2])
     t = cx.torsion_block(C, g, s, r, engine)
     assert t.at((0.8,)) == pytest.approx([0.0], abs=1e-12)
 
@@ -170,12 +169,12 @@ def test_torsion_one_dimensional_always_zero(engine):
     rng = np.random.default_rng(6)
     for _ in range(3):
         c1, c2 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        s = dg.BlockForm(b, ((lambda x, c=c1: c[0] + c[1] * x[0] + c[2] * x[0] ** 2),))
-        r = dg.BlockForm(b, ((lambda x, c=c2: c[0] + c[1] * x[0] + c[3] * x[0] ** 3),))
+        s = dg.BlockForm(b, lambda x, c=c1: [c[0] + c[1] * x[0] + c[2] * x[0] ** 2])
+        r = dg.BlockForm(b, lambda x, c=c2: [c[0] + c[1] * x[0] + c[3] * x[0] ** 3])
         val = cx.torsion_block(C, g, s, r, engine).at((0.6,))
         assert val == pytest.approx([0.0], abs=1e-10)
-        dualval = cx.torsion_dual_block(C, ((lambda x, c=c1: c[0] + c[1] * x[0]),),
-                                        ((lambda x, c=c2: c[0] + c[1] * x[0]),),
+        dualval = cx.torsion_dual_block(C, lambda x, c=c1: [c[0] + c[1] * x[0]],
+                                        lambda x, c=c2: [c[0] + c[1] * x[0]],
                                         engine, (0.6,))
         assert dualval == pytest.approx([0.0], abs=1e-10)
 
@@ -187,8 +186,8 @@ def test_torsion_detects_asymmetric_christoffel(engine):
     gamma = np.zeros((2, 2, 2))
     gamma[0][0][1] = 1.0
     C = dg.BlockConnection(b, lambda x: gamma.tolist())
-    t = ((lambda x: 1.0), (lambda x: 0.0))
-    u = ((lambda x: 0.0), (lambda x: 1.0))
+    t = lambda x: [1.0, 0.0]
+    u = lambda x: [0.0, 1.0]
     val = cx.torsion_dual_block(C, t, u, engine, (0.4, 0.2))
     oracle = np.array([gamma[c][0][1] - gamma[c][1][0] for c in range(2)])
     assert val == pytest.approx(oracle)
@@ -223,7 +222,7 @@ def test_koszul_output_compatible(engine):
     b = line()
     g = dg.BlockMetric(b, ((lambda x: 1.0 + x[0] ** 2,),))
     C = cx.koszul_solve(g, engine)
-    pairs = [(coordinate_form(b, 0), dg.BlockForm(b, ((lambda x: x[0]),)))]
+    pairs = [(coordinate_form(b, 0), dg.BlockForm(b, lambda x: [x[0]]))]
     res = cx.check_metric_compatible_block(C, g, pairs, [(0.5,), (-1.2,)],
                                            engine, tol=1e-9)
     assert res
@@ -262,6 +261,24 @@ def test_koszul_2d_curved_dual_gram(engine):
         assert got == pytest.approx(expect, abs=1e-9)
 
 
+def test_koszul_inverts_once_per_evaluation(engine, monkeypatch):
+    # the dual Gram is differentiated as one flattened field, so one
+    # Christoffel evaluation inverts the Gram once, not once per entry
+    b = dg.EuclideanBlock(3, lambda x: True, [(0.5, 1.0, -0.5)], "cube")
+    diag = lambda i: (lambda x: 1.0 + x[i] ** 2)
+    off = lambda x: 0.1
+    g = dg.BlockMetric(b, ((diag(0), off, off), (off, diag(1), off), (off, off, diag(2))))
+    C = cx.koszul_solve(g, engine)
+    calls = []
+    invert = cx.invert_matrix_generic
+    monkeypatch.setattr(cx, "invert_matrix_generic",
+                        lambda rows: calls.append(rows) or invert(rows))
+    gamma = C.gamma((0.3, -0.4, 0.2))
+    assert len(calls) == 1
+    oracle = cx.christoffel_closed_form(g, engine)
+    assert gamma == pytest.approx(np.asarray(oracle([0.3, -0.4, 0.2])), abs=1e-10)
+
+
 def test_koszul_matches_closed_form_fd_mode():
     fd = dg.DiffEngine(dg.DiffConfig("central_fd"))
     b = line()
@@ -278,6 +295,6 @@ def test_perturbed_koszul_breaks_uniqueness(engine):
     C = cx.koszul_solve(g, engine)
     rng = np.random.default_rng(11)
     P = cx.perturb_connection(C, rng)
-    pairs = [(coordinate_form(b, 0), dg.BlockForm(b, ((lambda x: x[0]),)))]
+    pairs = [(coordinate_form(b, 0), dg.BlockForm(b, lambda x: [x[0]]))]
     res = cx.check_metric_compatible_block(P, g, pairs, [(0.5,)], engine, tol=1e-4)
     assert not res

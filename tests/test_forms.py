@@ -80,7 +80,7 @@ def test_pullback_linear_map(engine):
 
 def test_pullback_constant_map_is_zero(engine):
     target, source = line("t"), line("s")
-    form = dg.BlockForm(target, ((lambda x: 1.0 + x[0] ** 2),))
+    form = dg.BlockForm(target, lambda x: [1.0 + x[0] ** 2])
     pulled = dg.pullback(form, lambda u: [4.0], source, engine)
     assert pulled.at((0.3,)) == pytest.approx([0.0])
 
@@ -88,7 +88,7 @@ def test_pullback_constant_map_is_zero(engine):
 def test_pullback_chain_rule(engine):
     # y dy pulled along x -> x^2 gives 2x^3 dx
     target, source = line("t"), line("s")
-    ydy = dg.BlockForm(target, ((lambda y: y[0]),))
+    ydy = dg.BlockForm(target, lambda y: [y[0]])
     pulled = dg.pullback(ydy, lambda u: [u[0] ** 2], source, engine)
     for x in (0.5, -1.2, 2.0):
         assert pulled.at((x,)) == pytest.approx([2.0 * x ** 3])
@@ -97,13 +97,21 @@ def test_pullback_chain_rule(engine):
 def test_pullback_functoriality(engine):
     # pullback(pullback(w, F), G) = pullback(w, F o G) at sampled points
     target, mid, source = line("t"), line("m"), line("s")
-    w = dg.BlockForm(target, ((lambda y: 1.0 + y[0] ** 2),))
+    w = dg.BlockForm(target, lambda y: [1.0 + y[0] ** 2])
     F = lambda u: [3.0 * u[0] + 1.0]
     G = lambda v: [v[0] ** 2]
     two_step = dg.pullback(dg.pullback(w, F, mid, engine), G, source, engine)
     one_step = dg.pullback(w, lambda v: F(G(v)), source, engine)
     for x in (0.4, -0.9, 1.5):
         assert two_step.at((x,)) == pytest.approx(one_step.at((x,)), abs=1e-9)
+
+
+def test_block_form_rejects_wrong_component_count():
+    form = dg.BlockForm(line("t"), lambda x: [x[0], 1.0])
+    with pytest.raises(dg.DimensionMismatch):
+        form((0.5,))
+    with pytest.raises(dg.DimensionMismatch):
+        form.at((0.5,))
 
 
 def test_pullback_dimension_mismatch(engine):
@@ -116,15 +124,15 @@ def test_pullback_dimension_mismatch(engine):
 # -- compatibility of forms ----------------------------------------------------
 
 def test_forms_compatible_point_locus_always(cross):
-    w1 = dg.BlockForm(cross.block1, ((lambda x: 1.0 + x[0]),))
-    w2 = dg.BlockForm(cross.block2, ((lambda x: -3.0),))
+    w1 = dg.BlockForm(cross.block1, lambda x: [1.0 + x[0]])
+    w2 = dg.BlockForm(cross.block2, lambda x: [-3.0])
     assert dg.check_forms_compatible(cross, w1, w2)
 
 
 def test_constant_plot_pullback_vanishes(engine, cross):
     # oracle behind the point-locus rule: forms evaluate to zero on
     # constant plots
-    w = dg.BlockForm(cross.block1, ((lambda x: 1.0 + x[0] ** 2),))
+    w = dg.BlockForm(cross.block1, lambda x: [1.0 + x[0] ** 2])
     plots = [dg.Plot(1, lambda u: [0.0], (0.0,)), dg.Plot(2, lambda u: [0.0], (0.0, 0.0))]
     assert vanishing_at_point(w, plots, engine) == pytest.approx(0.0)
 
@@ -237,8 +245,8 @@ def test_rho_consistency_roundtrip(halfline, plane_axis):
 # -- sections ----------------------------------------------------------------------
 
 def test_assemble_cross_constant(cross):
-    one1 = dg.BlockForm(cross.block1, ((lambda x: 1.0),))
-    one2 = dg.BlockForm(cross.block2, ((lambda x: 1.0),))
+    one1 = dg.BlockForm(cross.block1, lambda x: [1.0])
+    one2 = dg.BlockForm(cross.block2, lambda x: [1.0])
     s = dg.assemble_section(cross, one1, one2)
     p0 = dg.classify_point(cross, 1, (0.0,))
     assert s.at(p0).components == pytest.approx([1.0, 1.0])
@@ -247,9 +255,9 @@ def test_assemble_cross_constant(cross):
 
 
 def test_assemble_halfline_mismatch_rejected(halfline):
-    sx = dg.BlockForm(halfline.block1, ((lambda x: x[0]),))
-    sx2 = dg.BlockForm(halfline.block2, ((lambda x: x[0]),))
-    shifted = dg.BlockForm(halfline.block2, ((lambda x: x[0] + 1.0),))
+    sx = dg.BlockForm(halfline.block1, lambda x: [x[0]])
+    sx2 = dg.BlockForm(halfline.block2, lambda x: [x[0]])
+    shifted = dg.BlockForm(halfline.block2, lambda x: [x[0] + 1.0])
     dg.assemble_section(halfline, sx, sx2)
     with pytest.raises(dg.IncompatibleSections):
         dg.assemble_section(halfline, sx, shifted)

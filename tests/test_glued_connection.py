@@ -89,8 +89,8 @@ def test_apply_glued_cross_flat(cross, engine):
     # tensors dx (x) dx and dy (x) dy
     G, C = flat_setup(cross)
     s = dg.assemble_section(cross,
-                            dg.BlockForm(cross.block1, ((lambda x: x[0]),)),
-                            dg.BlockForm(cross.block2, ((lambda z: z[0]),)))
+                            dg.BlockForm(cross.block1, lambda x: [x[0]]),
+                            dg.BlockForm(cross.block2, lambda z: [z[0]]))
     p0 = dg.classify_point(cross, 1, (0.0,))
     val = C.apply(s).at(p0)
     assert val.m1 == pytest.approx(np.array([[1.0]]))
@@ -102,7 +102,7 @@ def test_apply_glued_cross_flat(cross, engine):
 def test_restriction_law(halfline, engine):
     # rho x rho applied to the glued tensor equals the factor tensor
     G, C = flat_setup(halfline)
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: x[0] ** 2),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     field = C.apply(s)
     block_tensor = dg.apply_block(C.nabla1, s.s1, engine)
@@ -114,7 +114,7 @@ def test_restriction_law(halfline, engine):
 
 def test_locus_value_in_compatible_square(halfline):
     G, C = flat_setup(halfline)
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: 1.0 + x[0] ** 2),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     p = dg.classify_point(halfline, 1, (-1.0,))
     val = C.apply(s).at(p)
@@ -125,7 +125,7 @@ def test_locus_value_in_compatible_square(halfline):
 
 def test_action_glued_half_weights(cross, engine):
     # t1 = t2 = 1, h = (x, y): at the locus 1/2*1 + 1/2*1 = 1
-    t = cx.DualSection(cross, ((lambda x: 1.0),), ((lambda z: 1.0),))
+    t = cx.DualSection(cross, lambda x: [1.0], lambda z: [1.0])
     h = dg.GluedFunction(cross, lambda x: x[0], lambda z: z[0])
     val = dg.action(t, h, engine)
     p0 = dg.classify_point(cross, 1, (0.0,))
@@ -139,7 +139,7 @@ def test_action_agrees_with_glued_metric_pairing(halfline, engine):
     g1 = dg.BlockMetric(halfline.block1, ((lambda x: 1.0 + x[0] ** 2,),))
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g1, g2)
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: x[0]),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     t = cx.phi_glued(G, s)
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2, lambda z: z[0] ** 2)
@@ -167,8 +167,8 @@ def test_covariant_split_two_paths(cross, halfline, plane_axis, engine):
         C = dg.glue_connections(space, G, n1, n2)
         s1 = coordinate_form(space.block1, 0)
         r1 = dg.BlockForm(space.block1,
-                          tuple((lambda x, i=i: x[0] if i == 0 else 1.0)
-                                for i in range(space.block1.dim)))
+                          lambda x, d=space.block1.dim: [x[0] if i == 0 else 1.0
+                                                         for i in range(d)])
         s = dg.assemble_section(space, s1, cx.pushforward_form(space, s1))
         r = dg.assemble_section(space, r1, cx.pushforward_form(space, r1))
         t = cx.phi_glued(G, s)
@@ -184,9 +184,9 @@ def test_covariant_flat_lemma_formula(cross, engine):
     # cross with flat factors: locus value is the pair of block derivatives
     G, C = flat_setup(cross)
     s = dg.assemble_section(cross,
-                            dg.BlockForm(cross.block1, ((lambda x: x[0]),)),
-                            dg.BlockForm(cross.block2, ((lambda z: 2.0 * z[0]),)))
-    t = cx.DualSection(cross, ((lambda x: 1.0),), ((lambda z: 1.0),))
+                            dg.BlockForm(cross.block1, lambda x: [x[0]]),
+                            dg.BlockForm(cross.block2, lambda z: [2.0 * z[0]]))
+    t = cx.DualSection(cross, lambda x: [1.0], lambda z: [1.0])
     out = cx.covariant_derivative(C, t, s, engine)
     p0 = dg.classify_point(cross, 1, (0.0,))
     e = out.at(p0)
@@ -199,9 +199,9 @@ def test_covariant_flat_lemma_formula(cross, engine):
 def test_bracket_splitting_three_cases(cross, engine):
     # constant sections with identity Grams commute in every region
     G, C = flat_setup(cross)
-    one1 = dg.BlockForm(cross.block1, ((lambda x: 1.0),))
-    one2 = dg.BlockForm(cross.block2, ((lambda z: 1.0),))
-    two2 = dg.BlockForm(cross.block2, ((lambda z: 2.0),))
+    one1 = dg.BlockForm(cross.block1, lambda x: [1.0])
+    one2 = dg.BlockForm(cross.block2, lambda z: [1.0])
+    two2 = dg.BlockForm(cross.block2, lambda z: [2.0])
     s = dg.assemble_section(cross, one1, one2)
     r = dg.assemble_section(cross, one1.scaled_const(3.0), two2)
     br = cx.lie_bracket_forms(G, s, r, engine)
@@ -216,8 +216,8 @@ def test_bracket_splitting_matches_blocks(halfline, engine):
     g1 = dg.BlockMetric(halfline.block1, ((lambda x: 1.0 + x[0] ** 2,),))
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g1, g2)
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: x[0]),))
-    r1 = dg.BlockForm(halfline.block1, ((lambda x: 1.0 - x[0] ** 2),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
+    r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 - x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
     br = cx.lie_bracket_forms(G, s, r, engine)
@@ -250,8 +250,8 @@ def test_torsion_split_unweighted_not_half(plane_axis, engine):
     # the definitional glued torsion equals the pair of factor torsions
     # with no extra factor; the half-weighted variant misses by 2
     G, C, g1, g2 = asymmetric_plane_setup(plane_axis)
-    s1 = dg.BlockForm(plane_axis.block1, ((lambda x: 1.0), (lambda x: 0.0)))
-    r1 = dg.BlockForm(plane_axis.block1, ((lambda x: 0.0), (lambda x: 1.0)))
+    s1 = dg.BlockForm(plane_axis.block1, lambda x: [1.0, 0.0])
+    r1 = dg.BlockForm(plane_axis.block1, lambda x: [0.0, 1.0])
     s = dg.assemble_section(plane_axis, s1, cx.pushforward_form(plane_axis, s1))
     r = dg.assemble_section(plane_axis, r1, cx.pushforward_form(plane_axis, r1))
     glued_t = cx.torsion(C, s, r, engine)
@@ -275,8 +275,8 @@ def test_torsion_antisymmetry(halfline, engine):
     G = dg.glue_metrics(halfline, g1, g2)
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
                             dg.koszul_solve(g2, engine))
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: x[0]),))
-    r1 = dg.BlockForm(halfline.block1, ((lambda x: 1.0 + x[0] ** 2),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
+    r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
     t_sr = cx.torsion(C, s, r, engine)
@@ -291,7 +291,7 @@ def test_torsion_values_records_points(halfline, engine):
     G, C = flat_setup(halfline)
     s1 = coordinate_form(halfline.block1, 0)
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
-    r1 = dg.BlockForm(halfline.block1, ((lambda x: x[0]),))
+    r1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
     pts = [dg.classify_point(halfline, 1, (-1.0,))]
     vals = dg.torsion_values(C, s, r, pts, engine)
@@ -307,7 +307,7 @@ def test_glued_leibniz_all_regions(halfline, engine):
     G = dg.glue_metrics(halfline, g1, g2)
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
                             dg.koszul_solve(g2, engine))
-    s1 = dg.BlockForm(halfline.block1, ((lambda x: 1.0 + x[0]),))
+    s1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0]])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2 - 2.0,
                          lambda z: z[0] ** 2 - 2.0)

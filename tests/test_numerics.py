@@ -81,6 +81,27 @@ def test_fd_gradient_respects_domain_guard():
     eng = DiffEngine(DiffConfig("central_fd", fd_step=1e-2))
     with pytest.raises(OutsideDomain):
         eng.gradient(lambda x: x[0], [0.005], within=lambda x: x[0] > 0)
+    with pytest.raises(OutsideDomain):
+        eng.jacobian(lambda x: [x[0], x[0] * x[1], 1.0], [0.005, 1.0],
+                     within=lambda x: x[0] > 0)
+
+
+@pytest.mark.parametrize("mode, evaluations", [("forward_dual", 1), ("central_fd", 4)])
+def test_jacobian_is_one_vector_pass(mode, evaluations):
+    # three outputs on a plane, one constant: dual mode evaluates the mapping
+    # once, fd mode twice per axis; the rows are the per-output gradients
+    calls = []
+
+    def mapping(x):
+        calls.append(x)
+        return [x[0] * x[1], x[1] ** 2, 7.0]
+
+    eng = DiffEngine(DiffConfig(mode))
+    rows = eng.jacobian_array(mapping, [1.5, -0.5])
+    assert len(calls) == evaluations
+    grads = [eng.gradient_array(lambda x, j=j: mapping(x)[j], [1.5, -0.5]) for j in range(3)]
+    assert np.array_equal(rows, np.asarray(grads))
+    assert rows == pytest.approx(np.array([[-0.5, 1.5], [0.0, -1.0], [0.0, 0.0]]), abs=1e-8)
 
 
 def test_fd_cross_check_passes_on_polynomials():

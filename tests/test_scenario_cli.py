@@ -107,6 +107,16 @@ def test_mode_override(tmp_path):
                "--mode", "fd", "--report-out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["mode"] == "central_fd"
+    # the whole catalogue in fd mode reaches the dual verdicts on the same samples
+    verdicts = {}
+    for mode in ("dual", "fd"):
+        out = tmp_path / f"halfline_{mode}.json"
+        assert main(["run", str(fixture_path("halfline_curved")), "--mode", mode,
+                     "--report-out", str(out)]) == 0
+        verdicts[mode] = [(r["suite"], r["status"], r["samples"])
+                          for r in json.loads(out.read_text())["suites"]]
+    assert len(verdicts["fd"]) == len(SUITE_CATALOGUE)
+    assert verdicts["fd"] == verdicts["dual"]
 
 
 def test_inspect_cross_origin(capsys):
@@ -147,9 +157,18 @@ def _scalar_suite_list(doc):
     doc["suites"] = 5
 
 
+def _plane_seed_in_line_block(doc):
+    doc["space"]["block1"]["seed_points"] = [[1.0, 2.0]]
+
+
+def _plane_locus_sample(doc):
+    doc["space"]["locus"]["sample_points"].append([-1.0, 2.0])
+
+
 @pytest.mark.parametrize("damage", [_del_locus_bound, _word_dim, _one_index_metric_key,
                                     _zero_per_axis, _unknown_domain_kind,
-                                    _scalar_suite_list])
+                                    _scalar_suite_list, _plane_seed_in_line_block,
+                                    _plane_locus_sample])
 def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     import yaml
     doc = load_scenario(fixture_path("halfline_curved")).raw
