@@ -8,7 +8,7 @@ verification suites with a scenario-driven CLI.
 from .errors import (DiffglueError, DimensionMismatch, HypothesisNotAsserted,
                      IncompatibleConnections, IncompatibleMetrics,
                      IncompatiblePair, IncompatibleSections, LocusOutsideBlock,
-                     ModesDisagree, NonSmoothField, NotADiffeomorphism,
+                     ModesDisagree, NotADiffeomorphism,
                      NotAFunctionOnGluedSpace, NotInImage, OutsideDomain,
                      ParseError, RankAmbiguous, SingularGram, ValidationError)
 from .numerics import DiffConfig, DiffEngine, DualScalar, SamplePlan

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IncompatibleConnections, IncompatiblePair, ValidationError
 from .fields import PolyField, random_poly
-from .forms import (BlockForm, CompatResult, FibreElement, GluedFunction,
+from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction,
                     LambdaSection, compute_fibre, coordinate_form,
                     pair_residual, rho_pair_inverse, zero_block_form)
 from .metric import BlockMetric, GluedMetric
@@ -307,17 +307,14 @@ def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
                                   pairs: Sequence, points: Sequence,
                                   engine: DiffEngine, tol: float) -> CompatResult:
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points."""
-    worst, witness, n = 0.0, None, 0
+    out = Checks()
     for s, t in pairs:
         for x in points:
             lhs, rhs = _compat_sides(C, g, s, t, x, engine)
             res = float(np.max(np.abs(lhs - rhs)))
-            n += 1
-            if res > worst:
-                worst = res
-                witness = {"point": list(x), "residual": res,
-                           "lhs": lhs.tolist(), "rhs": rhs.tolist()}
-    return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
+            out.check(res, tol, point=list(x), residual=res,
+                      lhs=lhs.tolist(), rhs=rhs.tolist())
+    return out.compat()
 
 
 def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
@@ -332,10 +329,11 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     """
     space.require_hypotheses()
     eng = engine or space.engine
+    out = Checks()
     if space.locus.kind == "point_set":
-        return CompatResult(True, 0.0, None, 0)
+        return out.compat()
     pairs = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
-    worst, witness, n = 0.0, None, 0
+    tol = eng.config.tol("connections")
     for y in space.locus_points():
         fr = space.locus_frames(y)
         p1 = fr.t1.T
@@ -346,13 +344,9 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
             lhs = p1 @ a1 @ p1.T
             rhs = p2 @ a2 @ p2.T
             res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-            n += 1
-            if res > worst:
-                worst = res
-                witness = {"point": list(y), "residual": res,
-                           "pulled1": lhs.tolist(), "pulled2": rhs.tolist()}
-    tol = max(10.0 * eng.config.suite_tol, EPS_NUM * 100)
-    return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
+            out.check(res, tol, point=list(y), residual=res,
+                      pulled1=lhs.tolist(), pulled2=rhs.tolist())
+    return out.compat()
 
 
 # -- glued connection ----------------------------------------------------------
@@ -401,7 +395,7 @@ class GluedTensorField:
         fibre = compute_fibre(self.space, point)
         res = joint_range_residual(fibre, a1, a2)
         scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
-        if res > 1e-6 * scale:
+        if res > self.space.engine.config.tol("tensor-membership") * scale:
             raise IncompatiblePair(
                 f"tensor pair escapes the compatible square at {point.coords} "
                 f"(residual {res:.3e})")
@@ -532,7 +526,7 @@ def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
     tau1 = _dual_value(t.t1, point.coords)
     tau2 = _dual_value(t.t2, point.coords2)
     return rho_pair_inverse(fibre, tau1 @ tv.m1, tau2 @ tv.m2,
-                            tol=eng.config.membership_tol)
+                            tol=eng.config.tol("membership"))
 
 
 def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection,
@@ -561,18 +555,15 @@ def torsion_values(C: GluedConnection, s: LambdaSection, r: LambdaSection,
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
                     tol: float, engine: Optional[DiffEngine] = None) -> CompatResult:
     """Sampled torsion bound over a spanning family of section pairs."""
-    worst, witness, n = 0.0, None, 0
+    out = Checks()
     for s, r in pairs:
         field = torsion(C, s, r, engine)
         for p in points:
             val = field.at(p)
             res = float(np.max(np.abs(val.components))) if val.components.size else 0.0
-            n += 1
-            if res > worst:
-                worst = res
-                witness = {"point": list(p.coords), "region": p.region,
-                           "torsion": val.components.tolist(), "residual": res}
-    return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
+            out.check(res, tol, point=list(p.coords), region=p.region,
+                      torsion=val.components.tolist(), residual=res)
+    return out.compat()
 
 
 def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
@@ -588,7 +579,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     space = C.space
     eng = engine or space.engine
     g1, g2 = C.metric.g1, C.metric.g2
-    worst, witness, n = 0.0, None, 0
+    out = Checks()
     for s, t in pairs:
         k1 = _gram_pair_field(g1, s.s1, t.s1)
         k2 = _gram_pair_field(g2, s.s2, t.s2)
@@ -599,18 +590,10 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
             lhs, rhs = _compat_sides(*side, coords, eng)
             return float(np.max(np.abs(lhs - rhs))), lhs
 
-        for p in samples[BLOCK1]:
-            res, _ = block_residual(1, p.coords)
-            n += 1
-            if res > worst:
-                worst, witness = res, {"point": list(p.coords), "region": BLOCK1,
-                                       "residual": res}
-        for p in samples[BLOCK2]:
-            res, _ = block_residual(2, p.coords)
-            n += 1
-            if res > worst:
-                worst, witness = res, {"point": list(p.coords), "region": BLOCK2,
-                                       "residual": res}
+        for region, which in ((BLOCK1, 1), (BLOCK2, 2)):
+            for p in samples[region]:
+                res, _ = block_residual(which, p.coords)
+                out.check(res, tol, point=list(p.coords), region=region, residual=res)
         for p in samples[LOCUS]:
             res1, dk1 = block_residual(1, p.coords)
             res2, dk2 = block_residual(2, p.coords2)
@@ -632,11 +615,8 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                 fibre = compute_fibre(space, p)
                 _, mem = pair_residual(fibre, dk1, dk2)
                 res = max(res, mem)
-            n += 1
-            if res > worst:
-                worst, witness = res, {"point": list(p.coords), "region": LOCUS,
-                                       "residual": res}
-    return CompatResult(worst <= tol, worst, None if worst <= tol else witness, n)
+            out.check(res, tol, point=list(p.coords), region=LOCUS, residual=res)
+    return out.compat()
 
 
 # -- section and function families ---------------------------------------------

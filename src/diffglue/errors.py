@@ -33,10 +33,6 @@ class NotInImage(DiffglueError):
     """A point is not in the image of the requested induction."""
 
 
-class NonSmoothField(DiffglueError):
-    """Finite-difference quotients failed to converge for a field."""
-
-
 class DimensionMismatch(DiffglueError):
     """Objects with incompatible dimensions were combined."""
 

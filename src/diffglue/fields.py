@@ -49,24 +49,6 @@ class PolyField:
             total = total + term
         return total
 
-    def __add__(self, other: "PolyField") -> "PolyField":
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            merged[k] = merged.get(k, 0.0) + v
-        return PolyField(self.dim, merged)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyField):
-            out: dict = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, 0.0) + c1 * c2
-            return PolyField(self.dim, out)
-        return PolyField(self.dim, {k: v * float(other) for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         if not self.coeffs:
             return "PolyField(0)"

@@ -108,6 +108,45 @@ class CompatResult:
         return self.ok
 
 
+class Checks:
+    """Worst residual and its witness, failing witnesses and sample count."""
+
+    def __init__(self):
+        self.worst = 0.0
+        self.worst_witness: Optional[dict] = None
+        self.witnesses: list = []
+        self.samples = 0
+
+    def check(self, res: float, tol: float, samples: int = 1, **witness) -> None:
+        """Track a residual over ``samples`` evaluations; above tol it fails."""
+        if res > self.worst:
+            self.worst = res
+            self.worst_witness = witness
+        self.samples += samples
+        if res > tol:
+            self.witnesses.append(witness)
+
+    def expect(self, ok: bool, samples: int = 1, **witness) -> bool:
+        """Count ``samples`` evaluations of a check without a residual."""
+        self.samples += samples
+        if not ok:
+            self.witnesses.append(witness)
+        return ok
+
+    def fold(self, r: CompatResult, **context) -> None:
+        """Fold in a CompatResult; context wraps its witness."""
+        self.worst = max(self.worst, r.max_residual)
+        self.samples += r.samples
+        if not r:
+            self.witnesses.append(dict(context, witness=r.witness) if context
+                                  else r.witness)
+
+    def compat(self) -> CompatResult:
+        """The outcome; a failing one carries the witness of the worst residual."""
+        ok = not self.witnesses
+        return CompatResult(ok, self.worst, None if ok else self.worst_witness, self.samples)
+
+
 def check_forms_compatible(space: GluedSpace, omega1: BlockForm,
                            omega2: BlockForm) -> CompatResult:
     """Do the two block forms agree through the locus pullbacks?
@@ -116,24 +155,17 @@ def check_forms_compatible(space: GluedSpace, omega1: BlockForm,
     compatible; otherwise the tangential pullbacks must match at the
     sampled locus points.
     """
+    out = Checks()
     if space.locus.kind == "point_set":
-        return CompatResult(True, 0.0, None, 0)
-    worst = 0.0
-    witness = None
-    n = 0
+        return out.compat()
     for y in space.locus_points():
         fr = space.locus_frames(y)
         lhs = fr.t1.T @ omega1.at(y)
         rhs = fr.t2.T @ omega2.at(fr.image)
         res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        n += 1
-        if res > worst:
-            worst = res
-            witness = {"point": list(y), "pullback1": lhs.tolist(),
-                       "pullback2": rhs.tolist(), "residual": res}
-    if worst > EPS_NUM:
-        return CompatResult(False, worst, witness, n)
-    return CompatResult(True, worst, None, n)
+        out.check(res, EPS_NUM, point=list(y), pullback1=lhs.tolist(),
+                  pullback2=rhs.tolist(), residual=res)
+    return out.compat()
 
 
 @dataclass(frozen=True)
@@ -354,7 +386,7 @@ class LambdaSection:
         # derived sections (brackets, covariant derivatives) carry the
         # engine's derivative error into their locus values
         return rho_pair_inverse(fibre, a, b,
-                                tol=self.space.engine.config.membership_tol)
+                                tol=self.space.engine.config.tol("membership"))
 
     def __add__(self, other: "LambdaSection") -> "LambdaSection":
         return LambdaSection(self.space, self.s1 + other.s1, self.s2 + other.s2)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (DimensionMismatch, IncompatibleMetrics, OutsideDomain,
                      SingularGram, ValidationError)
 from .fields import evaluate_matrix, evaluate_matrix_array
-from .forms import (PAIR_FIBRE, CompatResult, FibreElement, FibreModel,
+from .forms import (PAIR_FIBRE, Checks, CompatResult, FibreElement, FibreModel,
                     compute_fibre, rho1, rho2)
 from .numerics import EPS_NUM, PD_FLOOR_REL
 from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
@@ -126,9 +126,8 @@ def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
                              g2: BlockMetric) -> CompatResult:
     """Sampled locus compatibility of two block metrics (rule per locus kind)."""
     space.require_hypotheses()
-    worst = 0.0
-    witness = None
-    samples = 0
+    tol = space.engine.config.tol("metrics")
+    out = Checks()
     kind = space.locus.kind
     for y in space.locus_points():
         fr = space.locus_frames(y)
@@ -136,32 +135,23 @@ def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
         gram2 = g2.gram(fr.image)
         if kind == "point_set":
             if gram1.shape != gram2.shape:
-                return CompatResult(False, np.inf, {
-                    "point": list(y),
-                    "detail": "full-product rule needs equal block dimensions"}, samples)
-            diff = gram1 - gram2
-            res = float(np.max(np.abs(diff)))
+                out.check(np.inf, tol, samples=0, point=list(y),
+                          detail="full-product rule needs equal block dimensions")
+                return out.compat()
             lhs, rhs = gram1, gram2
         else:
             # dual Grams compared on the locus-tangent pushforwards; for an
             # open locus this is the compatible-pair graph rule
             lhs = fr.t1.T @ np.linalg.inv(gram1) @ fr.t1
             rhs = fr.t2.T @ np.linalg.inv(gram2) @ fr.t2
-            res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        samples += 1
-        if res > worst:
-            worst = res
-            if lhs.size:
-                i, j = np.unravel_index(int(np.argmax(np.abs(lhs - rhs))), lhs.shape)
-                witness = {"point": list(y), "rule": kind, "pair": [int(i), int(j)],
-                           "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j]),
-                           "residual": res}
-            else:
-                witness = {"point": list(y), "rule": kind, "residual": res}
-    tol = EPS_NUM * 1000  # metric fields are exact built-ins; keep slack for f
-    if worst > tol:
-        return CompatResult(False, worst, witness, samples)
-    return CompatResult(True, worst, None, samples)
+        res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+        entry = {}
+        if lhs.size:
+            i, j = np.unravel_index(int(np.argmax(np.abs(lhs - rhs))), lhs.shape)
+            entry = {"pair": [int(i), int(j)], "lhs": float(lhs[i, j]),
+                     "rhs": float(rhs[i, j])}
+        out.check(res, tol, point=list(y), rule=kind, **entry, residual=res)
+    return out.compat()
 
 
 def canonical_pair_elements(space: GluedSpace, g1: BlockMetric, g2: BlockMetric,

@@ -16,6 +16,9 @@ field is differentiated by one Jacobian call.  The engine offers two modes:
 Dual coefficients are generic: the partials of a :class:`DualScalar` may
 themselves be dual, so nesting engine calls yields exact higher-order
 derivatives.  That is what the bracket-of-actions code paths rely on.
+
+Every pass bound of a sampled check is a row of :data:`TOLERANCES`, read
+through :meth:`DiffConfig.tol` in the engine's mode.
 """
 
 from __future__ import annotations
@@ -26,13 +29,28 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModesDisagree, NonSmoothField, OutsideDomain, SingularGram
+from .errors import ModesDisagree, OutsideDomain, SingularGram
 
 # Library-wide numeric constants.
 EPS_NUM = 1e-9          # round-trip / membership tolerance
 EPS_DOM = 1e-3          # domain-openness probe radius
 PD_FLOOR_REL = 1e-10    # relative floor for positive-definiteness decisions
 SVD_CUTOFF_REL = 1e-8   # relative singular-value cutoff for rank decisions
+
+# Pass bound of every sampled check: row -> (forward_dual, central_fd).
+TOLERANCES = {
+    "suite": (1e-10, 1e-6),            # koszul, leibniz, symmetry, metric-compat
+    "split": (1e-6, 1e-5),             # bracket, covderiv and torsion splits
+    "inheritance": (1e-6, 1e-6),       # levi-civita-inheritance
+    "uniqueness": (1e-4, 1e-4),        # koszul spot check on a perturbed connection
+    "collapse": (1e-9, 1e-9),          # metric-gluing: seam value vs each side
+    "gram-symmetry": (1e-12, 1e-12),   # metric-gluing: glued Gram over the locus
+    "round-trip": (100 * EPS_NUM, 100 * EPS_NUM),   # fibres: rho round trip
+    "metrics": (EPS_NUM * 1000, EPS_NUM * 1000),    # block metrics on the locus
+    "connections": (EPS_NUM * 100, 10.0 * 1e-6),    # block connections on the locus
+    "membership": (EPS_NUM, 1e-6),     # derived section values in the fibre
+    "tensor-membership": (1e-6, 1e-6),  # tensor pair in the compatible square
+}
 
 
 class DualScalar:
@@ -225,7 +243,7 @@ def invert_matrix_generic(rows):
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Differentiation mode and tolerances."""
+    """Differentiation mode, finite-difference step and check tolerances."""
 
     mode: str = "forward_dual"          # "forward_dual" | "central_fd"
     fd_step: float = 1e-5
@@ -236,25 +254,15 @@ class DiffConfig:
         if self.fd_step <= 0:
             raise ValueError("fd_step must be positive")
 
+    def tol(self, check: str) -> float:
+        """Pass bound of ``check`` (a key of TOLERANCES) in this mode."""
+        dual, fd = TOLERANCES[check]
+        return dual if self.mode == "forward_dual" else fd
+
     @property
     def suite_tol(self) -> float:
         """Residual tolerance for derivative-based checks in this mode."""
-        return 1e-10 if self.mode == "forward_dual" else 1e-6
-
-    @property
-    def split_tol(self) -> float:
-        """Tolerance of the bracket, covariant and torsion splitting suites,
-        whose residuals carry nested derivatives and least-squares solves."""
-        return 1e-6 if self.mode == "forward_dual" else 1e-5
-
-    @property
-    def membership_tol(self) -> float:
-        """Tolerance for compatible-subspace membership of derived values.
-
-        Values assembled from derivatives inherit the derivative error, so
-        fd mode gets a looser gate than the exact-data EPS_NUM.
-        """
-        return max(EPS_NUM, self.suite_tol)
+        return self.tol("suite")
 
 
 @dataclass(frozen=True)
@@ -346,23 +354,6 @@ class DiffEngine:
             stencils.append(zip(mapping(up), mapping(dn)))
         # row j pairs output j of the up and down evaluations along every axis
         return [[(a - b) / (2.0 * h) for a, b in row] for row in zip(*stencils)]
-
-    # -- smoothness probe (fd mode) -------------------------------------
-    def gradient_checked(self, field, coords, within=None):
-        """Gradient with a convergence probe in fd mode.
-
-        Central differences at steps h and h/2 must agree to O(h^2); a kink
-        at the sample point breaks that and raises NonSmoothField.
-        """
-        if self.config.mode == "forward_dual":
-            return self.gradient(field, coords)
-        g1 = self.gradient(field, coords, within)
-        half = DiffEngine(DiffConfig(mode="central_fd", fd_step=self.config.fd_step / 2))
-        g2 = half.gradient(field, coords, within)
-        scale = 1.0 + max(abs(v) for v in g1 + g2)
-        if max(abs(a - b) for a, b in zip(g1, g2)) > 1e-4 * scale:
-            raise NonSmoothField(f"finite differences do not converge at {tuple(coords)}")
-        return g2
 
     # -- cross-check ----------------------------------------------------
     def fd_cross_check(self, field, coords, within=None) -> CrossCheckReport:

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (HypothesisNotAsserted, LocusOutsideBlock, NotADiffeomorphism,
-                     NotInImage, OutsideDomain, ValidationError)
+from .errors import (DiffglueError, HypothesisNotAsserted, LocusOutsideBlock,
+                     NotADiffeomorphism, NotInImage, OutsideDomain, ValidationError)
 from .numerics import EPS_DOM, EPS_NUM, DiffConfig, DiffEngine, SamplePlan
 
 BLOCK1, LOCUS, BLOCK2 = "block1", "locus", "block2"
@@ -258,7 +258,7 @@ class GluedSpace:
         """Is a block-2 coordinate in f(Y)?"""
         try:
             y = self.map_inverse(z)
-        except Exception:
+        except (DiffglueError, ArithmeticError):
             return False
         if len(y) != self.block1.dim:
             return False
@@ -442,15 +442,3 @@ def unembed(space: GluedSpace, point: GluedPoint, which: str) -> tuple:
             return point.coords2 if point.coords2 is not None else space.map_forward(point.coords)
         raise NotInImage("i2 image excludes block-1-only points")
     raise ValueError("which must be 'i1_tilde' or 'i2'")
-
-
-def plot_differentiable(plot: Plot, engine: DiffEngine, params) -> bool:
-    """Sampled differentiability probe for a plot at interior parameters."""
-    try:
-        fd = DiffEngine(DiffConfig(mode="central_fd", fd_step=1e-5))
-        g1 = fd.jacobian_array(plot.mapping, list(params))
-        fd2 = DiffEngine(DiffConfig(mode="central_fd", fd_step=5e-6))
-        g2 = fd2.jacobian_array(plot.mapping, list(params))
-    except Exception:
-        return False
-    return bool(np.max(np.abs(g1 - g2)) <= 1e-4 * (1.0 + np.max(np.abs(g1))))

@@ -4,7 +4,9 @@ Each suite returns a :class:`SuiteResult` with a pass/fail status, the worst
 residual seen, witness data for failures, and the number of sample
 evaluations.  Construction failures (incompatible metrics or connections,
 bad gluing data) surface as failed suites carrying the error as witness.
-Suites register with :func:`suite`, which supplies the shared bookkeeping.
+Suites register with :func:`suite`, which hands each body a fresh
+:class:`~diffglue.forms.Checks` and builds the result from it; every pass
+bound is a row of the tolerance table, read through ``DiffConfig.tol``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import connection as cx
 from .errors import DiffglueError, IncompatiblePair
-from .forms import (LambdaSection, assemble_section, compute_fibre,
+from .forms import (Checks, LambdaSection, assemble_section, compute_fibre,
                     coordinate_form, differential_glued, pair_residual,
                     relation_matrix, rho_pair_inverse)
 from .metric import canonical_pair_elements, check_metrics_compatible
@@ -48,42 +50,6 @@ class SuiteResult:
                    [{"error": type(exc).__name__, "detail": str(exc)}], 0)
 
 
-class Checks:
-    """Worst residual, witnesses and sample count of one suite run."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.worst = 0.0
-        self.witnesses: list = []
-        self.samples = 0
-
-    def check(self, res: float, tol: float, samples: int = 1, **witness) -> None:
-        """Track a residual over ``samples`` evaluations; above tol it fails."""
-        self.worst = max(self.worst, res)
-        self.samples += samples
-        if res > tol:
-            self.witnesses.append(witness)
-
-    def expect(self, ok: bool, samples: int = 1, **witness) -> bool:
-        """Count ``samples`` evaluations of a check without a residual."""
-        self.samples += samples
-        if not ok:
-            self.witnesses.append(witness)
-        return ok
-
-    def fold(self, r, **context) -> None:
-        """Fold in a library CompatResult; context wraps its witness."""
-        self.worst = max(self.worst, r.max_residual)
-        self.samples += r.samples
-        if not r:
-            self.witnesses.append(dict(context, witness=r.witness) if context
-                                  else r.witness)
-
-    def result(self, notes: str = "") -> SuiteResult:
-        return SuiteResult(self.name, not self.witnesses, self.worst,
-                           self.witnesses, self.samples, notes)
-
-
 SUITES: dict = {}
 
 
@@ -91,16 +57,20 @@ def suite(name: str):
     """Register ``fn(ctx, checks)`` as suite ``name`` in ``SUITES``.
 
     The registered callable takes the context alone, hands ``fn`` a fresh
-    :class:`Checks`, and turns a DiffglueError into a failed result.
-    Registration order is the catalogue order.
+    :class:`Checks`, builds the result from it (``fn`` may return notes)
+    and turns a DiffglueError into a failed result.  Registration order is
+    the catalogue order.
     """
     def register(fn):
         @functools.wraps(fn)
         def run(ctx) -> SuiteResult:
+            out = Checks()
             try:
-                return fn(ctx, Checks(name))
+                notes = fn(ctx, out)
             except DiffglueError as exc:
                 return SuiteResult.failed(name, exc)
+            return SuiteResult(name, not out.witnesses, out.worst, out.witnesses,
+                               out.samples, notes or "")
 
         SUITES[name] = run
         return run
@@ -133,7 +103,7 @@ def _points(ctx, per_region: int) -> list:
 
 
 @suite("fibres")
-def suite_fibres(ctx, out: Checks) -> SuiteResult:
+def suite_fibres(ctx, out: Checks) -> None:
     """Fibre dimensions, basis residuals, and projection round-trips."""
     space = ctx.space
     samples = space.region_samples()
@@ -160,18 +130,19 @@ def suite_fibres(ctx, out: Checks) -> SuiteResult:
             comp = rng.uniform(-1, 1, size=fib.dim)
             e = rho_pair_inverse(fib, fib.block1_part(comp), fib.block2_part(comp))
             res = float(np.max(np.abs(e.components - comp)))
-            out.check(res, 100 * EPS_NUM, point=list(p.coords), rho_roundtrip=res)
-    return out.result()
+            out.check(res, ctx.engine.config.tol("round-trip"), point=list(p.coords),
+                      rho_roundtrip=res)
 
 
 @suite("metric-gluing")
-def suite_metric_gluing(ctx, out: Checks) -> SuiteResult:
+def suite_metric_gluing(ctx, out: Checks) -> None:
     """Compatibility, glued Gram symmetry/positivity, restriction, probes."""
     space = ctx.space
+    tol = ctx.engine.config.tol
     compat = check_metrics_compatible(space, ctx.g1, ctx.g2)
     out.fold(compat)
     if not compat:
-        return out.result()
+        return
     G = ctx.glued_metric()
     samples = space.region_samples()
     for p in samples[BLOCK1]:
@@ -181,7 +152,7 @@ def suite_metric_gluing(ctx, out: Checks) -> SuiteResult:
         gram = G.gram_at(p)
         sym = float(np.max(np.abs(gram - gram.T)))
         eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        out.check(sym, 1e-12, point=list(p.coords), symmetry_residual=sym)
+        out.check(sym, tol("gram-symmetry"), point=list(p.coords), symmetry_residual=sym)
         out.expect(eig[0] > PD_FLOOR_REL * max(eig[-1], 1.0), samples=0,
                    point=list(p.coords), min_eigenvalue=float(eig[0]))
         # collapse: half-weighted value equals either single evaluation
@@ -192,7 +163,7 @@ def suite_metric_gluing(ctx, out: Checks) -> SuiteResult:
             left = float(a @ ctx.g1.gram(p.coords) @ a)
             right = float(b @ ctx.g2.gram(p.coords2) @ b)
             res = max(abs(glued - left), abs(glued - right)) / (1.0 + abs(glued))
-            out.check(res, 1e-9, point=list(p.coords), collapse_residual=res)
+            out.check(res, tol("collapse"), point=list(p.coords), collapse_residual=res)
     # probe smoothness: scalar evaluations converge approaching the locus.
     # The probe section must itself satisfy the collapse property, so use
     # a pushforward-mirrored pair (mixing pairs on point loci jump by
@@ -214,13 +185,13 @@ def suite_metric_gluing(ctx, out: Checks) -> SuiteResult:
         stalls = resid[-1] > 1e-9 and bool(ratios) and float(np.median(ratios)) > 0.75
         out.expect(not stalls, samples=len(vals), point=list(target.coords),
                    probe_residuals=resid, detail="no convergence approaching locus")
-    return out.result()
 
 
 @suite("koszul")
-def suite_koszul(ctx, out: Checks) -> SuiteResult:
+def suite_koszul(ctx, out: Checks) -> None:
     """Koszul assembly equals the closed-form Christoffel oracle; uniqueness."""
-    tol = ctx.engine.config.suite_tol
+    tol = ctx.engine.config.tol("suite")
+    spot_tol = ctx.engine.config.tol("uniqueness")
     rng = np.random.default_rng(ctx.scenario.plan.seed + 1)
     for which, g in ((1, ctx.g1), (2, ctx.g2)):
         solved = cx.koszul_solve(g, ctx.engine)
@@ -235,12 +206,11 @@ def suite_koszul(ctx, out: Checks) -> SuiteResult:
         fam = cx.block_form_family(g.block, rng, extra=2)
         pairs = list(zip(fam, fam[1:]))[:3]
         perturbed = cx.perturb_connection(solved, rng)
-        sym_ok = _block_symmetric(perturbed, g, pairs, pts, ctx, tol=1e-4)
+        sym_ok = _block_symmetric(perturbed, g, pairs, pts, ctx, tol=spot_tol)
         comp_ok = cx.check_metric_compatible_block(perturbed, g, pairs, pts,
-                                                   ctx.engine, tol=1e-4)
+                                                   ctx.engine, tol=spot_tol)
         out.expect(not (sym_ok and comp_ok), block=which,
                    detail="perturbed connection still passes")
-    return out.result()
 
 
 def _block_symmetric(C, g, pairs, points, ctx, tol) -> bool:
@@ -253,11 +223,11 @@ def _block_symmetric(C, g, pairs, points, ctx, tol) -> bool:
 
 
 @suite("leibniz")
-def suite_leibniz(ctx, out: Checks) -> SuiteResult:
+def suite_leibniz(ctx, out: Checks) -> None:
     """Leibniz rule for the glued connection over the spanning family."""
     space = ctx.space
     C = ctx.glued_connection()
-    tol = ctx.engine.config.suite_tol
+    tol = ctx.engine.config.tol("suite")
     rng = np.random.default_rng(ctx.scenario.plan.seed + 2)
     sections = _sections(ctx)[:8]
     functions = cx.glued_function_family(space, rng)
@@ -294,35 +264,32 @@ def suite_leibniz(ctx, out: Checks) -> SuiteResult:
                 continue
             res = float(np.max(np.abs(a - b - c)))
             out.check(res, tol, point=list(p.coords), additivity=res)
-    return out.result()
 
 
 @suite("symmetry")
-def suite_symmetry(ctx, out: Checks) -> SuiteResult:
+def suite_symmetry(ctx, out: Checks) -> None:
     """Torsion of the glued connection vanishes over sampled section pairs."""
     C = ctx.glued_connection()
     pairs = _section_pairs(_sections(ctx))
     points = _points(ctx, per_region=4)
-    out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.suite_tol,
+    out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.tol("suite"),
                                 ctx.engine))
-    return out.result()
 
 
 @suite("metric-compat")
-def suite_metric_compat(ctx, out: Checks) -> SuiteResult:
+def suite_metric_compat(ctx, out: Checks) -> None:
     """Glued connection compatible with the glued metric."""
     C = ctx.glued_connection()
     pairs = _section_pairs(_sections(ctx))
     out.fold(cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx),
-                                              ctx.engine.config.suite_tol, ctx.engine))
-    return out.result()
+                                              ctx.engine.config.tol("suite"), ctx.engine))
 
 
 @suite("bracket-split")
-def suite_bracket_split(ctx, out: Checks) -> SuiteResult:
+def suite_bracket_split(ctx, out: Checks) -> None:
     """Glued bracket: action-composition route equals the case formula."""
     G = ctx.glued_metric()
-    tol = ctx.engine.config.split_tol
+    tol = ctx.engine.config.tol("split")
     rng = np.random.default_rng(ctx.scenario.plan.seed + 3)
     sections = _sections(ctx)[:5]
     pairs = _section_pairs(sections, count=4)
@@ -333,7 +300,6 @@ def suite_bracket_split(ctx, out: Checks) -> SuiteResult:
         for p in points:
             res = _bracket_direct_residual(ctx, G, s, r, formula, p, probes)
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
-    return out.result()
 
 
 def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
@@ -397,11 +363,11 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
 
 
 @suite("covderiv-split")
-def suite_covderiv_split(ctx, out: Checks) -> SuiteResult:
+def suite_covderiv_split(ctx, out: Checks) -> None:
     """Covariant derivative: direct tensor contraction equals the case formula."""
     C = ctx.glued_connection()
     G = ctx.glued_metric()
-    tol = ctx.engine.config.split_tol
+    tol = ctx.engine.config.tol("split")
     sections = _sections(ctx)[:6]
     pairs = _section_pairs(sections, count=4)
     points = _points(ctx, per_region=4)
@@ -412,15 +378,14 @@ def suite_covderiv_split(ctx, out: Checks) -> SuiteResult:
             direct = cx.covariant_via_tensor(C, t, s, p, ctx.engine)
             res = float(np.max(np.abs(direct.components - lemma.at(p).components)))
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
-    return out.result()
 
 
 @suite("torsion-split")
-def suite_torsion_split(ctx, out: Checks) -> SuiteResult:
+def suite_torsion_split(ctx, out: Checks) -> str:
     """Torsion splitting over the locus: unweighted block pair, not half."""
     space = ctx.space
     C = ctx.glued_connection()
-    tol = ctx.engine.config.split_tol
+    tol = ctx.engine.config.tol("split")
     pairs = _section_pairs(_sections(ctx)[:5], count=3)
     samples = space.region_samples()
     half_gap = 0.0
@@ -446,19 +411,18 @@ def suite_torsion_split(ctx, out: Checks) -> SuiteResult:
                 except IncompatiblePair:
                     half_gap = float("inf")
             out.check(res, tol, point=list(p.coords), region=LOCUS, residual=res)
-    return out.result(
-        "definition matches the unweighted splitting"
-        + (f"; half-weighted splitting differs by {half_gap:.3e}"
-           if half_gap > 0 else "; factor torsions vanish here, the "
-           "half-weighted variant is indistinguishable"))
+    return ("definition matches the unweighted splitting"
+            + (f"; half-weighted splitting differs by {half_gap:.3e}"
+               if half_gap > 0 else "; factor torsions vanish here, the "
+               "half-weighted variant is indistinguishable"))
 
 
 @suite("levi-civita-inheritance")
-def suite_levi_civita_inheritance(ctx, out: Checks) -> SuiteResult:
+def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
     """Koszul factors glue to the Levi-Civita connection of the glued metric."""
     space = ctx.space
     G = ctx.glued_metric()
-    tol = 1e-6
+    tol = ctx.engine.config.tol("inheritance")
     n1 = cx.koszul_solve(ctx.g1, ctx.engine)
     n2 = cx.koszul_solve(ctx.g2, ctx.engine)
     rng = np.random.default_rng(ctx.scenario.plan.seed + 4)
@@ -479,7 +443,6 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> SuiteResult:
     comp = cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx), tol, ctx.engine)
     out.fold(sym, detail="glued connection not symmetric")
     out.fold(comp, detail="glued connection not metric-compatible")
-    return out.result()
 
 
 def derivative_trust_sweep(ctx) -> dict:
@@ -489,23 +452,14 @@ def derivative_trust_sweep(ctx) -> dict:
     dual/fd discrepancy and raises ModesDisagree on failure.
     """
     space = ctx.space
-    worst = 0.0
-    count = 0
-    fields1 = [ctx.g1.entries[i][j] for i in range(space.block1.dim)
-               for j in range(space.block1.dim)]
-    fields2 = [ctx.g2.entries[i][j] for i in range(space.block2.dim)
-               for j in range(space.block2.dim)]
     samples = space.region_samples()
-    for p in samples[BLOCK1] + samples[LOCUS]:
-        for f in fields1:
-            rep = ctx.engine.fd_cross_check(f, list(p.coords),
-                                            within=space.block1.contains)
-            worst = max(worst, rep.max_discrepancy)
-            count += 1
-    for p in samples[BLOCK2]:
-        for f in fields2:
-            rep = ctx.engine.fd_cross_check(f, list(p.coords),
-                                            within=space.block2.contains)
-            worst = max(worst, rep.max_discrepancy)
-            count += 1
-    return {"max_discrepancy": worst, "samples": count, "status": "pass"}
+    out = Checks()
+    for g, block, points in ((ctx.g1, space.block1, samples[BLOCK1] + samples[LOCUS]),
+                             (ctx.g2, space.block2, samples[BLOCK2])):
+        for p in points:
+            for row in g.entries:
+                for f in row:
+                    rep = ctx.engine.fd_cross_check(f, list(p.coords),
+                                                    within=block.contains)
+                    out.check(rep.max_discrepancy, rep.threshold)
+    return {"max_discrepancy": out.worst, "samples": out.samples, "status": "pass"}

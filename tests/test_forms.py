@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diffglue as dg
-from diffglue.forms import (coordinate_form, nullspace_basis,
+from diffglue.forms import (Checks, coordinate_form, nullspace_basis,
                             relation_matrix, vanishing_at_point, zero_block_form)
 
 
@@ -364,3 +364,22 @@ def test_pullback_operators(halfline, plane_axis):
             e = dg.FibreElement(fib, comp)
             assert ops.i_star_lambda(e) == pytest.approx(ops.fj_star_lambda(e),
                                                          abs=1e-12)
+
+
+def test_checks_keeps_witness_of_worst_residual():
+    out = Checks()
+    out.check(0.0, 1e-3, point=[0.0])
+    out.check(0.5, 1e-3, point=[1.0])
+    out.check(2.0, 1e-3, point=[2.0])
+    out.check(1.0, 1e-3, point=[3.0])
+    r = out.compat()
+    assert not r
+    assert r.max_residual == 2.0
+    assert r.witness == {"point": [2.0]}  # the worst point, not the first failure
+    assert r.samples == 4
+    passing = Checks()
+    passing.check(1e-4, 1e-3, point=[0.0])
+    passing.check(1e-5, 1e-3, samples=2, point=[1.0])
+    r = passing.compat()
+    assert r and r.witness is None
+    assert (r.max_residual, r.samples) == (1e-4, 3)

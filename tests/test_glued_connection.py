@@ -269,6 +269,31 @@ def test_torsion_split_unweighted_not_half(plane_axis, engine):
     assert gap > 0.05
 
 
+@pytest.mark.parametrize("which", ["symmetric", "metric_compatible_glued"])
+def test_sampled_checks_fail_on_torsionful_connection(plane_axis, engine, which):
+    # Gamma^1_21 = 1 passes the gluing gate but is neither symmetric nor
+    # compatible with the flat metric; the failing result carries the
+    # witness of its worst residual
+    G, C, g1, g2 = asymmetric_plane_setup(plane_axis)
+    rng = np.random.default_rng(9)
+    raw = cx.compatible_section_pairs(plane_axis, rng, extra=2)
+    sections = [dg.assemble_section(plane_axis, a, b) for a, b in raw[:4]]
+    pairs = list(zip(sections, sections[1:]))
+    samples = {k: v[:3] for k, v in plane_axis.region_samples().items()}
+    if which == "symmetric":
+        pts = samples["block1"] + samples["locus"] + samples["block2"]
+        r = cx.check_symmetric(C, pairs, pts, tol=1e-10, engine=engine)
+        expected = 2.0
+    else:
+        r = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10,
+                                             engine=engine)
+        expected = 4.0
+    assert not r
+    assert r.max_residual == pytest.approx(expected)
+    assert r.witness["residual"] == r.max_residual
+    assert r.samples == 27
+
+
 def test_torsion_antisymmetry(halfline, engine):
     g1 = dg.BlockMetric(halfline.block1, ((lambda x: 1.0 + x[0] ** 2,),))
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))

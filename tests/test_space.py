@@ -192,10 +192,19 @@ def test_probe_sequences_stay_in_block(halfline):
             assert halfline.block1.contains(list(q.coords))
 
 
-def test_plot_differentiability_probe():
-    eng = dg.DiffEngine(dg.DiffConfig())
-    good = dg.Plot(1, lambda u: [u[0] ** 2], (0.5,))
-    kinked = dg.Plot(1, lambda u: [abs(u[0] - (0.5 + 0.4e-5))], (0.5,))
-    from diffglue.space import plot_differentiable
-    assert plot_differentiable(good, eng, (0.5,))
-    assert not plot_differentiable(kinked, eng, (0.5,))
+def test_in_glued_image_lets_programming_errors_through():
+    # only library and arithmetic errors mean "not in the image"; a bug in
+    # the gluing map's inverse must surface instead of classifying block-2
+    def inverse(z):
+        if z[0] >= 0.0:
+            raise TypeError("inverse not defined off the locus")
+        return list(z)
+
+    locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0,), (-0.5,)])
+    f = dg.GluingMap(lambda y: list(y), inverse)
+    space = dg.build_glued_space(line("b1", ((-1.0,), (-2.5,))),
+                                 line("b2", ((-1.0,), (-2.5,))),
+                                 locus, f, dg.HypothesisFlags(True, True))
+    assert dg.classify_point(space, 2, (-1.0,)).region == "locus"
+    with pytest.raises(TypeError):
+        dg.classify_point(space, 2, (1.0,))
