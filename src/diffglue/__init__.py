@@ -19,18 +19,16 @@ from .space import (EuclideanBlock, GluedPoint, GluedSpace, GluingMap,
 from .forms import (BlockForm, FibreElement, FibreModel, GluedForm,
                     GluedFunction, LambdaSection, assemble_section,
                     check_forms_compatible, compute_fibre, differential_block,
-                    differential_glued, pullback, rho1, rho2, rho_pair_inverse,
-                    split_section)
+                    differential_glued, pullback, rho1, rho2, rho_pair_inverse)
 from .metric import (BlockMetric, DualMetric, GluedMetric,
                      check_metrics_compatible, constant_metric, dual_metric,
                      eval_block_metric, glue_metrics, pairing_apply,
                      pairing_invert)
-from .connection import (BlockConnection, DualSection, GluedConnection,
-                         TorsionValue, action, apply_block,
-                         check_connections_compatible, christoffel_closed_form,
-                         covariant_derivative, glue_connections, koszul_solve,
-                         lie_bracket_forms, torsion, torsion_values,
-                         zero_connection)
+from .connection import (BlockConnection, DualSection, GluedConnection, action,
+                         apply_block, check_connections_compatible,
+                         christoffel_closed_form, covariant_derivative,
+                         glue_connections, koszul_solve, lie_bracket_forms,
+                         torsion, zero_connection)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -135,8 +135,8 @@ def inspect_command(args) -> int:
         print("metric Gram on the fibre basis:")
         for row in G.gram_at(point, fibre):
             print(f"  {np.round(row, 12).tolist()}")
-        gamma = ctx.nabla1.gamma(point.coords) if point.region != "block2" \
-            else ctx.nabla2.gamma(point.coords)
+        which, coords = point.sides[0]
+        gamma = (ctx.nabla1, ctx.nabla2)[which - 1].gamma(coords)
         print("christoffel slice Gamma[k][i][j]:")
         print(np.round(gamma, 10))
         return 0

@@ -7,12 +7,13 @@ Koszul right-hand side in the coordinate dual frame (whose brackets vanish,
 asserted numerically) and solves the dual Gram system; an independent
 closed-form Christoffel oracle built on the dual-side Gram cross-checks it.
 
-Over a glued space every operator follows the three-case rule of the seam
-calculus: block values off the locus, and over the locus the pair of block
-values, constrained to the compatible subspace.  Tensor values over locus
-points are represented by their pair of block projections; membership of
-the pair in the tensor square of the compatible subspace is a linear
-feasibility check run at evaluation time.
+Over a glued space every operator follows the seam rule of
+:attr:`~diffglue.space.GluedPoint.sides`: block values off the locus, and
+over the locus the pair of block values, constrained to the compatible
+subspace; dual sections and the action half-weight the pair instead.
+Tensor values over locus points are represented by their pair of block
+projections; membership of the pair in the tensor square of the compatible
+subspace is a linear feasibility check run at evaluation time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     pair_residual, rho_pair_inverse, zero_block_form)
 from .metric import BlockMetric, GluedMetric
 from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
-from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
+from .space import (BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace,
+                    seam_mean)
 
 
 @dataclass(frozen=True)
@@ -369,8 +371,8 @@ class TensorValue:
 
 def joint_range_residual(fibre, a1: np.ndarray, a2: np.ndarray) -> float:
     """Feasibility of (a1, a2) as block projections of a pair-fibre 2-tensor."""
-    b1 = fibre.basis[:, : fibre.d1].T
-    b2 = fibre.basis[:, fibre.d1:].T
+    b1 = fibre.block_basis(1).T
+    b2 = fibre.block_basis(2).T
     system = np.vstack([np.kron(b1, b1), np.kron(b2, b2)])
     target = np.concatenate([a1.reshape(-1), a2.reshape(-1)])
     sol, *_ = np.linalg.lstsq(system, target, rcond=None)
@@ -386,12 +388,10 @@ class GluedTensorField:
         self.f2 = f2
 
     def at(self, point: GluedPoint) -> TensorValue:
-        if point.region == BLOCK1:
-            return TensorValue(point, tensor_array(self.f1, point.coords), None)
-        if point.region == BLOCK2:
-            return TensorValue(point, None, tensor_array(self.f2, point.coords))
-        a1 = tensor_array(self.f1, point.coords)
-        a2 = tensor_array(self.f2, point.coords2)
+        m = {w: tensor_array((self.f1, self.f2)[w - 1], x) for w, x in point.sides}
+        if len(m) == 1:
+            return TensorValue(point, m.get(1), m.get(2))
+        a1, a2 = m[1], m[2]
         fibre = compute_fibre(self.space, point)
         res = joint_range_residual(fibre, a1, a2)
         scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
@@ -446,16 +446,12 @@ class DualSection:
     t2: Callable
 
     def at(self, point: GluedPoint) -> np.ndarray:
-        if point.region == BLOCK1:
-            return _dual_value(self.t1, point.coords)
-        if point.region == BLOCK2:
-            return _dual_value(self.t2, point.coords)
-        fibre = compute_fibre(self.space, point)
-        v1 = _dual_value(self.t1, point.coords)
-        v2 = _dual_value(self.t2, point.coords2)
-        b1 = fibre.basis[:, : fibre.d1]
-        b2 = fibre.basis[:, fibre.d1:]
-        return 0.5 * (b1 @ v1) + 0.5 * (b2 @ v2)
+        sides = point.sides
+        values = [_dual_value((self.t1, self.t2)[w - 1], x) for w, x in sides]
+        if len(sides) == 2:
+            fibre = compute_fibre(self.space, point)
+            values = [fibre.block_basis(w) @ v for (w, _), v in zip(sides, values)]
+        return seam_mean(values)
 
 
 def phi_glued(G: GluedMetric, s: LambdaSection) -> DualSection:
@@ -470,12 +466,8 @@ def action(t: DualSection, h: GluedFunction, engine: Optional[DiffEngine] = None
     a2 = action_block(t.t2, h.h2, eng, space.block2)
 
     def value(point: GluedPoint) -> float:
-        if point.region == BLOCK1:
-            return float(_primal(a1(list(point.coords))))
-        if point.region == BLOCK2:
-            return float(_primal(a2(list(point.coords))))
-        return 0.5 * float(_primal(a1(list(point.coords)))) \
-            + 0.5 * float(_primal(a2(list(point.coords2))))
+        return seam_mean([float(_primal((a1, a2)[w - 1](list(x))))
+                          for w, x in point.sides])
 
     return value
 
@@ -498,12 +490,6 @@ def covariant_derivative(C: GluedConnection, t: DualSection,
                          covariant_block(C.nabla2, t.t2, s.s2, eng))
 
 
-def covariant_derivative_along_form(C: GluedConnection, r: LambdaSection,
-                                    s: LambdaSection,
-                                    engine: Optional[DiffEngine] = None) -> LambdaSection:
-    return covariant_derivative(C, phi_glued(C.metric, r), s, engine)
-
-
 def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
                          point: GluedPoint,
                          engine: Optional[DiffEngine] = None) -> FibreElement:
@@ -517,39 +503,21 @@ def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
     eng = engine or C.space.engine
     tv = C.apply(s, eng).at(point)
     fibre = compute_fibre(C.space, point)
-    if point.region == BLOCK1:
-        tau = t.at(point)
-        return FibreElement(fibre, tau @ tv.m1)
-    if point.region == BLOCK2:
-        tau = t.at(point)
-        return FibreElement(fibre, tau @ tv.m2)
-    tau1 = _dual_value(t.t1, point.coords)
-    tau2 = _dual_value(t.t2, point.coords2)
-    return rho_pair_inverse(fibre, tau1 @ tv.m1, tau2 @ tv.m2,
-                            tol=eng.config.tol("membership"))
+    values = [_dual_value((t.t1, t.t2)[w - 1], x) @ (tv.m1, tv.m2)[w - 1]
+              for w, x in point.sides]
+    if len(values) == 1:
+        return FibreElement(fibre, values[0])
+    return rho_pair_inverse(fibre, *values, tol=eng.config.tol("membership"))
 
 
 def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection,
             engine: Optional[DiffEngine] = None) -> LambdaSection:
     """T(s,r) = nabla_s r - nabla_r s - [s,r], from the definition."""
     eng = engine or C.space.engine
-    cov_sr = covariant_derivative_along_form(C, s, r, eng)
-    cov_rs = covariant_derivative_along_form(C, r, s, eng)
+    cov_sr = covariant_derivative(C, phi_glued(C.metric, s), r, eng)
+    cov_rs = covariant_derivative(C, phi_glued(C.metric, r), s, eng)
     br = lie_bracket_forms(C.metric, s, r, eng)
     return cov_sr + cov_rs.scaled_const(-1.0) + br.scaled_const(-1.0)
-
-
-@dataclass(frozen=True)
-class TorsionValue:
-    point: GluedPoint
-    value: FibreElement
-
-
-def torsion_values(C: GluedConnection, s: LambdaSection, r: LambdaSection,
-                   points: Sequence[GluedPoint],
-                   engine: Optional[DiffEngine] = None) -> list:
-    field = torsion(C, s, r, engine)
-    return [TorsionValue(p, field.at(p)) for p in points]
 
 
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
@@ -584,38 +552,30 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
         k1 = _gram_pair_field(g1, s.s1, t.s1)
         k2 = _gram_pair_field(g2, s.s2, t.s2)
 
-        def block_residual(which, coords):
-            """Residual and d(g(s,t)) on one side at one point."""
-            side = (C.nabla1, g1, s.s1, t.s1) if which == 1 else (C.nabla2, g2, s.s2, t.s2)
-            lhs, rhs = _compat_sides(*side, coords, eng)
-            return float(np.max(np.abs(lhs - rhs))), lhs
-
-        for region, which in ((BLOCK1, 1), (BLOCK2, 2)):
-            for p in samples[region]:
-                res, _ = block_residual(which, p.coords)
-                out.check(res, tol, point=list(p.coords), region=region, residual=res)
-        for p in samples[LOCUS]:
-            res1, dk1 = block_residual(1, p.coords)
-            res2, dk2 = block_residual(2, p.coords2)
-            res = max(res1, res2)
-            # collapse: the split values of g(s,t) agree over the locus, so
-            # the function is glued there.  Point-set loci admit mixing
-            # section pairs for which no glued function exists; the identity
-            # is vacuous at fibre level for those and only the block (pair
-            # level) identities apply.
-            v1 = float(_primal(k1(list(p.coords))))
-            v2 = float(_primal(k2(list(p.coords2))))
-            collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
-            collapse_expected = space.locus.kind != "point_set"
-            if collapse_expected:
-                res = max(res, collapse)
-            if collapse <= 1e-6:
-                # well-posed glued function: its split differentials must
-                # form a compatible pair over the locus fibre
-                fibre = compute_fibre(space, p)
-                _, mem = pair_residual(fibre, dk1, dk2)
-                res = max(res, mem)
-            out.check(res, tol, point=list(p.coords), region=LOCUS, residual=res)
+        # block-only samples first: the witness order depends on it
+        for p in samples[BLOCK1] + samples[BLOCK2] + samples[LOCUS]:
+            sides = [_compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
+                                   (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x, eng)
+                     for w, x in p.sides]
+            res = max(float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides)
+            if len(sides) == 2:
+                # collapse: the split values of g(s,t) agree over the locus,
+                # so the function is glued there.  Point-set loci admit
+                # mixing section pairs for which no glued function exists;
+                # the identity is vacuous at fibre level for those and only
+                # the block (pair level) identities apply.
+                v1 = float(_primal(k1(list(p.coords))))
+                v2 = float(_primal(k2(list(p.coords2))))
+                collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
+                if space.locus.kind != "point_set":
+                    res = max(res, collapse)
+                if collapse <= 1e-6:
+                    # well-posed glued function: its split differentials
+                    # must form a compatible pair over the locus fibre
+                    (dk1, _), (dk2, _) = sides
+                    _, mem = pair_residual(compute_fibre(space, p), dk1, dk2)
+                    res = max(res, mem)
+            out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     return out.compat()
 
 

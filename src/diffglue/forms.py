@@ -7,9 +7,11 @@ the two sides: rows of the relation matrix are sampled tangent directions
 of the locus (all of them for an open subdomain, the parametrization
 directions for a submanifold, none for a point set).
 
-Glued sections are stored through their block splits (s1, s2); evaluation
-over the locus solves for fibre coordinates in the compatible-pair basis
-and rejects pairs that escape the subspace.
+Glued sections are stored through their block splits (s1, s2) and follow
+the seam rule of :attr:`~diffglue.space.GluedPoint.sides`: off the locus the
+block value is the fibre element; over it the pair of side values is solved
+for fibre coordinates in the compatible-pair basis, and pairs that escape
+the subspace are rejected.  Glued functions half-weight their side values.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import numpy as np
 from .errors import (DimensionMismatch, IncompatiblePair, IncompatibleSections,
                      NotAFunctionOnGluedSpace, OutsideDomain, RankAmbiguous)
 from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine, _dot, _primal
-from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
-
-BLOCK1_FIBRE, BLOCK2_FIBRE, PAIR_FIBRE = "block1", "block2", "pair"
+from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,6 @@ class FibreModel:
     """
 
     point: GluedPoint
-    kind: str
     basis: np.ndarray
     d1: int
     d2: int
@@ -200,20 +199,17 @@ class FibreModel:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def block1_part(self, components: np.ndarray) -> np.ndarray:
-        """rho1: block-1 covector carried by an element's fibre coordinates."""
-        if self.kind == BLOCK1_FIBRE:
-            return components
-        if self.kind == PAIR_FIBRE:
-            return components @ self.basis[:, : self.d1]
-        raise IncompatiblePair("rho1 undefined over block-2-only points")
+    def block_basis(self, which: int) -> np.ndarray:
+        """Block-``which`` parts of the pair basis over a locus point."""
+        return self.basis[:, : self.d1] if which == 1 else self.basis[:, self.d1:]
 
-    def block2_part(self, components: np.ndarray) -> np.ndarray:
-        if self.kind == BLOCK2_FIBRE:
-            return components
-        if self.kind == PAIR_FIBRE:
-            return components @ self.basis[:, self.d1:]
-        raise IncompatiblePair("rho2 undefined over block-1-only points")
+    def part(self, which: int, components: np.ndarray) -> np.ndarray:
+        """rho_which: block-``which`` covector carried by fibre coordinates."""
+        sides = self.point.sides
+        if which not in (w for w, _ in sides):
+            raise IncompatiblePair(
+                f"rho{which} undefined over block-{3 - which}-only points")
+        return components if len(sides) == 1 else components @ self.block_basis(which)
 
 
 @dataclass(frozen=True)
@@ -325,24 +321,22 @@ def compute_fibre(space: GluedSpace, point: GluedPoint) -> FibreModel:
     if hit is not None:
         return hit
     d1, d2 = space.block1.dim, space.block2.dim
-    if point.region == BLOCK1:
-        fibre = FibreModel(point, BLOCK1_FIBRE, np.eye(d1), d1, d2)
-    elif point.region == BLOCK2:
-        fibre = FibreModel(point, BLOCK2_FIBRE, np.eye(d2), d1, d2)
+    if point.region == LOCUS:
+        basis = nullspace_basis(relation_matrix(space, point.coords))
     else:
-        rel = relation_matrix(space, point.coords)
-        basis = np.eye(d1 + d2) if rel.shape[0] == 0 else nullspace_basis(rel)
-        fibre = FibreModel(point, PAIR_FIBRE, basis, d1, d2)
+        (which, _), = point.sides
+        basis = np.eye((d1, d2)[which - 1])
+    fibre = FibreModel(point, basis, d1, d2)
     cache[key] = fibre
     return fibre
 
 
 def rho1(element: FibreElement) -> np.ndarray:
-    return element.fibre.block1_part(element.components)
+    return element.fibre.part(1, element.components)
 
 
 def rho2(element: FibreElement) -> np.ndarray:
-    return element.fibre.block2_part(element.components)
+    return element.fibre.part(2, element.components)
 
 
 def pair_residual(fibre: FibreModel, a, b) -> tuple:
@@ -356,7 +350,7 @@ def pair_residual(fibre: FibreModel, a, b) -> tuple:
 
 def rho_pair_inverse(fibre: FibreModel, a, b, tol: float = EPS_NUM) -> FibreElement:
     """Element of the locus fibre with the given block parts."""
-    if fibre.kind != PAIR_FIBRE:
+    if fibre.point.region != LOCUS:
         raise IncompatiblePair("rho_pair_inverse needs a locus fibre")
     comps, res = pair_residual(fibre, a, b)
     scale = 1.0 + float(np.max(np.abs(np.concatenate([np.atleast_1d(a), np.atleast_1d(b)]))))
@@ -377,15 +371,12 @@ class LambdaSection:
 
     def at(self, point: GluedPoint) -> FibreElement:
         fibre = compute_fibre(self.space, point)
-        if point.region == BLOCK1:
-            return FibreElement(fibre, self.s1.at(point.coords))
-        if point.region == BLOCK2:
-            return FibreElement(fibre, self.s2.at(point.coords))
-        a = self.s1.at(point.coords)
-        b = self.s2.at(point.coords2)
+        values = [(self.s1, self.s2)[w - 1].at(x) for w, x in point.sides]
+        if len(values) == 1:
+            return FibreElement(fibre, values[0])
         # derived sections (brackets, covariant derivatives) carry the
         # engine's derivative error into their locus values
-        return rho_pair_inverse(fibre, a, b,
+        return rho_pair_inverse(fibre, *values,
                                 tol=self.space.engine.config.tol("membership"))
 
     def __add__(self, other: "LambdaSection") -> "LambdaSection":
@@ -393,10 +384,6 @@ class LambdaSection:
 
     def scaled_const(self, c: float) -> "LambdaSection":
         return LambdaSection(self.space, self.s1.scaled_const(c), self.s2.scaled_const(c))
-
-
-def split_section(s: LambdaSection) -> tuple:
-    return s.s1, s.s2
 
 
 def assemble_section(space: GluedSpace, s1: BlockForm, s2: BlockForm) -> LambdaSection:
@@ -433,12 +420,8 @@ class GluedFunction:
         return self
 
     def value(self, point: GluedPoint) -> float:
-        if point.region == BLOCK2:
-            return float(self.h2(list(point.coords)))
-        if point.region == BLOCK1:
-            return float(self.h1(list(point.coords)))
-        return 0.5 * float(self.h1(list(point.coords))) \
-            + 0.5 * float(self.h2(list(point.coords2)))
+        return seam_mean([float((self.h1, self.h2)[w - 1](list(x)))
+                          for w, x in point.sides])
 
 
 def differential_glued(space: GluedSpace, h: GluedFunction,

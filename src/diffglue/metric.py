@@ -2,8 +2,9 @@
 
 A block metric is a smooth field of symmetric positive-definite Gram
 matrices on the coordinate coframe.  Over a glued space the induced metric
-follows the three-case rule: the block Gram off the locus, and over the
-locus the half-weighted sum of both block evaluations on the compatible
+follows the seam rule (:attr:`~diffglue.space.GluedPoint.sides` and
+:func:`~diffglue.space.seam_mean`): the block Gram off the locus, and over
+the locus the half-weighted sum of both block evaluations on the compatible
 pair parts.
 
 Compatibility of two block metrics is decided per locus kind:
@@ -31,10 +32,10 @@ import numpy as np
 from .errors import (DimensionMismatch, IncompatibleMetrics, OutsideDomain,
                      SingularGram, ValidationError)
 from .fields import evaluate_matrix, evaluate_matrix_array
-from .forms import (PAIR_FIBRE, Checks, CompatResult, FibreElement, FibreModel,
-                    compute_fibre, rho1, rho2)
+from .forms import (Checks, CompatResult, FibreElement, FibreModel,
+                    compute_fibre)
 from .numerics import EPS_NUM, PD_FLOOR_REL
-from .space import BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace
+from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,7 @@ def canonical_pair_elements(space: GluedSpace, g1: BlockMetric, g2: BlockMetric,
         return [(eye[i, : space.block1.dim], eye[i, : space.block2.dim])
                 for i in range(d)]
     if kind == "open_subdomain":
-        return [(fibre.basis[i, : fibre.d1], fibre.basis[i, fibre.d1:])
-                for i in range(fibre.dim)]
+        return list(zip(fibre.block_basis(1), fibre.block_basis(2)))
     fr = space.locus_frames(y)
     inv1 = np.linalg.inv(g1.gram(y))
     inv2 = np.linalg.inv(g2.gram(fy))
@@ -196,29 +196,23 @@ class GluedMetric:
         self.g2 = g2
 
     def eval(self, point: GluedPoint, e1: FibreElement, e2: FibreElement) -> float:
-        if point.region == BLOCK1:
-            return eval_block_metric(self.g1, point.coords, e1.components, e2.components)
-        if point.region == BLOCK2:
-            return eval_block_metric(self.g2, point.coords, e1.components, e2.components)
-        half1 = eval_block_metric(self.g1, point.coords, rho1(e1), rho1(e2))
-        half2 = eval_block_metric(self.g2, point.coords2, rho2(e1), rho2(e2))
-        return 0.5 * half1 + 0.5 * half2
+        return seam_mean([eval_block_metric((self.g1, self.g2)[w - 1], x,
+                                            e1.fibre.part(w, e1.components),
+                                            e2.fibre.part(w, e2.components))
+                          for w, x in point.sides])
 
     def gram_at(self, point: GluedPoint, fibre: Optional[FibreModel] = None) -> np.ndarray:
         """Gram of the glued metric in the fibre basis at a point."""
-        if point.region == BLOCK1:
-            return self.g1.gram(point.coords)
-        if point.region == BLOCK2:
-            return self.g2.gram(point.coords)
-        fibre = fibre or compute_fibre(self.space, point)
-        b1 = fibre.basis[:, : fibre.d1]
-        b2 = fibre.basis[:, fibre.d1:]
-        return 0.5 * b1 @ self.g1.gram(point.coords) @ b1.T \
-            + 0.5 * b2 @ self.g2.gram(point.coords2) @ b2.T
+        sides = point.sides
+        grams = [(self.g1, self.g2)[w - 1].gram(x) for w, x in sides]
+        if len(sides) == 2:
+            fibre = fibre or compute_fibre(self.space, point)
+            grams = [fibre.block_basis(w) @ gram @ fibre.block_basis(w).T
+                     for (w, _), gram in zip(sides, grams)]
+        return seam_mean(grams)
 
     def pairing_apply(self, point: GluedPoint, e: FibreElement) -> np.ndarray:
-        fibre = e.fibre
-        return self.gram_at(point, fibre if fibre.kind == PAIR_FIBRE else None) @ e.components
+        return self.gram_at(point, e.fibre) @ e.components
 
     def pairing_invert(self, point: GluedPoint, dual_components,
                        fibre: Optional[FibreModel] = None) -> FibreElement:

@@ -6,6 +6,12 @@ and every point of the result falls into exactly one of three regions:
 block-1-only, the locus, or block-2-only.  The locus comes in three kinds --
 a finite point set, an open subdomain, or a parametrized submanifold -- which
 determine how much tangential information survives at the seam.
+
+The seam rule lives here: :attr:`GluedPoint.sides` lists the block
+coordinates a point has (one side off the locus, both over it, block 1
+first), and every glued object evaluates its block data on each side.  The
+pair of side values is either kept as a compatible pair (sections, tensors)
+or half-weighted by :func:`seam_mean` (the metric, pairings, functions).
 """
 
 from __future__ import annotations
@@ -133,6 +139,23 @@ class GluedPoint:
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
         if self.coords2 is not None:
             object.__setattr__(self, "coords2", tuple(float(c) for c in self.coords2))
+
+    @property
+    def sides(self) -> tuple:
+        """``(block, coords)`` of each block the point lies in, block 1 first:
+        one side off the locus, ``((1, coords), (2, coords2))`` over it."""
+        if self.region == LOCUS:
+            return ((1, self.coords), (2, self.coords2))
+        return ((1 if self.region == BLOCK1 else 2, self.coords),)
+
+
+def seam_mean(values):
+    """Half-weighted value over the seam: the one side's value off the
+    locus, ``0.5 * a + 0.5 * b`` for the two sides over it."""
+    if len(values) == 1:
+        return values[0]
+    a, b = values
+    return 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)
@@ -431,14 +454,10 @@ def embed(space: GluedSpace, which: str, coords) -> GluedPoint:
 
 def unembed(space: GluedSpace, point: GluedPoint, which: str) -> tuple:
     """Inverse of the requested induction on its image."""
-    if which == "i1_tilde":
-        if point.region in (BLOCK1, LOCUS):
-            return point.coords
-        raise NotInImage("i1_tilde image excludes block-2-only points")
-    if which == "i2":
-        if point.region == BLOCK2:
-            return point.coords
-        if point.region == LOCUS:
-            return point.coords2 if point.coords2 is not None else space.map_forward(point.coords)
-        raise NotInImage("i2 image excludes block-1-only points")
-    raise ValueError("which must be 'i1_tilde' or 'i2'")
+    if which not in ("i1_tilde", "i2"):
+        raise ValueError("which must be 'i1_tilde' or 'i2'")
+    block = 1 if which == "i1_tilde" else 2
+    for w, coords in point.sides:
+        if w == block:
+            return coords
+    raise NotInImage(f"{which} image excludes block-{3 - block}-only points")

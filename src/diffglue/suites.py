@@ -23,7 +23,7 @@ from .forms import (Checks, LambdaSection, assemble_section, compute_fibre,
                     relation_matrix, rho_pair_inverse)
 from .metric import canonical_pair_elements, check_metrics_compatible
 from .numerics import EPS_NUM, PD_FLOOR_REL, _primal
-from .space import BLOCK1, BLOCK2, LOCUS
+from .space import BLOCK1, BLOCK2, LOCUS, seam_mean
 
 
 @dataclass
@@ -128,7 +128,7 @@ def suite_fibres(ctx, out: Checks) -> None:
         # rho round-trip on random elements
         for _ in range(3):
             comp = rng.uniform(-1, 1, size=fib.dim)
-            e = rho_pair_inverse(fib, fib.block1_part(comp), fib.block2_part(comp))
+            e = rho_pair_inverse(fib, fib.part(1, comp), fib.part(2, comp))
             res = float(np.max(np.abs(e.components - comp)))
             out.check(res, ctx.engine.config.tol("round-trip"), point=list(p.coords),
                       rho_roundtrip=res)
@@ -242,16 +242,10 @@ def suite_leibniz(ctx, out: Checks) -> None:
                 lv = lhs.at(p)
                 rv = rhs_tensor.at(p)
                 res = 0.0
-                if p.region in (BLOCK1, LOCUS):
-                    x = p.coords
-                    expect = np.outer(dh.s1.at(x), s.s1.at(x)) \
-                        + float(_primal(h.h1(list(x)))) * rv.m1
-                    res = max(res, float(np.max(np.abs(lv.m1 - expect))))
-                if p.region in (BLOCK2, LOCUS):
-                    x = p.coords2 if p.region == LOCUS else p.coords
-                    expect = np.outer(dh.s2.at(x), s.s2.at(x)) \
-                        + float(_primal(h.h2(list(x)))) * rv.m2
-                    res = max(res, float(np.max(np.abs(lv.m2 - expect))))
+                for w, x in p.sides:
+                    expect = np.outer((dh.s1, dh.s2)[w - 1].at(x), (s.s1, s.s2)[w - 1].at(x)) \
+                        + float(_primal((h.h1, h.h2)[w - 1](list(x)))) * (rv.m1, rv.m2)[w - 1]
+                    res = max(res, float(np.max(np.abs((lv.m1, lv.m2)[w - 1] - expect))))
                 out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     # additivity control
     s, r = sections[0], sections[1]
@@ -309,44 +303,32 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
     t = cx.phi_glued(G, s)
     u = cx.phi_glued(G, r)
 
-    def nested(block_idx, h1, h2, x):
-        if block_idx == 1:
-            inner = cx.action_block(u.t1, h1, eng, space.block1)
-            outer_t = cx.action_block(t.t1, inner, eng, space.block1)
-            inner2 = cx.action_block(t.t1, h1, eng, space.block1)
-            outer_u = cx.action_block(u.t1, inner2, eng, space.block1)
-        else:
-            inner = cx.action_block(u.t2, h2, eng, space.block2)
-            outer_t = cx.action_block(t.t2, inner, eng, space.block2)
-            inner2 = cx.action_block(t.t2, h2, eng, space.block2)
-            outer_u = cx.action_block(u.t2, inner2, eng, space.block2)
+    def nested(w, h, x):
+        tw, uw = (t.t1, t.t2)[w - 1], (u.t1, u.t2)[w - 1]
+        block = (space.block1, space.block2)[w - 1]
+        outer_t = cx.action_block(tw, cx.action_block(uw, h, eng, block), eng, block)
+        outer_u = cx.action_block(uw, cx.action_block(tw, h, eng, block), eng, block)
         return float(_primal(outer_t(list(x)))) - float(_primal(outer_u(list(x))))
 
-    if point.region == BLOCK1:
+    if point.region != LOCUS:
         # components against the coordinate frame via coordinate functions
-        direct = np.array([nested(1, (lambda xx, a=a: xx[a]), None, point.coords)
-                           for a in range(space.block1.dim)])
-        target = ctx.g1.gram(point.coords) @ formula.s1.at(point.coords)
-        return float(np.max(np.abs(direct - target)))
-    if point.region == BLOCK2:
-        direct = np.array([nested(2, None, (lambda xx, a=a: xx[a]), point.coords)
-                           for a in range(space.block2.dim)])
-        target = ctx.g2.gram(point.coords) @ formula.s2.at(point.coords)
+        (w, x), = point.sides
+        direct = np.array([nested(w, (lambda xx, a=a: xx[a]), x) for a in range(len(x))])
+        target = (ctx.g1, ctx.g2)[w - 1].gram(x) @ (formula.s1, formula.s2)[w - 1].at(x)
         return float(np.max(np.abs(direct - target)))
     # locus: recover the dual functional on the compatible fibre from the
     # half-weighted bracket action on probe functions
     fibre = compute_fibre(space, point)
     rows, vals = [], []
     for h in probes:
-        dh1 = eng.gradient_array(h.h1, list(point.coords),
-                                 within=space.block1.contains)
-        dh2 = eng.gradient_array(h.h2, list(point.coords2),
-                                 within=space.block2.contains)
-        comps, res = pair_residual(fibre, dh1, dh2)
+        hs = (h.h1, h.h2)
+        dh = [eng.gradient_array(hs[w - 1], list(x),
+                                 within=(space.block1, space.block2)[w - 1].contains)
+              for w, x in point.sides]
+        comps, res = pair_residual(fibre, *dh)
         if res > 1e-7 * (1.0 + float(np.max(np.abs(comps)))):
             continue
-        measured = 0.5 * nested(1, h.h1, h.h2, point.coords) \
-            + 0.5 * nested(2, h.h1, h.h2, point.coords2)
+        measured = seam_mean([nested(w, hs[w - 1], x) for w, x in point.sides])
         rows.append(comps)
         vals.append(measured)
     if len(rows) < fibre.dim:
@@ -358,8 +340,6 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
     e = formula.at(point)
     phi_formula = G.gram_at(point, fibre) @ e.components
     return max(float(np.max(np.abs(phi_direct - phi_formula))), lsq_res)
-
-
 
 
 @suite("covderiv-split")
@@ -393,24 +373,23 @@ def suite_torsion_split(ctx, out: Checks) -> str:
         glued_t = cx.torsion(C, s, r, ctx.engine)
         t1 = cx.torsion_block(C.nabla1, ctx.g1, s.s1, r.s1, ctx.engine)
         t2 = cx.torsion_block(C.nabla2, ctx.g2, s.s2, r.s2, ctx.engine)
-        for region, t_block in ((BLOCK1, t1), (BLOCK2, t2)):
-            for p in samples[region][:4]:
-                res = float(np.max(np.abs(glued_t.at(p).components - t_block.at(p.coords))))
-                out.check(res, tol, point=list(p.coords), region=region, residual=res)
-        for p in samples[LOCUS]:
-            fibre = compute_fibre(space, p)
+        for p in samples[BLOCK1][:4] + samples[BLOCK2][:4] + samples[LOCUS]:
             value = glued_t.at(p)
-            a, b = t1.at(p.coords), t2.at(p.coords2)
-            unweighted = rho_pair_inverse(fibre, a, b)
-            res = float(np.max(np.abs(value.components - unweighted.components)))
-            if float(np.max(np.abs(value.components))) > 10 * tol:
-                try:
-                    halved = rho_pair_inverse(fibre, 0.5 * a, 0.5 * b)
-                    half_gap = max(half_gap, float(np.max(np.abs(
-                        value.components - halved.components))))
-                except IncompatiblePair:
-                    half_gap = float("inf")
-            out.check(res, tol, point=list(p.coords), region=LOCUS, residual=res)
+            parts = [(t1, t2)[w - 1].at(x) for w, x in p.sides]
+            expect = parts[0]
+            if len(parts) == 2:
+                fibre = compute_fibre(space, p)
+                a, b = parts
+                expect = rho_pair_inverse(fibre, a, b).components
+                if float(np.max(np.abs(value.components))) > 10 * tol:
+                    try:
+                        halved = rho_pair_inverse(fibre, 0.5 * a, 0.5 * b)
+                        half_gap = max(half_gap, float(np.max(np.abs(
+                            value.components - halved.components))))
+                    except IncompatiblePair:
+                        half_gap = float("inf")
+            res = float(np.max(np.abs(value.components - expect)))
+            out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     return ("definition matches the unweighted splitting"
             + (f"; half-weighted splitting differs by {half_gap:.3e}"
                if half_gap > 0 else "; factor torsions vanish here, the "
@@ -448,18 +427,18 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
 def derivative_trust_sweep(ctx) -> dict:
     """fd_cross_check self-diagnostic over the scenario's fields and samples.
 
-    Sweeps metric entries over all region samples; returns the worst
-    dual/fd discrepancy and raises ModesDisagree on failure.
+    Sweeps metric entries over every side of every region sample (both
+    block metrics at a locus point); returns the worst dual/fd discrepancy
+    and raises ModesDisagree on failure.
     """
     space = ctx.space
     samples = space.region_samples()
     out = Checks()
-    for g, block, points in ((ctx.g1, space.block1, samples[BLOCK1] + samples[LOCUS]),
-                             (ctx.g2, space.block2, samples[BLOCK2])):
-        for p in points:
+    for p in samples[BLOCK1] + samples[LOCUS] + samples[BLOCK2]:
+        for w, x in p.sides:
+            g, block = (ctx.g1, ctx.g2)[w - 1], (space.block1, space.block2)[w - 1]
             for row in g.entries:
                 for f in row:
-                    rep = ctx.engine.fd_cross_check(f, list(p.coords),
-                                                    within=block.contains)
+                    rep = ctx.engine.fd_cross_check(f, list(x), within=block.contains)
                     out.check(rep.max_discrepancy, rep.threshold)
     return {"max_discrepancy": out.worst, "samples": out.samples, "status": "pass"}

@@ -6,6 +6,8 @@ test; everything here goes through the public scenario/suite surface plus
 independently coded oracles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,13 @@ def test_criterion_9_derivative_trust(contexts):
         total += report["samples"]
     _announce(9, "derivative trust", worst <= 1e-6,
               f"dual/fd max discrepancy {worst:.2e} over {total} points")
+
+
+def test_derivative_trust_sweep_checks_block2_side_of_the_seam(contexts):
+    # g2 has a kink half an fd step from f(0): only an fd stencil centred on
+    # the block-2 side of the locus point straddles it
+    ctx = contexts["cross_flat"]
+    z0 = ctx.space.map_forward((0.0,))[0] + 0.5 * ctx.engine.config.fd_step
+    kinked = dg.BlockMetric(ctx.space.block2, ((lambda z: 1.0 + abs(z[0] - z0),),))
+    with pytest.raises(dg.ModesDisagree):
+        derivative_trust_sweep(dataclasses.replace(ctx, g2=kinked))

@@ -230,6 +230,15 @@ def test_rho_identity_on_block_points(cross):
     assert dg.rho1(e) == pytest.approx([4.0])
 
 
+def test_rho_of_the_absent_side_raises(cross):
+    fib = dg.compute_fibre(cross, dg.classify_point(cross, 1, (2.0,)))
+    with pytest.raises(dg.IncompatiblePair):
+        dg.rho2(dg.FibreElement(fib, np.array([4.0])))
+    fib = dg.compute_fibre(cross, dg.classify_point(cross, 2, (2.0,)))
+    with pytest.raises(dg.IncompatiblePair):
+        dg.rho1(dg.FibreElement(fib, np.array([4.0])))
+
+
 def test_rho_consistency_roundtrip(halfline, plane_axis):
     rng = np.random.default_rng(1)
     for space, c in ((halfline, (-1.0,)), (plane_axis, (0.3, 0.0))):
@@ -250,8 +259,7 @@ def test_assemble_cross_constant(cross):
     s = dg.assemble_section(cross, one1, one2)
     p0 = dg.classify_point(cross, 1, (0.0,))
     assert s.at(p0).components == pytest.approx([1.0, 1.0])
-    s1, s2 = dg.split_section(s)
-    assert s1.at((0.5,)) == pytest.approx([1.0])
+    assert s.s1.at((0.5,)) == pytest.approx([1.0])
 
 
 def test_assemble_halfline_mismatch_rejected(halfline):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import diffglue as dg
+from diffglue.space import seam_mean
 
 
 def line(name="line", seeds=((1.5,), (-1.0,))):
@@ -130,6 +131,26 @@ def test_gluing_consistency(halfline):
         p1 = dg.classify_point(halfline, 1, y)
         p2 = dg.classify_point(halfline, 2, halfline.map_forward(y))
         assert p1 == p2 and p1.region == "locus"
+
+
+def test_sides_lists_each_block_side_block1_first():
+    shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0],
+                         extends_globally=True)
+    space = dg.build_glued_space(line("s1"), line("s2"), dg.PointSetLocus([(0.0,)]),
+                                 shift)
+    assert dg.classify_point(space, 1, (3.0,)).sides == ((1, (3.0,)),)
+    assert dg.classify_point(space, 2, (3.0,)).sides == ((2, (3.0,)),)
+    locus = dg.classify_point(space, 2, (1.0,))
+    assert locus.sides == ((1, (0.0,)), (2, (1.0,)))
+
+
+def test_seam_mean_keeps_one_value_and_half_weights_two():
+    v = np.array([1.0, -2.0])
+    assert seam_mean([v]) is v
+    assert seam_mean([0.3]) == 0.3
+    a, b = np.array([0.1, 1.5e308]), np.array([0.7, 1.5e308])
+    assert np.array_equal(seam_mean([a, b]), 0.5 * a + 0.5 * b)
+    assert seam_mean([0.1, 0.7]) == 0.5 * 0.1 + 0.5 * 0.7
 
 
 def test_embed_unembed_roundtrip(cross):

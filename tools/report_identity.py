@@ -1,0 +1,96 @@
+"""Run the reference runs of this checkout and write their outputs as one JSON.
+
+Usage: python3 tools/report_identity.py OUT_DIR
+
+The 44 reference runs are ``diffglue run`` on the 7 bundled fixtures and on
+the dimension-ladder rungs d = 1..4 (``benchmarks/ladder.py``, seed 0), each
+in ``--mode dual`` and ``--mode fd``, with the scenario's own seed and with
+``--seed 3``.  Each run records its exit code, its stdout without the
+wall-time and report lines, and its ``--report-out`` JSON without
+``wall_time_s``.  Everything else in a run is deterministic, so running this
+on two checkouts and comparing ``OUT_DIR/report_identity.json`` with ``cmp``
+shows whether a change moved any verdict, residual, witness or sample count.
+
+The runs go through ``diffglue.cli.main`` in this process, against the
+``src/`` next to this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+
+from diffglue import cli  # noqa: E402
+import ladder  # noqa: E402
+
+LADDER_SEED = 0
+MODES = ("dual", "fd")
+SEEDS = (None, 3)
+DROPPED_LINES = ("  wall time:", "  report written to")
+
+
+def scenarios(work_dir: str) -> dict:
+    """Name -> scenario path: the bundled fixtures, then the ladder rungs."""
+    fixtures = os.path.join(ROOT, "src", "diffglue", "fixtures")
+    paths = {name[:-5]: os.path.join(fixtures, name)
+             for name in sorted(os.listdir(fixtures)) if name.endswith(".yaml")}
+    for d in ladder.DIMS:
+        path = os.path.join(work_dir, f"ladder_d{d}.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(ladder.ladder_yaml(d, LADDER_SEED))
+        paths[f"ladder_d{d}"] = path
+    return paths
+
+
+def reference_run(path: str, mode: str, seed, report_path: str) -> dict:
+    argv = ["run", path, "--mode", mode, "--report-out", report_path]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if os.path.exists(report_path):
+        os.remove(report_path)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    lines = [ln for ln in stdout.getvalue().splitlines()
+             if not ln.startswith(DROPPED_LINES)]
+    report = None
+    if os.path.exists(report_path):
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        report.pop("wall_time_s", None)
+    return {"exit": code, "stdout": lines, "report": report}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out_dir = argv[0]
+    os.makedirs(out_dir, exist_ok=True)
+    runs = {}
+    with tempfile.TemporaryDirectory() as work_dir:
+        report_path = os.path.join(work_dir, "report.json")
+        for name, path in scenarios(work_dir).items():
+            for mode in MODES:
+                for seed in SEEDS:
+                    key = f"{name} --mode {mode}" + (f" --seed {seed}" if seed is not None else "")
+                    runs[key] = reference_run(path, mode, seed, report_path)
+    out_path = os.path.join(out_dir, "report_identity.json")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(runs, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(runs)} runs written to {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
