@@ -9,21 +9,18 @@ from .errors import (DiffglueError, DimensionMismatch, HypothesisNotAsserted,
                      IncompatibleConnections, IncompatibleMetrics,
                      IncompatiblePair, IncompatibleSections, LocusOutsideBlock,
                      ModesDisagree, NotADiffeomorphism,
-                     NotAFunctionOnGluedSpace, NotInImage, OutsideDomain,
-                     ParseError, RankAmbiguous, SingularGram, ValidationError)
+                     NotAFunctionOnGluedSpace, OutsideDomain, ParseError,
+                     RankAmbiguous, SingularGram, ValidationError)
 from .numerics import DiffConfig, DiffEngine, DualScalar, SamplePlan
 from .space import (EuclideanBlock, GluedPoint, GluedSpace, GluingMap,
-                    HypothesisFlags, OpenSubdomainLocus, Plot, PointSetLocus,
-                    SubmanifoldLocus, build_glued_space, classify_point, embed,
-                    structural_hypothesis_check, unembed)
-from .forms import (BlockForm, FibreElement, FibreModel, GluedForm,
-                    GluedFunction, LambdaSection, assemble_section,
-                    check_forms_compatible, compute_fibre, differential_block,
-                    differential_glued, pullback, rho1, rho2, rho_pair_inverse)
-from .metric import (BlockMetric, DualMetric, GluedMetric,
-                     check_metrics_compatible, constant_metric, dual_metric,
-                     eval_block_metric, glue_metrics, pairing_apply,
-                     pairing_invert)
+                    HypothesisFlags, OpenSubdomainLocus, PointSetLocus,
+                    SubmanifoldLocus, build_glued_space, classify_point)
+from .forms import (BlockForm, FibreElement, FibreModel, GluedFunction,
+                    LambdaSection, assemble_section, compute_fibre,
+                    differential_block, differential_glued, pullback, rho1,
+                    rho2, rho_pair_inverse)
+from .metric import (BlockMetric, GluedMetric, check_metrics_compatible,
+                     constant_metric, eval_block_metric, glue_metrics)
 from .connection import (BlockConnection, DualSection, GluedConnection, action,
                          apply_block, check_connections_compatible,
                          christoffel_closed_form, covariant_derivative,

@@ -320,8 +320,7 @@ def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
 
 
 def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
-                                 nabla2: BlockConnection,
-                                 engine: Optional[DiffEngine] = None) -> CompatResult:
+                                 nabla2: BlockConnection) -> CompatResult:
     """Locus pullback agreement of the two connection tensors.
 
     For each sampled locus point and compatible section pair, both tensor
@@ -330,7 +329,7 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     is vacuously true there.
     """
     space.require_hypotheses()
-    eng = engine or space.engine
+    eng = space.engine
     out = Checks()
     if space.locus.kind == "point_set":
         return out.compat()
@@ -412,18 +411,17 @@ class GluedConnection:
         self.nabla1 = nabla1
         self.nabla2 = nabla2
 
-    def apply(self, s: LambdaSection, engine: Optional[DiffEngine] = None) -> GluedTensorField:
-        eng = engine or self.space.engine
+    def apply(self, s: LambdaSection) -> GluedTensorField:
+        eng = self.space.engine
         return GluedTensorField(self.space,
                                 apply_block(self.nabla1, s.s1, eng),
                                 apply_block(self.nabla2, s.s2, eng))
 
 
 def glue_connections(space: GluedSpace, metric: GluedMetric,
-                     nabla1: BlockConnection, nabla2: BlockConnection,
-                     engine: Optional[DiffEngine] = None) -> GluedConnection:
+                     nabla1: BlockConnection, nabla2: BlockConnection) -> GluedConnection:
     """Gate the pair through both compatibility checks and assemble."""
-    result = check_connections_compatible(space, nabla1, nabla2, engine)
+    result = check_connections_compatible(space, nabla1, nabla2)
     if not result:
         raise IncompatibleConnections(f"connections incompatible: {result.witness}")
     return GluedConnection(space, metric, nabla1, nabla2)
@@ -458,10 +456,10 @@ def phi_glued(G: GluedMetric, s: LambdaSection) -> DualSection:
     return DualSection(G.space, phi_apply_block(G.g1, s.s1), phi_apply_block(G.g2, s.s2))
 
 
-def action(t: DualSection, h: GluedFunction, engine: Optional[DiffEngine] = None) -> Callable:
+def action(t: DualSection, h: GluedFunction) -> Callable:
     """t(h): pointwise pairing with the differential; half-weighted on the locus."""
     space = t.space
-    eng = engine or space.engine
+    eng = space.engine
     a1 = action_block(t.t1, h.h1, eng, space.block1)
     a2 = action_block(t.t2, h.h2, eng, space.block2)
 
@@ -472,27 +470,25 @@ def action(t: DualSection, h: GluedFunction, engine: Optional[DiffEngine] = None
     return value
 
 
-def lie_bracket_forms(G: GluedMetric, s: LambdaSection, r: LambdaSection,
-                      engine: Optional[DiffEngine] = None) -> LambdaSection:
+def lie_bracket_forms(G: GluedMetric, s: LambdaSection, r: LambdaSection) -> LambdaSection:
     """Pairing-conjugated bracket, by the three-case splitting."""
-    eng = engine or G.space.engine
+    eng = G.space.engine
     return LambdaSection(G.space,
                          lie_bracket_forms_block(G.g1, s.s1, r.s1, eng),
                          lie_bracket_forms_block(G.g2, s.s2, r.s2, eng))
 
 
 def covariant_derivative(C: GluedConnection, t: DualSection,
-                         s: LambdaSection, engine: Optional[DiffEngine] = None) -> LambdaSection:
+                         s: LambdaSection) -> LambdaSection:
     """Covariant derivative along a dual section, by the case formula."""
-    eng = engine or C.space.engine
+    eng = C.space.engine
     return LambdaSection(C.space,
                          covariant_block(C.nabla1, t.t1, s.s1, eng),
                          covariant_block(C.nabla2, t.t2, s.s2, eng))
 
 
 def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
-                         point: GluedPoint,
-                         engine: Optional[DiffEngine] = None) -> FibreElement:
+                         point: GluedPoint) -> FibreElement:
     """Direct-contraction route: evaluate the glued tensor, then contract.
 
     Runs through the glued apply (including the pair-membership gate) and
@@ -500,32 +496,29 @@ def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
     assembling block covariant derivatives.  Must agree with
     covariant_derivative at every point.
     """
-    eng = engine or C.space.engine
-    tv = C.apply(s, eng).at(point)
+    tv = C.apply(s).at(point)
     fibre = compute_fibre(C.space, point)
     values = [_dual_value((t.t1, t.t2)[w - 1], x) @ (tv.m1, tv.m2)[w - 1]
               for w, x in point.sides]
     if len(values) == 1:
         return FibreElement(fibre, values[0])
-    return rho_pair_inverse(fibre, *values, tol=eng.config.tol("membership"))
+    return rho_pair_inverse(fibre, *values, tol=C.space.engine.config.tol("membership"))
 
 
-def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection,
-            engine: Optional[DiffEngine] = None) -> LambdaSection:
-    """T(s,r) = nabla_s r - nabla_r s - [s,r], from the definition."""
-    eng = engine or C.space.engine
-    cov_sr = covariant_derivative(C, phi_glued(C.metric, s), r, eng)
-    cov_rs = covariant_derivative(C, phi_glued(C.metric, r), s, eng)
-    br = lie_bracket_forms(C.metric, s, r, eng)
-    return cov_sr + cov_rs.scaled_const(-1.0) + br.scaled_const(-1.0)
+def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection) -> LambdaSection:
+    """T(s,r) = nabla_s r - nabla_r s - [s,r]: the pair of block torsions."""
+    G, eng = C.metric, C.space.engine
+    return LambdaSection(C.space,
+                         torsion_block(C.nabla1, G.g1, s.s1, r.s1, eng),
+                         torsion_block(C.nabla2, G.g2, s.s2, r.s2, eng))
 
 
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
-                    tol: float, engine: Optional[DiffEngine] = None) -> CompatResult:
+                    tol: float) -> CompatResult:
     """Sampled torsion bound over a spanning family of section pairs."""
     out = Checks()
     for s, r in pairs:
-        field = torsion(C, s, r, engine)
+        field = torsion(C, s, r)
         for p in points:
             val = field.at(p)
             res = float(np.max(np.abs(val.components))) if val.components.size else 0.0
@@ -535,8 +528,7 @@ def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedP
 
 
 def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
-                                  samples: dict, tol: float,
-                                  engine: Optional[DiffEngine] = None) -> CompatResult:
+                                  samples: dict, tol: float) -> CompatResult:
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) over the glued space.
 
     The identity is evaluated through the block splits (the observable
@@ -545,7 +537,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     which makes the glued function well-defined there.
     """
     space = C.space
-    eng = engine or space.engine
+    eng = space.engine
     g1, g2 = C.metric.g1, C.metric.g2
     out = Checks()
     for s, t in pairs:
@@ -581,8 +573,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
 
 # -- section and function families ---------------------------------------------
 
-def pushforward_form(space: GluedSpace, s1: BlockForm,
-                     engine: Optional[DiffEngine] = None) -> BlockForm:
+def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     """Block-2 section matching s1 through a globally extending gluing map.
 
     Components: s2_j(z) = sum_i d(f^-1)_i/dz_j (z) * s1_i(f^-1(z)).  The
@@ -590,14 +581,12 @@ def pushforward_form(space: GluedSpace, s1: BlockForm,
     a finite-difference inner Jacobian would inject noise that outer
     derivatives amplify.
     """
-    eng = engine or space.engine
-
     def field(z):
         y = space.f.inverse(list(z))
         if space.f.jacobian is not None:
             rows = invert_matrix_generic(space.f.jacobian(list(y)))
         else:
-            rows = eng.jacobian(space.f.inverse, z)
+            rows = space.engine.jacobian(space.f.inverse, z)
         w = s1(y)
         return [_dot(col, w) for col in zip(*rows)]
 

@@ -29,10 +29,6 @@ class OutsideDomain(DiffglueError):
     """Coordinates fall outside the relevant block domain."""
 
 
-class NotInImage(DiffglueError):
-    """A point is not in the image of the requested induction."""
-
-
 class DimensionMismatch(DiffglueError):
     """Objects with incompatible dimensions were combined."""
 

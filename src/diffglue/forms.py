@@ -147,41 +147,6 @@ class Checks:
         return CompatResult(ok, self.worst, None if ok else self.worst_witness, self.samples)
 
 
-def check_forms_compatible(space: GluedSpace, omega1: BlockForm,
-                           omega2: BlockForm) -> CompatResult:
-    """Do the two block forms agree through the locus pullbacks?
-
-    Point-set loci admit only locally constant plots, so every pair is
-    compatible; otherwise the tangential pullbacks must match at the
-    sampled locus points.
-    """
-    out = Checks()
-    if space.locus.kind == "point_set":
-        return out.compat()
-    for y in space.locus_points():
-        fr = space.locus_frames(y)
-        lhs = fr.t1.T @ omega1.at(y)
-        rhs = fr.t2.T @ omega2.at(fr.image)
-        res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        out.check(res, EPS_NUM, point=list(y), pullback1=lhs.tolist(),
-                  pullback2=rhs.tolist(), residual=res)
-    return out.compat()
-
-
-@dataclass(frozen=True)
-class GluedForm:
-    """Pair of block forms passing the compatibility check."""
-
-    space: GluedSpace
-    omega1: BlockForm
-    omega2: BlockForm
-
-    def __post_init__(self):
-        result = check_forms_compatible(self.space, self.omega1, self.omega2)
-        if not result:
-            raise IncompatibleSections(f"forms incompatible: {result.witness}")
-
-
 @dataclass(frozen=True)
 class FibreModel:
     """Concrete basis model of the glued fibre at one point.
@@ -424,8 +389,7 @@ class GluedFunction:
                           for w, x in point.sides])
 
 
-def differential_glued(space: GluedSpace, h: GluedFunction,
-                       engine: Optional[DiffEngine] = None) -> LambdaSection:
+def differential_glued(space: GluedSpace, h: GluedFunction) -> LambdaSection:
     """Differential of a glued function, by the three-case rule.
 
     Off the locus this is the block differential; over the locus it is the
@@ -434,9 +398,8 @@ def differential_glued(space: GluedSpace, h: GluedFunction,
     """
     space.require_hypotheses()
     h.validate()
-    eng = engine or space.engine
-    d1 = differential_block(space.block1, h.h1, eng)
-    d2 = differential_block(space.block2, h.h2, eng)
+    d1 = differential_block(space.block1, h.h1, space.engine)
+    d2 = differential_block(space.block2, h.h2, space.engine)
     return LambdaSection(space, d1, d2)
 
 

@@ -1,4 +1,4 @@
-"""Pseudo-metrics on block and glued fibres, pairing maps, dual metrics.
+"""Pseudo-metrics on block and glued fibres and their pairing maps.
 
 A block metric is a smooth field of symmetric positive-definite Gram
 matrices on the coordinate coframe.  Over a glued space the induced metric
@@ -62,9 +62,6 @@ class BlockMetric:
         """Gram entries with generic arithmetic (dual-safe)."""
         return evaluate_matrix(self.entries, coords)
 
-    def dual_gram(self, coords) -> np.ndarray:
-        return np.linalg.inv(self.gram(coords))
-
 
 def _require_spd(g: np.ndarray, where: str = ""):
     if np.max(np.abs(g - g.T)) > EPS_NUM * (1.0 + np.max(np.abs(g))):
@@ -87,38 +84,6 @@ def eval_block_metric(g: BlockMetric, coords, u, v) -> float:
         raise OutsideDomain(f"{tuple(coords)} outside {g.block.name}")
     gram = g.gram(coords)
     return float(np.asarray(u, float) @ gram @ np.asarray(v, float))
-
-
-# -- pairing map and dual metric ------------------------------------------
-
-def pairing_apply(g: BlockMetric, coords, components) -> np.ndarray:
-    """Fibre pairing v -> g(v, .): components against the dual frame."""
-    return g.gram(coords) @ np.asarray(components, dtype=float)
-
-
-def pairing_invert(g: BlockMetric, coords, dual_components) -> np.ndarray:
-    gram = g.gram(coords)
-    try:
-        return np.linalg.solve(gram, np.asarray(dual_components, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class DualMetric:
-    """Metric induced on the dual fibres: Gram = inverse block Gram."""
-
-    metric: BlockMetric
-
-    def gram(self, coords) -> np.ndarray:
-        return self.metric.dual_gram(coords)
-
-    def eval(self, coords, p, q) -> float:
-        return float(np.asarray(p, float) @ self.gram(coords) @ np.asarray(q, float))
-
-
-def dual_metric(g: BlockMetric) -> DualMetric:
-    return DualMetric(g)
 
 
 # -- compatibility ---------------------------------------------------------
@@ -223,9 +188,6 @@ class GluedMetric:
         except np.linalg.LinAlgError as exc:
             raise SingularGram(str(exc)) from exc
         return FibreElement(fibre, comps)
-
-    def dual_gram_at(self, point: GluedPoint, fibre=None) -> np.ndarray:
-        return np.linalg.inv(self.gram_at(point, fibre))
 
 
 def glue_metrics(space: GluedSpace, g1: BlockMetric, g2: BlockMetric) -> GluedMetric:

@@ -178,22 +178,6 @@ def exp(x):
     return _unary(x, math.exp, lambda v: exp(v))
 
 
-def log(x):
-    return _unary(x, math.log, lambda v: 1.0 / v)
-
-
-def sqrt(x):
-    return _unary(x, math.sqrt, lambda v: 0.5 / sqrt(v))
-
-
-def sin(x):
-    return _unary(x, math.sin, lambda v: cos(v))
-
-
-def cos(x):
-    return _unary(x, math.cos, lambda v: -sin(v))
-
-
 def _dot(u, v):
     """sum_i u_i * v_i accumulated left to right from 0.0 (dual-safe)."""
     total = 0.0
@@ -306,12 +290,7 @@ class DiffEngine:
         engine calls nest).  ``within`` guards the finite-difference
         stencil against leaving the domain.
         """
-        if self.config.mode == "forward_dual":
-            out = field(_seeds(coords))
-            if isinstance(out, DualScalar):
-                return list(out.partials)
-            return [0.0] * len(coords)  # field did not depend on the coordinates
-        return self._jacobian_fd(lambda x: (field(x),), coords, within)[0]
+        return self.jacobian(lambda x: (field(x),), coords, within)[0]
 
     def gradient_array(self, field, coords, within=None) -> np.ndarray:
         return np.asarray([_primal(g) for g in self.gradient(field, coords, within)], dtype=float)
@@ -326,13 +305,16 @@ class DiffEngine:
         """
         if self.config.mode != "forward_dual":
             return self._jacobian_fd(mapping, coords, within)
-        n = len(coords)
-        return [list(v.partials) if isinstance(v, DualScalar) else [0.0] * n
-                for v in mapping(_seeds(coords))]
+        return self._jacobian_dual(mapping, coords)
 
     def jacobian_array(self, mapping, coords, within=None) -> np.ndarray:
         rows = self.jacobian(mapping, coords, within)
         return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
+
+    def _jacobian_dual(self, mapping, coords):
+        n = len(coords)
+        return [list(v.partials) if isinstance(v, DualScalar) else [0.0] * n
+                for v in mapping(_seeds(coords))]
 
     def _jacobian_fd(self, mapping, coords, within):
         h = self.config.fd_step
@@ -362,10 +344,9 @@ class DiffEngine:
         Raises ModesDisagree when the discrepancy exceeds 10x the expected
         finite-difference truncation error.
         """
-        dual_eng = DiffEngine(DiffConfig(mode="forward_dual"))
-        fd_eng = DiffEngine(DiffConfig(mode="central_fd", fd_step=self.config.fd_step))
-        gd = [_primal(v) for v in dual_eng.gradient(field, coords)]
-        gf = [_primal(v) for v in fd_eng.gradient(field, coords, within)]
+        scalar = lambda x: (field(x),)
+        gd = [_primal(v) for v in self._jacobian_dual(scalar, coords)[0]]
+        gf = [_primal(v) for v in self._jacobian_fd(scalar, coords, within)[0]]
         disc = max(abs(a - b) for a, b in zip(gd, gf))
         h = self.config.fd_step
         scale = max(1.0, abs(_primal(field(list(coords)))), max(abs(v) for v in gd))

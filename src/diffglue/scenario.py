@@ -251,8 +251,7 @@ class ScenarioContext:
         from .connection import glue_connections
         if self._glued_connection is None:
             self._glued_connection = glue_connections(
-                self.space, self.glued_metric(), self.nabla1, self.nabla2,
-                self.engine)
+                self.space, self.glued_metric(), self.nabla1, self.nabla2)
         return self._glued_connection
 
 

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (DiffglueError, HypothesisNotAsserted, LocusOutsideBlock,
-                     NotADiffeomorphism, NotInImage, OutsideDomain, ValidationError)
-from .numerics import EPS_DOM, EPS_NUM, DiffConfig, DiffEngine, SamplePlan
+                     NotADiffeomorphism, OutsideDomain, ValidationError)
+from .numerics import EPS_DOM, EPS_NUM, DiffEngine, SamplePlan
 
 BLOCK1, LOCUS, BLOCK2 = "block1", "locus", "block2"
 
@@ -159,15 +159,6 @@ def seam_mean(values):
 
 
 @dataclass(frozen=True)
-class Plot:
-    """Parametrized map from R^domain_dim into a block or glued space."""
-
-    domain_dim: int
-    mapping: Callable
-    basepoint: tuple = ()
-
-
-@dataclass(frozen=True)
 class LocusFrames:
     """Tangential data of the locus at one point.
 
@@ -191,7 +182,7 @@ class GluedSpace:
         self.locus = locus
         self.f = f
         self.flags = flags
-        self.engine = engine or DiffEngine(DiffConfig())
+        self.engine = DiffEngine() if engine is None else engine
         self.plan = plan or SamplePlan()
 
     # -- hypotheses ------------------------------------------------------
@@ -345,27 +336,6 @@ def default_flags(locus) -> HypothesisFlags:
     return HypothesisFlags(False, False)
 
 
-def structural_hypothesis_check(space: GluedSpace) -> bool:
-    """Sufficient structural check for the standing hypotheses.
-
-    Point-set loci: trivially true.  Open-subdomain loci glued along a
-    diffeomorphism: the pullback of coordinate differentials is surjective
-    when the Jacobian is invertible at the sampled locus points, which
-    suffices.  Submanifold loci are not decided structurally.
-    """
-    if space.locus.kind == "point_set":
-        return True
-    if space.locus.kind == "open_subdomain":
-        for y in space.locus_points():
-            j = space.f_jacobian(y)
-            if j.shape[0] != j.shape[1]:
-                return False
-            if abs(np.linalg.det(j)) <= 1e-10:
-                return False
-        return True
-    return False
-
-
 def build_glued_space(block1, block2, locus, f, flags=None,
                       engine=None, plan=None) -> GluedSpace:
     """Validate the gluing data and assemble a GluedSpace.
@@ -442,22 +412,3 @@ def classify_point(space: GluedSpace, which: int, coords) -> GluedPoint:
         return GluedPoint(BLOCK2, coords)
     raise ValueError("which must be 1 or 2")
 
-
-def embed(space: GluedSpace, which: str, coords) -> GluedPoint:
-    """Standard inductions: i1-tilde covers block 1, i2 covers block 2."""
-    if which == "i1_tilde":
-        return classify_point(space, 1, coords)
-    if which == "i2":
-        return classify_point(space, 2, coords)
-    raise ValueError("which must be 'i1_tilde' or 'i2'")
-
-
-def unembed(space: GluedSpace, point: GluedPoint, which: str) -> tuple:
-    """Inverse of the requested induction on its image."""
-    if which not in ("i1_tilde", "i2"):
-        raise ValueError("which must be 'i1_tilde' or 'i2'")
-    block = 1 if which == "i1_tilde" else 2
-    for w, coords in point.sides:
-        if w == block:
-            return coords
-    raise NotInImage(f"{which} image excludes block-{3 - block}-only points")

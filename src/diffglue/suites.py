@@ -170,7 +170,7 @@ def suite_metric_gluing(ctx, out: Checks) -> None:
     # construction and say nothing about the metric).
     if space.f.extends_globally:
         s1 = coordinate_form(space.block1, 0)
-        s = assemble_section(space, s1, cx.pushforward_form(space, s1, ctx.engine))
+        s = assemble_section(space, s1, cx.pushforward_form(space, s1))
     else:
         s = _sections(ctx)[0]
     for target, seq in space.probe_sequences():
@@ -237,7 +237,7 @@ def suite_leibniz(ctx, out: Checks) -> None:
             hs = LambdaSection(space, s.s1.scaled(h.h1), s.s2.scaled(h.h2))
             lhs = C.apply(hs)
             rhs_tensor = C.apply(s)
-            dh = differential_glued(space, h, ctx.engine)
+            dh = differential_glued(space, h)
             for p in points:
                 lv = lhs.at(p)
                 rv = rhs_tensor.at(p)
@@ -266,8 +266,7 @@ def suite_symmetry(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     pairs = _section_pairs(_sections(ctx))
     points = _points(ctx, per_region=4)
-    out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.tol("suite"),
-                                ctx.engine))
+    out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.tol("suite")))
 
 
 @suite("metric-compat")
@@ -276,7 +275,7 @@ def suite_metric_compat(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     pairs = _section_pairs(_sections(ctx))
     out.fold(cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx),
-                                              ctx.engine.config.tol("suite"), ctx.engine))
+                                              ctx.engine.config.tol("suite")))
 
 
 @suite("bracket-split")
@@ -290,7 +289,7 @@ def suite_bracket_split(ctx, out: Checks) -> None:
     points = _points(ctx, per_region=3)
     probes = cx.glued_function_family(ctx.space, rng)
     for s, r in pairs:
-        formula = cx.lie_bracket_forms(G, s, r, ctx.engine)
+        formula = cx.lie_bracket_forms(G, s, r)
         for p in points:
             res = _bracket_direct_residual(ctx, G, s, r, formula, p, probes)
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
@@ -353,9 +352,9 @@ def suite_covderiv_split(ctx, out: Checks) -> None:
     points = _points(ctx, per_region=4)
     for sdir, s in pairs:
         t = cx.phi_glued(G, sdir)
-        lemma = cx.covariant_derivative(C, t, s, ctx.engine)
+        lemma = cx.covariant_derivative(C, t, s)
         for p in points:
-            direct = cx.covariant_via_tensor(C, t, s, p, ctx.engine)
+            direct = cx.covariant_via_tensor(C, t, s, p)
             res = float(np.max(np.abs(direct.components - lemma.at(p).components)))
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
 
@@ -370,7 +369,7 @@ def suite_torsion_split(ctx, out: Checks) -> str:
     samples = space.region_samples()
     half_gap = 0.0
     for s, r in pairs:
-        glued_t = cx.torsion(C, s, r, ctx.engine)
+        glued_t = cx.torsion(C, s, r)
         t1 = cx.torsion_block(C.nabla1, ctx.g1, s.s1, r.s1, ctx.engine)
         t2 = cx.torsion_block(C.nabla2, ctx.g2, s.s2, r.s2, ctx.engine)
         for p in samples[BLOCK1][:4] + samples[BLOCK2][:4] + samples[LOCUS]:
@@ -415,11 +414,11 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
         comp = cx.check_metric_compatible_block(nb, g, pairs, pts, ctx.engine, tol)
         out.expect(bool(comp), samples=0, block=which, detail="factor not compatible",
                    witness=comp.witness)
-    C = cx.glue_connections(space, G, n1, n2, ctx.engine)
+    C = cx.glue_connections(space, G, n1, n2)
     pairs = _section_pairs(_sections(ctx))
     points = _points(ctx, per_region=4)
-    sym = cx.check_symmetric(C, pairs, points, tol, ctx.engine)
-    comp = cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx), tol, ctx.engine)
+    sym = cx.check_symmetric(C, pairs, points, tol)
+    comp = cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx), tol)
     out.fold(sym, detail="glued connection not symmetric")
     out.fold(comp, detail="glued connection not metric-compatible")
 

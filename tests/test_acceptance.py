@@ -168,7 +168,7 @@ def test_criterion_7_pairing_duality(contexts):
         for region, pts in ctx.space.region_samples().items():
             for p in pts[:6]:
                 fib = compute_fibre(ctx.space, p)
-                dual_gram = G.dual_gram_at(p, fib)
+                dual_gram = np.linalg.inv(G.gram_at(p, fib))
                 for _ in range(3):
                     v = dg.FibreElement(fib, rng.uniform(-1, 1, fib.dim))
                     w = dg.FibreElement(fib, rng.uniform(-1, 1, fib.dim))

@@ -1,11 +1,17 @@
 """Differentials, pullbacks, glued fibres, and section splitting."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 import diffglue as dg
 from diffglue.forms import (Checks, coordinate_form, nullspace_basis,
                             relation_matrix, vanishing_at_point, zero_block_form)
+
+
+# parametrized map from R^domain_dim into a block, centred at basepoint
+Plot = namedtuple("Plot", "domain_dim mapping basepoint")
 
 
 def line(name="line", seeds=((1.5,), (-1.0,))):
@@ -126,25 +132,24 @@ def test_pullback_dimension_mismatch(engine):
 def test_forms_compatible_point_locus_always(cross):
     w1 = dg.BlockForm(cross.block1, lambda x: [1.0 + x[0]])
     w2 = dg.BlockForm(cross.block2, lambda x: [-3.0])
-    assert dg.check_forms_compatible(cross, w1, w2)
+    assert isinstance(dg.assemble_section(cross, w1, w2), dg.LambdaSection)
 
 
 def test_constant_plot_pullback_vanishes(engine, cross):
     # oracle behind the point-locus rule: forms evaluate to zero on
     # constant plots
     w = dg.BlockForm(cross.block1, lambda x: [1.0 + x[0] ** 2])
-    plots = [dg.Plot(1, lambda u: [0.0], (0.0,)), dg.Plot(2, lambda u: [0.0], (0.0, 0.0))]
+    plots = [Plot(1, lambda u: [0.0], (0.0,)), Plot(2, lambda u: [0.0], (0.0, 0.0))]
     assert vanishing_at_point(w, plots, engine) == pytest.approx(0.0)
 
 
 def test_forms_compatible_halfline(halfline):
     dx1 = coordinate_form(halfline.block1, 0)
     dx2 = coordinate_form(halfline.block2, 0)
-    assert dg.check_forms_compatible(halfline, dx1, dx2)
+    dg.assemble_section(halfline, dx1, dx2)
     doubled = dx2.scaled_const(2.0)
-    res = dg.check_forms_compatible(halfline, dx1, doubled)
-    assert not res
-    assert res.witness is not None and "point" in res.witness
+    with pytest.raises(dg.IncompatibleSections, match="locus point"):
+        dg.assemble_section(halfline, dx1, doubled)
 
 
 def test_forms_compatible_plane_axis(plane_axis):
@@ -152,8 +157,9 @@ def test_forms_compatible_plane_axis(plane_axis):
     dx2 = coordinate_form(plane_axis.block2, 0)
     dy2 = coordinate_form(plane_axis.block2, 1)
     # dy pulls back to 0 along the axis; dx pulls back to dt
-    assert not dg.check_forms_compatible(plane_axis, dy1, dx2)
-    assert dg.check_forms_compatible(plane_axis, dy1, dy2.scaled_const(0.0))
+    with pytest.raises(dg.IncompatibleSections):
+        dg.assemble_section(plane_axis, dy1, dx2)
+    dg.assemble_section(plane_axis, dy1, dy2.scaled_const(0.0))
 
 
 # -- fibres ---------------------------------------------------------------------
@@ -280,70 +286,62 @@ def test_zero_section_splits_to_zero(halfline):
 
 # -- glued differential ---------------------------------------------------------------
 
-def test_differential_glued_critical_point(cross, engine):
+def test_differential_glued_critical_point(cross):
     h = dg.GluedFunction(cross, lambda x: x[0] ** 2, lambda z: z[0] ** 2)
-    dh = dg.differential_glued(cross, h, engine)
+    dh = dg.differential_glued(cross, h)
     p0 = dg.classify_point(cross, 1, (0.0,))
     assert dh.at(p0).components == pytest.approx([0.0, 0.0])
 
 
-def test_differential_glued_identity_pair(cross, engine):
+def test_differential_glued_identity_pair(cross):
     h = dg.GluedFunction(cross, lambda x: x[0], lambda z: z[0])
-    dh = dg.differential_glued(cross, h, engine)
+    dh = dg.differential_glued(cross, h)
     p0 = dg.classify_point(cross, 1, (0.0,))
     assert dh.at(p0).components == pytest.approx([1.0, 1.0])
 
 
-def test_differential_glued_halfline(halfline, engine):
+def test_differential_glued_halfline(halfline):
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2, lambda z: z[0] ** 2)
-    dh = dg.differential_glued(halfline, h, engine)
+    dh = dg.differential_glued(halfline, h)
     p = dg.classify_point(halfline, 1, (-1.0,))
     e = dh.at(p)
     assert dg.rho1(e) == pytest.approx([-2.0])
     assert dg.rho2(e) == pytest.approx([-2.0])
 
 
-def test_differential_glued_rejects_non_functions(halfline, engine):
+def test_differential_glued_rejects_non_functions(halfline):
     h = dg.GluedFunction(halfline, lambda x: x[0], lambda z: z[0] + 1.0)
     with pytest.raises(dg.NotAFunctionOnGluedSpace):
-        dg.differential_glued(halfline, h, engine)
+        dg.differential_glued(halfline, h)
 
 
-def test_differential_linearity(halfline, engine):
+def test_differential_linearity(halfline):
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2, lambda z: z[0] ** 2)
     k = dg.GluedFunction(halfline, lambda x: 2.0 * x[0], lambda z: 2.0 * z[0])
     combo = dg.GluedFunction(halfline,
                              lambda x: 3.0 * h.h1(x) - 0.5 * k.h1(x),
                              lambda z: 3.0 * h.h2(z) - 0.5 * k.h2(z))
-    d_combo = dg.differential_glued(halfline, combo, engine)
-    dh = dg.differential_glued(halfline, h, engine)
-    dk = dg.differential_glued(halfline, k, engine)
+    d_combo = dg.differential_glued(halfline, combo)
+    dh = dg.differential_glued(halfline, h)
+    dk = dg.differential_glued(halfline, k)
     for c in ((-1.0,), (0.5,)):
         p = dg.classify_point(halfline, 1, c)
         expect = 3.0 * dh.at(p).components - 0.5 * dk.at(p).components
         assert d_combo.at(p).components == pytest.approx(expect, abs=1e-9)
 
 
-def test_leibniz_for_differential(halfline, engine):
+def test_leibniz_for_differential(halfline):
     h1, k1 = lambda x: x[0] ** 2, lambda x: 1.0 + x[0]
     h = dg.GluedFunction(halfline, h1, h1)
     k = dg.GluedFunction(halfline, k1, k1)
     hk = dg.GluedFunction(halfline, lambda x: h1(x) * k1(x), lambda z: h1(z) * k1(z))
-    d_hk = dg.differential_glued(halfline, hk, engine)
-    dh = dg.differential_glued(halfline, h, engine)
-    dk = dg.differential_glued(halfline, k, engine)
+    d_hk = dg.differential_glued(halfline, hk)
+    dh = dg.differential_glued(halfline, h)
+    dk = dg.differential_glued(halfline, k)
     for c in ((-1.5,), (0.7,)):
         p = dg.classify_point(halfline, 1, c)
         expect = h.value(p) * dk.at(p).components + k.value(p) * dh.at(p).components
         assert d_hk.at(p).components == pytest.approx(expect, abs=1e-9)
-
-
-def test_glued_form_type_validates(halfline):
-    dx1 = coordinate_form(halfline.block1, 0)
-    dx2 = coordinate_form(halfline.block2, 0)
-    dg.GluedForm(halfline, dx1, dx2)
-    with pytest.raises(dg.IncompatibleSections):
-        dg.GluedForm(halfline, dx1, dx2.scaled_const(2.0))
 
 
 def test_pullback_operators(halfline, plane_axis):

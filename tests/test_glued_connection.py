@@ -58,22 +58,22 @@ def flat_setup(space):
 
 # -- compatibility of connections ------------------------------------------------
 
-def test_cross_any_connections_compatible(cross, engine):
+def test_cross_any_connections_compatible(cross):
     n1 = dg.BlockConnection(cross.block1, lambda x: [[[x[0] + 2.0]]])
     n2 = dg.zero_connection(cross.block2)
-    assert dg.check_connections_compatible(cross, n1, n2, engine)
+    assert dg.check_connections_compatible(cross, n1, n2)
 
 
-def test_halfline_equal_connections_compatible(halfline, engine):
+def test_halfline_equal_connections_compatible(halfline):
     n1 = dg.BlockConnection(halfline.block1, lambda x: [[[1.0]]])
     n2 = dg.BlockConnection(halfline.block2, lambda x: [[[1.0]]])
-    assert dg.check_connections_compatible(halfline, n1, n2, engine)
+    assert dg.check_connections_compatible(halfline, n1, n2)
 
 
-def test_halfline_flat_vs_gamma_incompatible(halfline, engine):
+def test_halfline_flat_vs_gamma_incompatible(halfline):
     n1 = dg.zero_connection(halfline.block1)
     n2 = dg.BlockConnection(halfline.block2, lambda x: [[[1.0]]])
-    res = dg.check_connections_compatible(halfline, n1, n2, engine)
+    res = dg.check_connections_compatible(halfline, n1, n2)
     assert not res and res.witness is not None
     g1 = dg.constant_metric(halfline.block1, [[1.0]])
     g2 = dg.constant_metric(halfline.block2, [[1.0]])
@@ -84,7 +84,7 @@ def test_halfline_flat_vs_gamma_incompatible(halfline, engine):
 
 # -- the three-case operator -------------------------------------------------------
 
-def test_apply_glued_cross_flat(cross, engine):
+def test_apply_glued_cross_flat(cross):
     # s1 = x dx, s2 = y dy: at the origin the value is the pair of block
     # tensors dx (x) dx and dy (x) dy
     G, C = flat_setup(cross)
@@ -123,18 +123,18 @@ def test_locus_value_in_compatible_square(halfline):
 
 # -- action -------------------------------------------------------------------------
 
-def test_action_glued_half_weights(cross, engine):
+def test_action_glued_half_weights(cross):
     # t1 = t2 = 1, h = (x, y): at the locus 1/2*1 + 1/2*1 = 1
     t = cx.DualSection(cross, lambda x: [1.0], lambda z: [1.0])
     h = dg.GluedFunction(cross, lambda x: x[0], lambda z: z[0])
-    val = dg.action(t, h, engine)
+    val = dg.action(t, h)
     p0 = dg.classify_point(cross, 1, (0.0,))
     assert val(p0) == pytest.approx(1.0)
     p = dg.classify_point(cross, 1, (2.0,))
     assert val(p) == pytest.approx(1.0)
 
 
-def test_action_agrees_with_glued_metric_pairing(halfline, engine):
+def test_action_agrees_with_glued_metric_pairing(halfline):
     # t(h) = g(t, dh) when t is the pairing image of a glued section
     g1 = dg.BlockMetric(halfline.block1, ((lambda x: 1.0 + x[0] ** 2,),))
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
@@ -143,8 +143,8 @@ def test_action_agrees_with_glued_metric_pairing(halfline, engine):
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     t = cx.phi_glued(G, s)
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2, lambda z: z[0] ** 2)
-    dh = dg.differential_glued(halfline, h, engine)
-    val = dg.action(t, h, engine)
+    dh = dg.differential_glued(halfline, h)
+    val = dg.action(t, h)
     for c in ((-1.0,), (0.5,), (-2.0,)):
         p = dg.classify_point(halfline, 1, c)
         assert val(p) == pytest.approx(G.eval(p, s.at(p), dh.at(p)), abs=1e-10)
@@ -172,22 +172,22 @@ def test_covariant_split_two_paths(cross, halfline, plane_axis, engine):
         s = dg.assemble_section(space, s1, cx.pushforward_form(space, s1))
         r = dg.assemble_section(space, r1, cx.pushforward_form(space, r1))
         t = cx.phi_glued(G, s)
-        lemma = cx.covariant_derivative(C, t, r, engine)
+        lemma = cx.covariant_derivative(C, t, r)
         for region, pts in space.region_samples().items():
             for p in pts[:3]:
-                direct = cx.covariant_via_tensor(C, t, r, p, engine)
+                direct = cx.covariant_via_tensor(C, t, r, p)
                 assert direct.components == pytest.approx(
                     lemma.at(p).components, abs=1e-9), (space.block1.name, region)
 
 
-def test_covariant_flat_lemma_formula(cross, engine):
+def test_covariant_flat_lemma_formula(cross):
     # cross with flat factors: locus value is the pair of block derivatives
     G, C = flat_setup(cross)
     s = dg.assemble_section(cross,
                             dg.BlockForm(cross.block1, lambda x: [x[0]]),
                             dg.BlockForm(cross.block2, lambda z: [2.0 * z[0]]))
     t = cx.DualSection(cross, lambda x: [1.0], lambda z: [1.0])
-    out = cx.covariant_derivative(C, t, s, engine)
+    out = cx.covariant_derivative(C, t, s)
     p0 = dg.classify_point(cross, 1, (0.0,))
     e = out.at(p0)
     assert dg.rho1(e) == pytest.approx([1.0])
@@ -196,7 +196,7 @@ def test_covariant_flat_lemma_formula(cross, engine):
 
 # -- bracket splitting -------------------------------------------------------------------
 
-def test_bracket_splitting_three_cases(cross, engine):
+def test_bracket_splitting_three_cases(cross):
     # constant sections with identity Grams commute in every region
     G, C = flat_setup(cross)
     one1 = dg.BlockForm(cross.block1, lambda x: [1.0])
@@ -204,7 +204,7 @@ def test_bracket_splitting_three_cases(cross, engine):
     two2 = dg.BlockForm(cross.block2, lambda z: [2.0])
     s = dg.assemble_section(cross, one1, one2)
     r = dg.assemble_section(cross, one1.scaled_const(3.0), two2)
-    br = cx.lie_bracket_forms(G, s, r, engine)
+    br = cx.lie_bracket_forms(G, s, r)
     for c, which in (((0.5,), 1), ((0.0,), 1)):
         p = dg.classify_point(cross, which, c)
         assert np.max(np.abs(br.at(p).components)) < 1e-12
@@ -220,7 +220,7 @@ def test_bracket_splitting_matches_blocks(halfline, engine):
     r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 - x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
-    br = cx.lie_bracket_forms(G, s, r, engine)
+    br = cx.lie_bracket_forms(G, s, r)
     block_br = cx.lie_bracket_forms_block(g1, s.s1, r.s1, engine)
     p = dg.classify_point(halfline, 1, (-1.0,))
     assert dg.rho1(br.at(p)) == pytest.approx(block_br.at((-1.0,)), abs=1e-10)
@@ -254,7 +254,7 @@ def test_torsion_split_unweighted_not_half(plane_axis, engine):
     r1 = dg.BlockForm(plane_axis.block1, lambda x: [0.0, 1.0])
     s = dg.assemble_section(plane_axis, s1, cx.pushforward_form(plane_axis, s1))
     r = dg.assemble_section(plane_axis, r1, cx.pushforward_form(plane_axis, r1))
-    glued_t = cx.torsion(C, s, r, engine)
+    glued_t = cx.torsion(C, s, r)
     t1 = cx.torsion_block(C.nabla1, g1, s.s1, r.s1, engine)
     t2 = cx.torsion_block(C.nabla2, g2, s.s2, r.s2, engine)
     p = dg.classify_point(plane_axis, 1, (0.3, 0.0))
@@ -270,7 +270,7 @@ def test_torsion_split_unweighted_not_half(plane_axis, engine):
 
 
 @pytest.mark.parametrize("which", ["symmetric", "metric_compatible_glued"])
-def test_sampled_checks_fail_on_torsionful_connection(plane_axis, engine, which):
+def test_sampled_checks_fail_on_torsionful_connection(plane_axis, which):
     # Gamma^1_21 = 1 passes the gluing gate but is neither symmetric nor
     # compatible with the flat metric; the failing result carries the
     # witness of its worst residual
@@ -282,11 +282,10 @@ def test_sampled_checks_fail_on_torsionful_connection(plane_axis, engine, which)
     samples = {k: v[:3] for k, v in plane_axis.region_samples().items()}
     if which == "symmetric":
         pts = samples["block1"] + samples["locus"] + samples["block2"]
-        r = cx.check_symmetric(C, pairs, pts, tol=1e-10, engine=engine)
+        r = cx.check_symmetric(C, pairs, pts, tol=1e-10)
         expected = 2.0
     else:
-        r = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10,
-                                             engine=engine)
+        r = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10)
         expected = 4.0
     assert not r
     assert r.max_residual == pytest.approx(expected)
@@ -304,22 +303,22 @@ def test_torsion_antisymmetry(halfline, engine):
     r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
-    t_sr = cx.torsion(C, s, r, engine)
-    t_rs = cx.torsion(C, r, s, engine)
+    t_sr = cx.torsion(C, s, r)
+    t_rs = cx.torsion(C, r, s)
     for c in ((-1.0,), (0.5,)):
         p = dg.classify_point(halfline, 1, c)
         assert t_sr.at(p).components == pytest.approx(-t_rs.at(p).components,
                                                       abs=1e-10)
 
 
-def test_torsion_values_records_points(halfline, engine):
+def test_torsion_values_records_points(halfline):
     G, C = flat_setup(halfline)
     s1 = coordinate_form(halfline.block1, 0)
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
     pts = [dg.classify_point(halfline, 1, (-1.0,))]
-    value = dg.torsion(C, s, r, engine).at(pts[0])
+    value = dg.torsion(C, s, r).at(pts[0])
     assert np.max(np.abs(value.components)) < 1e-10
 
 
@@ -336,7 +335,7 @@ def test_glued_leibniz_all_regions(halfline, engine):
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2 - 2.0,
                          lambda z: z[0] ** 2 - 2.0)
     hs = dg.LambdaSection(halfline, s.s1.scaled(h.h1), s.s2.scaled(h.h2))
-    dh = dg.differential_glued(halfline, h, engine)
+    dh = dg.differential_glued(halfline, h)
     lhs_field = C.apply(hs)
     rhs_field = C.apply(s)
     for region, pts in halfline.region_samples().items():
@@ -366,9 +365,8 @@ def test_glued_connection_end_to_end_levi_civita(halfline, engine):
     sections = [dg.assemble_section(halfline, a, b) for a, b in raw[:4]]
     pairs = list(zip(sections, sections[1:]))
     pts = [dg.classify_point(halfline, 1, c) for c in ((-1.0,), (0.5,), (-2.0,))]
-    sym = cx.check_symmetric(C, pairs, pts, tol=1e-10, engine=engine)
+    sym = cx.check_symmetric(C, pairs, pts, tol=1e-10)
     assert sym, sym.witness
     samples = {k: v[:3] for k, v in halfline.region_samples().items()}
-    comp = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10,
-                                            engine=engine)
+    comp = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10)
     assert comp, comp.witness

@@ -1,4 +1,4 @@
-"""Block and glued pseudo-metrics, pairing maps, dual metrics."""
+"""Block and glued pseudo-metrics and their pairing maps."""
 
 import numpy as np
 import pytest
@@ -214,32 +214,7 @@ def test_collapse_on_canonical_pairs(halfline, plane_axis):
             assert glued == pytest.approx(right, abs=1e-10)
 
 
-# -- pairing map and dual metric ---------------------------------------------------
-
-def test_pairing_identity_gram():
-    g = dg.constant_metric(line(), [[1.0]])
-    assert dg.pairing_apply(g, (0.5,), [2.0]) == pytest.approx([2.0])
-
-
-def test_pairing_scalar_gram():
-    g = dg.constant_metric(line(), [[4.0]])
-    assert dg.pairing_apply(g, (0.0,), [1.0]) == pytest.approx([4.0])
-    assert dg.pairing_invert(g, (0.0,), [4.0]) == pytest.approx([1.0])
-    assert dg.dual_metric(g).gram((0.0,)) == pytest.approx(np.array([[0.25]]))
-
-
-def test_pairing_two_by_two():
-    block = dg.EuclideanBlock(2, lambda x: True, [(0.0, 0.0)], "p")
-    g = dg.constant_metric(block, [[2.0, 1.0], [1.0, 2.0]])
-    dual = dg.dual_metric(g)
-    assert dual.gram((0.0, 0.0)) == pytest.approx(
-        np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0)
-    v, w = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    lhs = dual.eval((0.0, 0.0), dg.pairing_apply(g, (0.0, 0.0), v),
-                    dg.pairing_apply(g, (0.0, 0.0), w))
-    rhs = dg.eval_block_metric(g, (0.0, 0.0), v, w)
-    assert lhs == pytest.approx(rhs) == pytest.approx(1.0)
-
+# -- pairing map ------------------------------------------------------------------
 
 def test_pairing_duality_random(halfline):
     g1 = curved_line_metric(halfline.block1)
@@ -254,7 +229,7 @@ def test_pairing_duality_random(halfline):
                 w = dg.FibreElement(fib, rng.uniform(-1, 1, fib.dim))
                 pv = G.pairing_apply(p, v)
                 pw = G.pairing_apply(p, w)
-                dual_gram = G.dual_gram_at(p, fib)
+                dual_gram = np.linalg.inv(G.gram_at(p, fib))
                 assert float(pv @ dual_gram @ pw) == \
                     pytest.approx(G.eval(p, v, w), abs=1e-10)
                 back = G.pairing_invert(p, pv, fib)
@@ -265,5 +240,7 @@ def test_pairing_invert_singular_gram():
     # bypass validation with a Gram that degenerates away from the seeds
     block = dg.EuclideanBlock(1, lambda x: True, [(1.0,), (2.0,)], "deg")
     g = dg.BlockMetric(block, ((lambda x: x[0] ** 2,),))
+    space = dg.build_glued_space(block, block, dg.PointSetLocus([(1.0,)]), identity_map())
+    G = dg.GluedMetric(space, g, g)
     with pytest.raises(dg.SingularGram):
-        dg.pairing_invert(g, (0.0,), [1.0])
+        G.pairing_invert(dg.classify_point(space, 1, (0.0,)), [1.0])

@@ -35,10 +35,6 @@ def test_cross_builds(cross):
     assert cross.locus_points() == [(0.0,)]
 
 
-def test_identity_ray_gluing_builds(halfline):
-    assert dg.structural_hypothesis_check(halfline)
-
-
 def test_cubic_gluing_rejected():
     # x -> x^3 has singular Jacobian at 0; the invertibility probe rejects it
     locus = dg.OpenSubdomainLocus(lambda x: -1.0 < x[0] < 1.0,
@@ -153,21 +149,12 @@ def test_seam_mean_keeps_one_value_and_half_weights_two():
     assert seam_mean([0.1, 0.7]) == 0.5 * 0.1 + 0.5 * 0.7
 
 
-def test_embed_unembed_roundtrip(cross):
-    p = dg.embed(cross, "i2", (5.0,))
-    assert p.region == "block2"
-    assert dg.unembed(cross, p, "i2") == (5.0,)
-
-
-def test_unembed_locus_through_i1(cross):
-    p = dg.classify_point(cross, 2, (0.0,))
-    assert dg.unembed(cross, p, "i1_tilde") == (0.0,)
-
-
-def test_unembed_not_in_image(cross):
-    p = dg.classify_point(cross, 1, (2.0,))
-    with pytest.raises(dg.NotInImage):
-        dg.unembed(cross, p, "i2")
+def test_classify_point_sides_cover_each_block(cross):
+    # a block-2 point has only its block-2 side, a locus point reached from
+    # block 2 has both, and a block-1 point has only its block-1 side
+    assert dg.classify_point(cross, 2, (5.0,)).sides == ((2, (5.0,)),)
+    assert dg.classify_point(cross, 2, (0.0,)).sides == ((1, (0.0,)), (2, (0.0,)))
+    assert dg.classify_point(cross, 1, (2.0,)).sides == ((1, (2.0,)),)
 
 
 def test_diffeomorphism_roundtrips_on_locus(halfline):
