@@ -11,15 +11,15 @@ Over a glued space every operator follows the seam rule of
 :attr:`~diffglue.space.GluedPoint.sides`: block values off the locus, and
 over the locus the pair of block values, constrained to the compatible
 subspace; dual sections and the action half-weight the pair instead.
-Tensor values over locus points are represented by their pair of block
-projections; membership of the pair in the tensor square of the compatible
-subspace is a linear feasibility check run at evaluation time.
+A glued tensor value is one float matrix per side; over the locus,
+membership of the pair in the tensor square of the compatible subspace is
+a linear feasibility check run at evaluation time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,10 +42,7 @@ class BlockConnection:
     christoffel: Callable   # coords -> Gamma[k][i][j], generic arithmetic
 
     def gamma(self, coords) -> np.ndarray:
-        raw = self.christoffel(list(coords))
-        d = self.block.dim
-        return np.asarray([[[_primal(raw[k][i][j]) for j in range(d)]
-                            for i in range(d)] for k in range(d)], dtype=float)
+        return _primal(self.christoffel(list(coords)))
 
 
 def zero_connection(block: EuclideanBlock) -> BlockConnection:
@@ -76,11 +73,6 @@ def apply_block(C: BlockConnection, s: BlockForm, engine: DiffEngine) -> Callabl
     return tensor
 
 
-def tensor_array(tensor: Callable, x) -> np.ndarray:
-    rows = tensor(x)
-    return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
-
-
 def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
                     engine: DiffEngine) -> BlockForm:
     """Contraction of apply_block in the direction slot against the dual field t."""
@@ -97,10 +89,6 @@ def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
 #
 # Dual-side fields are single callables x -> [d coefficients] against the
 # coordinate frame, like the field of a BlockForm.
-
-def _dual_value(t: Callable, coords) -> np.ndarray:
-    return np.asarray([_primal(v) for v in t(list(coords))])
-
 
 def action_block(t: Callable, h: Callable, engine: DiffEngine,
                  block: EuclideanBlock) -> Callable:
@@ -169,9 +157,9 @@ def covariant_dual_block(C: BlockConnection, t: Callable, u: Callable,
     """Dual-bundle covariant derivative (nabla*_t u)^c = t^a (d_a u^c + G^c_ab u^b)."""
     d = C.block.dim
     gam = C.gamma(coords)
-    tv = _dual_value(t, coords)
-    uv = _dual_value(u, coords)
-    du = engine.jacobian_array(u, list(coords), within=C.block.contains)  # du[c][a] = d_a u^c
+    tv = _primal(t(list(coords)))
+    uv = _primal(u(list(coords)))
+    du = _primal(engine.jacobian(u, list(coords), within=C.block.contains))  # du[c][a] = d_a u^c
     out = np.empty(d)
     for c in range(d):
         out[c] = float(tv @ du[c]) + float(tv @ gam[c] @ uv)
@@ -182,7 +170,7 @@ def torsion_dual_block(C: BlockConnection, t: Callable, u: Callable,
                        engine: DiffEngine, coords) -> np.ndarray:
     """Dual-side torsion value nabla*_t u - nabla*_u t - [t,u] at one point."""
     br = lie_bracket_dual_block(t, u, engine, C.block)
-    brv = _dual_value(br, coords)
+    brv = _primal(br(list(coords)))
     return covariant_dual_block(C, t, u, engine, coords) \
         - covariant_dual_block(C, u, t, engine, coords) - brv
 
@@ -248,7 +236,7 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
         gram = g.gram(x)
         gd = np.linalg.inv(gram)
         # dgram[a, i, j] = d_a Gram[i, j]
-        dgram = engine.jacobian_array(gram_flat, x, within=block.contains).T.reshape(d, d, d)
+        dgram = _primal(engine.jacobian(gram_flat, x, within=block.contains)).T.reshape(d, d, d)
         dgd = np.empty((d, d, d))
         for a in range(d):
             dgd[a] = -gd @ dgram[a] @ gd
@@ -297,11 +285,11 @@ def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
 def _compat_sides(C: BlockConnection, g: BlockMetric, s: BlockForm, t: BlockForm,
                   coords, engine: DiffEngine) -> tuple:
     """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at one point."""
-    lhs = engine.gradient_array(_gram_pair_field(g, s, t), list(coords),
-                                within=g.block.contains)
+    lhs = _primal(engine.gradient(_gram_pair_field(g, s, t), list(coords),
+                                  within=g.block.contains))
     gram = g.gram(list(coords))
-    rhs = tensor_array(apply_block(C, s, engine), coords) @ gram @ t.at(coords) \
-        + tensor_array(apply_block(C, t, engine), coords) @ gram @ s.at(coords)
+    rhs = _primal(apply_block(C, s, engine)(coords)) @ gram @ t.at(coords) \
+        + _primal(apply_block(C, t, engine)(coords)) @ gram @ s.at(coords)
     return lhs, rhs
 
 
@@ -328,7 +316,6 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     and compared.  Point-set loci have a zero pullback target, so the check
     is vacuously true there.
     """
-    space.require_hypotheses()
     eng = space.engine
     out = Checks()
     if space.locus.kind == "point_set":
@@ -340,8 +327,8 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
         p1 = fr.t1.T
         p2 = fr.t2.T
         for s1, s2 in pairs:
-            a1 = tensor_array(apply_block(nabla1, s1, eng), y)
-            a2 = tensor_array(apply_block(nabla2, s2, eng), fr.image)
+            a1 = _primal(apply_block(nabla1, s1, eng)(y))
+            a2 = _primal(apply_block(nabla2, s2, eng)(fr.image))
             lhs = p1 @ a1 @ p1.T
             rhs = p2 @ a2 @ p2.T
             res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
@@ -351,21 +338,6 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
 
 
 # -- glued connection ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensorValue:
-    """Value of a glued bundle-squared section at one point.
-
-    Over locus points both block projections are carried; membership of the
-    pair in the tensor square of the compatible subspace is recorded as the
-    least-squares feasibility residual.
-    """
-
-    point: GluedPoint
-    m1: Optional[np.ndarray]
-    m2: Optional[np.ndarray]
-    membership_residual: float = 0.0
 
 
 def joint_range_residual(fibre, a1: np.ndarray, a2: np.ndarray) -> float:
@@ -386,19 +358,19 @@ class GluedTensorField:
         self.f1 = f1
         self.f2 = f2
 
-    def at(self, point: GluedPoint) -> TensorValue:
-        m = {w: tensor_array((self.f1, self.f2)[w - 1], x) for w, x in point.sides}
-        if len(m) == 1:
-            return TensorValue(point, m.get(1), m.get(2))
-        a1, a2 = m[1], m[2]
-        fibre = compute_fibre(self.space, point)
-        res = joint_range_residual(fibre, a1, a2)
-        scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
-        if res > self.space.engine.config.tol("tensor-membership") * scale:
-            raise IncompatiblePair(
-                f"tensor pair escapes the compatible square at {point.coords} "
-                f"(residual {res:.3e})")
-        return TensorValue(point, a1, a2, res)
+    def at(self, point: GluedPoint) -> list:
+        """One float matrix per entry of ``point.sides``; over the locus the
+        pair must lie in the tensor square of the compatible subspace."""
+        matrices = [_primal((self.f1, self.f2)[w - 1](x)) for w, x in point.sides]
+        if len(matrices) == 2:
+            a1, a2 = matrices
+            res = joint_range_residual(compute_fibre(self.space, point), a1, a2)
+            scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
+            if res > self.space.engine.config.tol("tensor-membership") * scale:
+                raise IncompatiblePair(
+                    f"tensor pair escapes the compatible square at {point.coords} "
+                    f"(residual {res:.3e})")
+        return matrices
 
 
 class GluedConnection:
@@ -445,7 +417,7 @@ class DualSection:
 
     def at(self, point: GluedPoint) -> np.ndarray:
         sides = point.sides
-        values = [_dual_value((self.t1, self.t2)[w - 1], x) for w, x in sides]
+        values = [_primal((self.t1, self.t2)[w - 1](list(x))) for w, x in sides]
         if len(sides) == 2:
             fibre = compute_fibre(self.space, point)
             values = [fibre.block_basis(w) @ v for (w, _), v in zip(sides, values)]
@@ -464,8 +436,7 @@ def action(t: DualSection, h: GluedFunction) -> Callable:
     a2 = action_block(t.t2, h.h2, eng, space.block2)
 
     def value(point: GluedPoint) -> float:
-        return seam_mean([float(_primal((a1, a2)[w - 1](list(x))))
-                          for w, x in point.sides])
+        return seam_mean([_primal((a1, a2)[w - 1](list(x))) for w, x in point.sides])
 
     return value
 
@@ -496,10 +467,10 @@ def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
     assembling block covariant derivatives.  Must agree with
     covariant_derivative at every point.
     """
-    tv = C.apply(s).at(point)
+    matrices = C.apply(s).at(point)
     fibre = compute_fibre(C.space, point)
-    values = [_dual_value((t.t1, t.t2)[w - 1], x) @ (tv.m1, tv.m2)[w - 1]
-              for w, x in point.sides]
+    values = [_primal((t.t1, t.t2)[w - 1](list(x))) @ m
+              for (w, x), m in zip(point.sides, matrices)]
     if len(values) == 1:
         return FibreElement(fibre, values[0])
     return rho_pair_inverse(fibre, *values, tol=C.space.engine.config.tol("membership"))
@@ -556,8 +527,8 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                 # mixing section pairs for which no glued function exists;
                 # the identity is vacuous at fibre level for those and only
                 # the block (pair level) identities apply.
-                v1 = float(_primal(k1(list(p.coords))))
-                v2 = float(_primal(k2(list(p.coords2))))
+                v1 = _primal(k1(list(p.coords)))
+                v2 = _primal(k2(list(p.coords2)))
                 collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
                 if space.locus.kind != "point_set":
                     res = max(res, collapse)
@@ -574,7 +545,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
 # -- section and function families ---------------------------------------------
 
 def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
-    """Block-2 section matching s1 through a globally extending gluing map.
+    """Block-2 section matching s1 through the gluing map.
 
     Components: s2_j(z) = sum_i d(f^-1)_i/dz_j (z) * s1_i(f^-1(z)).  The
     inverse Jacobian comes from the map's analytic Jacobian when present;
@@ -614,8 +585,7 @@ def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator,
     """Compatible (s1, s2) pairs for glued-space suites.
 
     Point-set loci accept independent pairs (including one-sided ones);
-    otherwise block-1 family members are pushed through the gluing map,
-    which requires a globally extending map.
+    otherwise block-1 family members are pushed through the gluing map.
     """
     fam1 = block_form_family(space.block1, rng, extra)
     if space.locus.kind == "point_set":
@@ -624,10 +594,6 @@ def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator,
         pairs.append((fam1[0], zero_block_form(space.block2)))
         pairs.append((zero_block_form(space.block1), fam2[0]))
         return pairs
-    if not space.f.extends_globally:
-        raise ValidationError(
-            "cannot synthesize compatible sections: gluing map does not extend "
-            "globally; provide explicit section pairs")
     return [(s1, pushforward_form(space, s1)) for s1 in fam1]
 
 
@@ -658,9 +624,6 @@ def _image_residual_fields(space: GluedSpace) -> list:
 
 def glued_function_family(space: GluedSpace, rng: np.random.Generator) -> list:
     """Compatible scalar-function pairs: mirrored polynomials plus seam extras."""
-    if space.locus.kind != "point_set" and not space.f.extends_globally:
-        raise ValidationError("cannot synthesize glued functions without a "
-                              "globally extending gluing map")
     out = []
     for _ in range(5):
         h1 = random_poly(rng, space.block1.dim)

@@ -22,7 +22,7 @@ class NotADiffeomorphism(ValidationError):
 
 
 class HypothesisNotAsserted(DiffglueError):
-    """A gluing-dependent operation ran without the standing hypotheses."""
+    """A glued space was constructed without the standing hypotheses asserted."""
 
 
 class OutsideDomain(DiffglueError):

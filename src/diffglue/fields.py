@@ -9,7 +9,7 @@ scalars]`` under the same rule.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,15 +54,6 @@ class PolyField:
             return "PolyField(0)"
         parts = [f"{c:g}*x^{list(e)}" for e, c in sorted(self.coeffs.items())]
         return "PolyField(" + " + ".join(parts) + ")"
-
-
-def evaluate_matrix(entries: Sequence[Sequence[Callable]], coords) -> list:
-    return [[f(coords) for f in row] for row in entries]
-
-
-def evaluate_matrix_array(entries, coords) -> np.ndarray:
-    from .numerics import _primal
-    return np.asarray([[_primal(f(coords)) for f in row] for row in entries], dtype=float)
 
 
 def random_poly(rng: np.random.Generator, dim: int) -> PolyField:

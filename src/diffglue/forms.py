@@ -45,7 +45,7 @@ class BlockForm:
     def at(self, coords) -> np.ndarray:
         if not self.block.contains(list(coords)):
             raise OutsideDomain(f"{tuple(coords)} outside {self.block.name}")
-        return np.asarray([_primal(v) for v in self(coords)], dtype=float)
+        return _primal(self(coords))
 
     def __add__(self, other: "BlockForm") -> "BlockForm":
         return BlockForm(self.block,
@@ -279,7 +279,6 @@ def compute_fibre(space: GluedSpace, point: GluedPoint) -> FibreModel:
     nullspace of the sampled compatibility relations.  Results are memoized
     on the space (fibres are pure functions of the point).
     """
-    space.require_hypotheses()
     cache = space.__dict__.setdefault("_fibre_cache", {})
     key = (point.region, point.coords)
     hit = cache.get(key)
@@ -353,7 +352,6 @@ class LambdaSection:
 
 def assemble_section(space: GluedSpace, s1: BlockForm, s2: BlockForm) -> LambdaSection:
     """Assemble block sections into a glued section, checking locus compatibility."""
-    space.require_hypotheses()
     for y in space.locus_points():
         point = GluedPoint(LOCUS, y, space.map_forward(y))
         fibre = compute_fibre(space, point)
@@ -396,7 +394,6 @@ def differential_glued(space: GluedSpace, h: GluedFunction) -> LambdaSection:
     compatible pair of both block differentials (membership is automatic
     for genuine glued functions and still verified numerically).
     """
-    space.require_hypotheses()
     h.validate()
     d1 = differential_block(space.block1, h.h1, space.engine)
     d2 = differential_block(space.block2, h.h2, space.engine)

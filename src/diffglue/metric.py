@@ -31,10 +31,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IncompatibleMetrics, OutsideDomain,
                      SingularGram, ValidationError)
-from .fields import evaluate_matrix, evaluate_matrix_array
 from .forms import (Checks, CompatResult, FibreElement, FibreModel,
                     compute_fibre)
-from .numerics import EPS_NUM, PD_FLOOR_REL
+from .numerics import EPS_NUM, PD_FLOOR_REL, _primal
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
@@ -56,11 +55,11 @@ class BlockMetric:
             _require_spd(g, where=f"{self.block.name} seed {p}")
 
     def gram(self, coords) -> np.ndarray:
-        return evaluate_matrix_array(self.entries, coords)
+        return _primal(self.gram_generic(coords))
 
     def gram_generic(self, coords) -> list:
         """Gram entries with generic arithmetic (dual-safe)."""
-        return evaluate_matrix(self.entries, coords)
+        return [[f(coords) for f in row] for row in self.entries]
 
 
 def _require_spd(g: np.ndarray, where: str = ""):
@@ -91,7 +90,6 @@ def eval_block_metric(g: BlockMetric, coords, u, v) -> float:
 def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
                              g2: BlockMetric) -> CompatResult:
     """Sampled locus compatibility of two block metrics (rule per locus kind)."""
-    space.require_hypotheses()
     tol = space.engine.config.tol("metrics")
     out = Checks()
     kind = space.locus.kind

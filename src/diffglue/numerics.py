@@ -16,6 +16,7 @@ field is differentiated by one Jacobian call.  The engine offers two modes:
 Dual coefficients are generic: the partials of a :class:`DualScalar` may
 themselves be dual, so nesting engine calls yields exact higher-order
 derivatives.  That is what the bracket-of-actions code paths rely on.
+Generic values become floats only through :func:`_primal`.
 
 Every pass bound of a sampled check is a row of :data:`TOLERANCES`, read
 through :meth:`DiffConfig.tol` in the engine's mode.
@@ -156,8 +157,25 @@ class DualScalar:
         return f"DualScalar({self.value!r}, {self.partials!r})"
 
 
-def _primal(x) -> float:
-    return x.float_value if isinstance(x, DualScalar) else float(x)
+def _primal(x):
+    """Float value of a generic value: the one place where one becomes a float.
+
+    A scalar gives a Python float (the primal part of a dual); a list or
+    tuple nest gives a float ndarray of the same shape.
+    """
+    if type(x) is float:    # the common case, e.g. pivots in invert_matrix_generic
+        return x
+    if isinstance(x, DualScalar):
+        return x.float_value
+    if isinstance(x, (list, tuple)):
+        try:
+            return np.array(x, dtype=float)
+        except TypeError:   # a dual entry: convert entry by entry
+            return _primal_entries(np.array(x, dtype=object)).astype(float)
+    return float(x)
+
+
+_primal_entries = np.frompyfunc(_primal, 1, 1)
 
 
 def _sign(x) -> float:
@@ -292,9 +310,6 @@ class DiffEngine:
         """
         return self.jacobian(lambda x: (field(x),), coords, within)[0]
 
-    def gradient_array(self, field, coords, within=None) -> np.ndarray:
-        return np.asarray([_primal(g) for g in self.gradient(field, coords, within)], dtype=float)
-
     def jacobian(self, mapping: Callable, coords: Sequence, within=None):
         """Jacobian rows J[j][i] = d mapping_j / d x_i, as a list of lists.
 
@@ -306,10 +321,6 @@ class DiffEngine:
         if self.config.mode != "forward_dual":
             return self._jacobian_fd(mapping, coords, within)
         return self._jacobian_dual(mapping, coords)
-
-    def jacobian_array(self, mapping, coords, within=None) -> np.ndarray:
-        rows = self.jacobian(mapping, coords, within)
-        return np.asarray([[_primal(v) for v in row] for row in rows], dtype=float)
 
     def _jacobian_dual(self, mapping, coords):
         n = len(coords)

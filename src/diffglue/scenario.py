@@ -9,6 +9,7 @@ is 2xy on a plane).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -31,34 +32,38 @@ SUITE_CATALOGUE = tuple(SUITES)
 
 # -- poly / field parsing -----------------------------------------------------
 
+def parse_key(key, arity: int, where: str, bound=math.inf) -> tuple:
+    """Comma-separated integer key of ``arity`` entries, each in [0, bound)."""
+    try:
+        idx = tuple(int(p) for p in str(key).replace(" ", "").split(","))
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad index key {key!r}") from exc
+    if len(idx) != arity:
+        raise ParseError(f"{where}: key {key!r} needs {arity} indices")
+    if not all(0 <= i < bound for i in idx):
+        raise ParseError(f"{where}: key {key!r} has an index outside [0, {bound})")
+    return idx
+
+
 def parse_poly(spec: dict, dim: int, where: str) -> PolyField:
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: polynomial spec must be a mapping")
-    coeffs = {}
-    for key, val in spec.items():
-        parts = str(key).replace(" ", "").split(",")
-        try:
-            exps = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad exponent key {key!r}") from exc
-        if len(exps) != dim:
-            raise ParseError(f"{where}: exponent key {key!r} has wrong arity for dim {dim}")
-        coeffs[exps] = float(val)
-    return PolyField(dim, coeffs)
+    return PolyField(dim, {parse_key(key, dim, f"{where} exponent"): float(val)
+                           for key, val in spec.items()})
 
 
 def parse_domain(spec: dict, dim: int, where: str) -> Callable:
     kind = spec.get("kind", "all")
     if kind == "all":
         return lambda x: True
+    axis, = parse_key(spec.get("axis", 0), 1, where + ".axis", dim)
     if kind == "below":
-        axis, bound = int(spec.get("axis", 0)), float(spec["bound"])
+        bound = float(spec["bound"])
         return lambda x, a=axis, b=bound: x[a] < b
     if kind == "above":
-        axis, bound = int(spec.get("axis", 0)), float(spec["bound"])
+        bound = float(spec["bound"])
         return lambda x, a=axis, b=bound: x[a] > b
     if kind == "interval":
-        axis = int(spec.get("axis", 0))
         lo, hi = float(spec["lo"]), float(spec["hi"])
         return lambda x, a=axis, lo=lo, hi=hi: lo < x[a] < hi
     if kind == "box":
@@ -79,8 +84,7 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
         if d1 != d2:
             raise ParseError(f"{where}: identity map needs equal block dims")
         return GluingMap(lambda y: list(y), lambda z: list(z),
-                         jacobian=lambda y, d=d1: np.eye(d).tolist(),
-                         extends_globally=True)
+                         jacobian=lambda y, d=d1: np.eye(d).tolist())
     if kind == "affine":
         mat = np.asarray(spec["matrix"], dtype=float)
         off = np.asarray(spec.get("offset", [0.0] * d2), dtype=float)
@@ -98,15 +102,13 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
             return [sum(m[i][j] * (z[j] - o[j]) for j in range(len(z)))
                     for i in range(m.shape[0])]
 
-        return GluingMap(forward, inverse, jacobian=lambda y, m=mat: m.tolist(),
-                         extends_globally=True)
+        return GluingMap(forward, inverse, jacobian=lambda y, m=mat: m.tolist())
     if kind == "cubic":
         if d1 != 1 or d2 != 1:
             raise ParseError(f"{where}: cubic map is one-dimensional")
         return GluingMap(lambda y: [y[0] ** 3],
                          lambda z: [_cbrt(z[0])],
-                         jacobian=lambda y: [[3.0 * y[0] ** 2]],
-                         extends_globally=True)
+                         jacobian=lambda y: [[3.0 * y[0] ** 2]])
     raise ParseError(f"{where}: unknown map kind {kind!r}")
 
 
@@ -134,7 +136,9 @@ def parse_locus(spec: dict, d1: int, where: str):
         chart_spec = spec.get("chart", {})
         if chart_spec.get("kind") != "axis_embed":
             raise ParseError(f"{where}: unknown chart kind")
-        axes = [int(a) for a in chart_spec["axes"]]
+        axes = [parse_key(a, 1, where + ".chart.axes", d1)[0] for a in chart_spec["axes"]]
+        if len(set(axes)) != len(axes):
+            raise ParseError(f"{where}: chart axes {axes} must be distinct")
         k = len(axes)
 
         def chart(t, axes=axes, d=d1):
@@ -168,10 +172,8 @@ def parse_metric(spec: dict, block: EuclideanBlock, where: str) -> BlockMetric:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: metric needs an 'entries' mapping")
     d = block.dim
-    polys: dict = {}
-    for key, val in raw.items():
-        i, j = (int(p) for p in str(key).replace(" ", "").split(","))
-        polys[(i, j)] = parse_poly(val, d, f"{where}[{key}]")
+    polys = {parse_key(key, 2, where, d): parse_poly(val, d, f"{where}[{key}]")
+             for key, val in raw.items()}
     entries = []
     zero = PolyField.constant(d, 0.0)
     for i in range(d):
@@ -185,10 +187,8 @@ def parse_metric(spec: dict, block: EuclideanBlock, where: str) -> BlockMetric:
 def parse_connection(spec: dict, block: EuclideanBlock, where: str) -> BlockConnection:
     raw = spec.get("entries", {})
     d = block.dim
-    polys = {}
-    for key, val in raw.items():
-        k, i, j = (int(p) for p in str(key).replace(" ", "").split(","))
-        polys[(k, i, j)] = parse_poly(val, d, f"{where}[{key}]")
+    polys = {parse_key(key, 3, where, d): parse_poly(val, d, f"{where}[{key}]")
+             for key, val in raw.items()}
     zero = PolyField.constant(d, 0.0)
 
     def christoffel(x, polys=polys, zero=zero, d=d):
@@ -218,7 +218,6 @@ class ScenarioContext:
     space: GluedSpace
     g1: BlockMetric
     g2: BlockMetric
-    connection_kind: str
     n1_spec: Optional[BlockConnection]
     n2_spec: Optional[BlockConnection]
     engine: DiffEngine
@@ -346,7 +345,7 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
         elif kind != "levi_civita":
             raise ParseError(f"connections: unknown kind {kind!r}")
 
-    return ScenarioContext(scenario, space, g1, g2, kind, n1_spec, n2_spec, engine)
+    return ScenarioContext(scenario, space, g1, g2, n1_spec, n2_spec, engine)
 
 
 def fixture_path(name: str):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DiffglueError, HypothesisNotAsserted, LocusOutsideBlock,
                      NotADiffeomorphism, OutsideDomain, ValidationError)
-from .numerics import EPS_DOM, EPS_NUM, DiffEngine, SamplePlan
+from .numerics import EPS_DOM, EPS_NUM, DiffEngine, SamplePlan, _primal
 
 BLOCK1, LOCUS, BLOCK2 = "block1", "locus", "block2"
 
@@ -102,15 +102,14 @@ class SubmanifoldLocus:
 class GluingMap:
     """Diffeomorphism from the locus onto its image in block 2.
 
-    ``extends_globally`` marks maps whose forward/inverse formulas remain
-    valid on the whole block; the verification suites use that to push
-    block-1 test data through f when building compatible families.
+    The forward and inverse formulas must stay valid on the whole block:
+    the verification suites push block-1 test data through f when building
+    compatible families.
     """
 
     forward: Callable
     inverse: Callable
     jacobian: Optional[Callable] = None
-    extends_globally: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,10 @@ class GluedSpace:
     """Two Euclidean blocks glued along a diffeomorphism of a locus."""
 
     def __init__(self, block1, block2, locus, f, flags, engine=None, plan=None):
+        if not flags.asserted:
+            raise HypothesisNotAsserted(
+                "gluing hypotheses not asserted; pass HypothesisFlags(True, True) "
+                "(point-set loci assert them automatically)")
         self.block1 = block1
         self.block2 = block2
         self.locus = locus
@@ -184,13 +187,6 @@ class GluedSpace:
         self.flags = flags
         self.engine = DiffEngine() if engine is None else engine
         self.plan = plan or SamplePlan()
-
-    # -- hypotheses ------------------------------------------------------
-    def require_hypotheses(self):
-        if not self.flags.asserted:
-            raise HypothesisNotAsserted(
-                "pullback-equality and omega-diffeology-equality flags must both be "
-                "asserted before gluing-dependent operations")
 
     # -- locus geometry ----------------------------------------------------
     def locus_points(self) -> list:
@@ -222,7 +218,7 @@ class GluedSpace:
         """Jacobian of f at a locus point (dim2 x dim1)."""
         if self.f.jacobian is not None:
             return np.asarray(self.f.jacobian(list(y)), dtype=float)
-        return self.engine.jacobian_array(self.f.forward, list(y))
+        return _primal(self.engine.jacobian(self.f.forward, list(y)))
 
     def locus_frames(self, y) -> LocusFrames:
         d1, d2 = self.block1.dim, self.block2.dim
@@ -239,8 +235,8 @@ class GluedSpace:
             t = self.locus.invert(list(y))
             comp = lambda params: self.f.forward(self.locus.chart(params))
             k = self.locus.param_dim
-            t1 = self.engine.jacobian_array(self.locus.chart, list(t)).reshape(d1, k)
-            t2 = self.engine.jacobian_array(comp, list(t)).reshape(d2, k)
+            t1 = _primal(self.engine.jacobian(self.locus.chart, list(t))).reshape(d1, k)
+            t2 = _primal(self.engine.jacobian(comp, list(t))).reshape(d2, k)
         return LocusFrames(tuple(y), fy, t1, t2)
 
     # -- sampling ----------------------------------------------------------
@@ -263,11 +259,6 @@ class GluedSpace:
                     pts.append(tuple(p))
         return pts
 
-    def block_samples(self, which: int) -> list:
-        """Off-locus interior sample coordinates for one block."""
-        on_seam = self.locus_contains if which == 1 else self.in_glued_image
-        return [p for p in self.block_grid(which) if not on_seam(p)]
-
     def in_glued_image(self, z) -> bool:
         """Is a block-2 coordinate in f(Y)?"""
         try:
@@ -281,10 +272,13 @@ class GluedSpace:
         return _close(self.map_forward(y), z)
 
     def region_samples(self) -> dict:
+        """Sample points by region: each block grid point classified once
+        and kept if it is off the locus, plus the sampled locus points."""
+        grid = {w: [classify_point(self, w, p) for p in self.block_grid(w)] for w in (1, 2)}
         return {
-            BLOCK1: [classify_point(self, 1, p) for p in self.block_samples(1)],
+            BLOCK1: [p for p in grid[1] if p.region == BLOCK1],
             LOCUS: [classify_point(self, 1, y) for y in self.locus_points()],
-            BLOCK2: [classify_point(self, 2, p) for p in self.block_samples(2)],
+            BLOCK2: [p for p in grid[2] if p.region == BLOCK2],
         }
 
     def probe_sequences(self) -> list:
@@ -296,7 +290,7 @@ class GluedSpace:
         inside the locus itself (degenerating to a block-smoothness probe).
         """
         out = []
-        block1_pts = self.block_samples(1)
+        block1_pts = [p.coords for p in self.region_samples()[BLOCK1]]
         for y in self.locus_points():
             target = None
             if block1_pts:
@@ -340,8 +334,8 @@ def build_glued_space(block1, block2, locus, f, flags=None,
                       engine=None, plan=None) -> GluedSpace:
     """Validate the gluing data and assemble a GluedSpace.
 
-    Checks locus containment, diffeomorphism round-trips, Jacobian
-    invertibility probes, and the hypothesis flags.
+    Checks the hypothesis flags (in the GluedSpace constructor), locus
+    containment, diffeomorphism round-trips and Jacobian invertibility probes.
     """
     if flags is None:
         flags = default_flags(locus)
@@ -382,11 +376,6 @@ def build_glued_space(block1, block2, locus, f, flags=None,
                 raise ValidationError(f"parametrization Jacobian rank-deficient at {y}")
             if np.linalg.matrix_rank(frames.t2, tol=1e-10) < k:
                 raise NotADiffeomorphism(f"pushforward frame rank-deficient at {y}")
-
-    if not flags.asserted:
-        raise HypothesisNotAsserted(
-            "gluing hypotheses not asserted; pass HypothesisFlags(True, True) "
-            "(point-set loci assert them automatically)")
     return space
 
 

@@ -168,11 +168,8 @@ def suite_metric_gluing(ctx, out: Checks) -> None:
     # The probe section must itself satisfy the collapse property, so use
     # a pushforward-mirrored pair (mixing pairs on point loci jump by
     # construction and say nothing about the metric).
-    if space.f.extends_globally:
-        s1 = coordinate_form(space.block1, 0)
-        s = assemble_section(space, s1, cx.pushforward_form(space, s1))
-    else:
-        s = _sections(ctx)[0]
+    s1 = coordinate_form(space.block1, 0)
+    s = assemble_section(space, s1, cx.pushforward_form(space, s1))
     for target, seq in space.probe_sequences():
         vals = []
         for q in seq:
@@ -239,23 +236,18 @@ def suite_leibniz(ctx, out: Checks) -> None:
             rhs_tensor = C.apply(s)
             dh = differential_glued(space, h)
             for p in points:
-                lv = lhs.at(p)
-                rv = rhs_tensor.at(p)
                 res = 0.0
-                for w, x in p.sides:
+                for (w, x), lm, rm in zip(p.sides, lhs.at(p), rhs_tensor.at(p)):
                     expect = np.outer((dh.s1, dh.s2)[w - 1].at(x), (s.s1, s.s2)[w - 1].at(x)) \
-                        + float(_primal((h.h1, h.h2)[w - 1](list(x)))) * (rv.m1, rv.m2)[w - 1]
-                    res = max(res, float(np.max(np.abs((lv.m1, lv.m2)[w - 1] - expect))))
+                        + _primal((h.h1, h.h2)[w - 1](list(x))) * rm
+                    res = max(res, float(np.max(np.abs(lm - expect))))
                 out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     # additivity control
     s, r = sections[0], sections[1]
     add_lhs = C.apply(s + r)
     add_s, add_r = C.apply(s), C.apply(r)
     for p in points[:6]:
-        lv, sv, rv = add_lhs.at(p), add_s.at(p), add_r.at(p)
-        for a, b, c in ((lv.m1, sv.m1, rv.m1), (lv.m2, sv.m2, rv.m2)):
-            if a is None:
-                continue
+        for a, b, c in zip(add_lhs.at(p), add_s.at(p), add_r.at(p)):
             res = float(np.max(np.abs(a - b - c)))
             out.check(res, tol, point=list(p.coords), additivity=res)
 
@@ -307,7 +299,7 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
         block = (space.block1, space.block2)[w - 1]
         outer_t = cx.action_block(tw, cx.action_block(uw, h, eng, block), eng, block)
         outer_u = cx.action_block(uw, cx.action_block(tw, h, eng, block), eng, block)
-        return float(_primal(outer_t(list(x)))) - float(_primal(outer_u(list(x))))
+        return _primal(outer_t(list(x))) - _primal(outer_u(list(x)))
 
     if point.region != LOCUS:
         # components against the coordinate frame via coordinate functions
@@ -321,8 +313,8 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
     rows, vals = [], []
     for h in probes:
         hs = (h.h1, h.h2)
-        dh = [eng.gradient_array(hs[w - 1], list(x),
-                                 within=(space.block1, space.block2)[w - 1].contains)
+        dh = [_primal(eng.gradient(hs[w - 1], list(x),
+                                   within=(space.block1, space.block2)[w - 1].contains))
               for w, x in point.sides]
         comps, res = pair_residual(fibre, *dh)
         if res > 1e-7 * (1.0 + float(np.max(np.abs(comps)))):

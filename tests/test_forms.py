@@ -8,6 +8,7 @@ import pytest
 import diffglue as dg
 from diffglue.forms import (Checks, coordinate_form, nullspace_basis,
                             relation_matrix, vanishing_at_point, zero_block_form)
+from diffglue.numerics import _primal
 
 
 # parametrized map from R^domain_dim into a block, centred at basepoint
@@ -19,7 +20,7 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z), extends_globally=True)
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
 
 
 @pytest.fixture
@@ -72,7 +73,7 @@ def test_differential_xy_cross_checked(engine):
     form = dg.differential_block(plane, h, engine)
     assert form.at((1.0, 2.0)) == pytest.approx([2.0, 1.0])
     fd = dg.DiffEngine(dg.DiffConfig("central_fd"))
-    assert fd.gradient_array(h, [1.0, 2.0]) == pytest.approx([2.0, 1.0], abs=1e-6)
+    assert _primal(fd.gradient(h, [1.0, 2.0])) == pytest.approx([2.0, 1.0], abs=1e-6)
 
 
 # -- pullbacks ---------------------------------------------------------------

@@ -12,7 +12,7 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z), extends_globally=True)
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
 
 
 @pytest.fixture

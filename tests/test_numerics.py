@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffglue.errors import ModesDisagree, OutsideDomain, SingularGram
 from diffglue.numerics import (TOLERANCES, DiffConfig, DiffEngine, DualScalar,
-                               SamplePlan, exp, invert_matrix_generic)
+                               SamplePlan, _primal, exp, invert_matrix_generic)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -55,22 +55,41 @@ def test_nested_duals_give_second_derivative():
     assert out.partials[0].partials[0] == pytest.approx(12.0)
 
 
+def test_primal_scalars_and_nests():
+    # scalars give Python floats; a dual gives its primal even when nested
+    assert type(_primal(2.5)) is float and _primal(np.float64(2.5)) == 2.5
+    inner = DualScalar(2.0, (1.0,))
+    assert _primal(inner) == 2.0
+    nested = DualScalar(inner, (DualScalar(1.0, (0.0,)),))
+    assert type(_primal(nested)) is float and _primal(nested) == 2.0
+    # list and tuple nests give float64 arrays of the same shape, entry by entry
+    floats = [[1.0, -2.0], [0.5, 3.0]]
+    duals = [[DualScalar(1.0, (1.0,)), DualScalar(-2.0, (0.0,))],
+             [DualScalar(0.5, (2.0,)), nested]]
+    mixed = ((1.0, DualScalar(-2.0, (1.0,))), (nested, 3.0))
+    for nest in (floats, duals, mixed, tuple(floats), [floats, duals]):
+        out = _primal(nest)
+        expect = np.asarray(nest, dtype=object)
+        assert out.dtype == np.float64 and out.shape == expect.shape
+        assert all(out[i] == _primal(v) for i, v in np.ndenumerate(expect))
+
+
 def test_gradient_cubic():
     eng = DiffEngine(DiffConfig())
-    g = eng.gradient_array(lambda x: x[0] ** 3, [2.0])
+    g = _primal(eng.gradient(lambda x: x[0] ** 3, [2.0]))
     assert g[0] == pytest.approx(12.0)
 
 
 def test_gradient_constant_is_zero():
     eng = DiffEngine(DiffConfig())
-    assert np.all(eng.gradient_array(lambda x: 5.0, [1.0, 2.0]) == 0.0)
+    assert np.all(_primal(eng.gradient(lambda x: 5.0, [1.0, 2.0])) == 0.0)
 
 
 def test_gradient_two_modes_agree():
     # f(x, y) = x*y^2 at (1, 2): gradient (4, 4)
     f = lambda x: x[0] * x[1] ** 2
-    dual = DiffEngine(DiffConfig("forward_dual")).gradient_array(f, [1.0, 2.0])
-    fd = DiffEngine(DiffConfig("central_fd")).gradient_array(f, [1.0, 2.0])
+    dual = _primal(DiffEngine(DiffConfig("forward_dual")).gradient(f, [1.0, 2.0]))
+    fd = _primal(DiffEngine(DiffConfig("central_fd")).gradient(f, [1.0, 2.0]))
     assert dual == pytest.approx([4.0, 4.0], abs=1e-12)
     assert np.max(np.abs(dual - fd)) < 1e-6
 
@@ -95,9 +114,9 @@ def test_jacobian_is_one_vector_pass(mode, evaluations):
         return [x[0] * x[1], x[1] ** 2, 7.0]
 
     eng = DiffEngine(DiffConfig(mode))
-    rows = eng.jacobian_array(mapping, [1.5, -0.5])
+    rows = _primal(eng.jacobian(mapping, [1.5, -0.5]))
     assert len(calls) == evaluations
-    grads = [eng.gradient_array(lambda x, j=j: mapping(x)[j], [1.5, -0.5]) for j in range(3)]
+    grads = [_primal(eng.gradient(lambda x, j=j: mapping(x)[j], [1.5, -0.5])) for j in range(3)]
     assert np.array_equal(rows, np.asarray(grads))
     assert rows == pytest.approx(np.array([[-0.5, 1.5], [0.0, -1.0], [0.0, 0.0]]), abs=1e-8)
 

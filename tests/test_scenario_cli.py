@@ -11,7 +11,7 @@ import diffglue
 from diffglue.cli import main
 from diffglue.errors import ParseError, ValidationError
 from diffglue.scenario import (SUITE_CATALOGUE, build_context, fixture_path,
-                               load_scenario, parse_poly)
+                               load_scenario, parse_locus, parse_poly)
 
 POSITIVE = ["cross_flat", "cross_mixed_grams", "halfline_curved",
             "plane_axis_gluing"]
@@ -35,6 +35,13 @@ def test_parse_poly_errors():
         parse_poly({"0,1": 1.0}, 1, "here")
     p = parse_poly({"2": 3.0, "0": 1.0}, 1, "here")
     assert p((2.0,)) == pytest.approx(13.0)
+
+
+def test_chart_axes_must_be_distinct():
+    spec = {"kind": "submanifold", "chart": {"kind": "axis_embed", "axes": [0, 0]},
+            "param_samples": [[0.0, 1.0]]}
+    with pytest.raises(ParseError, match="distinct"):
+        parse_locus(spec, 3, "space.locus")
 
 
 def test_malformed_yaml_reports_location(tmp_path):
@@ -165,10 +172,47 @@ def _plane_locus_sample(doc):
     doc["space"]["locus"]["sample_points"].append([-1.0, 2.0])
 
 
+def _as_plane_axis(doc):
+    """Replace the document by plane_axis_gluing (2D blocks, submanifold locus)."""
+    doc.clear()
+    doc.update(load_scenario(fixture_path("plane_axis_gluing")).raw)
+    return doc
+
+
+def _chart_axis_too_big(doc):
+    _as_plane_axis(doc)["space"]["locus"]["chart"]["axes"] = [5]
+
+
+def _chart_axis_negative(doc):
+    _as_plane_axis(doc)["space"]["locus"]["chart"]["axes"] = [-1]
+
+
+def _domain_axis_too_big(doc):
+    _as_plane_axis(doc)["space"]["block1"]["domain"] = {"kind": "below", "axis": 7,
+                                                        "bound": 3.0}
+
+
+def _metric_key_too_big(doc):
+    _as_plane_axis(doc)["metrics"]["g1"]["entries"]["2,0"] = {"0,0": 0.1}
+
+
+def _christoffel_key_too_big(doc):
+    _as_plane_axis(doc)["connections"] = {"kind": "explicit",
+                                          "gamma1": {"entries": {"3,0,0": {"0,0": 1.0}}},
+                                          "gamma2": {"entries": {}}}
+
+
+def _negative_exponent(doc):
+    _as_plane_axis(doc)["metrics"]["g1"]["entries"]["0,0"]["-1,0"] = 1.0
+
+
 @pytest.mark.parametrize("damage", [_del_locus_bound, _word_dim, _one_index_metric_key,
                                     _zero_per_axis, _unknown_domain_kind,
                                     _scalar_suite_list, _plane_seed_in_line_block,
-                                    _plane_locus_sample])
+                                    _plane_locus_sample, _chart_axis_too_big,
+                                    _chart_axis_negative, _domain_axis_too_big,
+                                    _metric_key_too_big, _christoffel_key_too_big,
+                                    _negative_exponent])
 def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     import yaml
     doc = load_scenario(fixture_path("halfline_curved")).raw

@@ -12,7 +12,7 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z), extends_globally=True)
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
 
 
 @pytest.fixture
@@ -81,6 +81,10 @@ def test_hypothesis_flags_required_for_open_locus():
                              line("h2", ((1.0,), (-2.0,))),
                              locus, identity_map(),
                              dg.HypothesisFlags(True, False))
+    # the type itself refuses unasserted flags at construction
+    with pytest.raises(dg.HypothesisNotAsserted):
+        dg.GluedSpace(line("h1", ((1.0,), (-2.0,))), line("h2", ((1.0,), (-2.0,))),
+                      locus, identity_map(), dg.HypothesisFlags(False, False))
 
 
 def test_block_openness_probe():
@@ -130,8 +134,7 @@ def test_gluing_consistency(halfline):
 
 
 def test_sides_lists_each_block_side_block1_first():
-    shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0],
-                         extends_globally=True)
+    shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0])
     space = dg.build_glued_space(line("s1"), line("s2"), dg.PointSetLocus([(0.0,)]),
                                  shift)
     assert dg.classify_point(space, 1, (3.0,)).sides == ((1, (3.0,)),)
@@ -176,7 +179,7 @@ def test_submanifold_locus_frames():
     plane = dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], "p")
     locus = dg.SubmanifoldLocus(1, lambda t: [t[0], 0.0], lambda x: [x[0]],
                                 [(-1.0,), (0.5,)])
-    f = dg.GluingMap(lambda y: list(y), lambda z: list(z), extends_globally=True)
+    f = dg.GluingMap(lambda y: list(y), lambda z: list(z))
     space = dg.build_glued_space(plane, plane, locus, f,
                                  dg.HypothesisFlags(True, True))
     fr = space.locus_frames((0.5, 0.0))
