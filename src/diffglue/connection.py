@@ -30,8 +30,7 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     pair_residual, rho_pair_inverse, zero_block_form)
 from .metric import BlockMetric, GluedMetric
 from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
-from .space import (BLOCK1, BLOCK2, LOCUS, EuclideanBlock, GluedPoint, GluedSpace,
-                    seam_mean)
+from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
 @dataclass(frozen=True)
@@ -322,17 +321,17 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
         return out.compat()
     pairs = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
     tol = eng.config.tol("connections")
-    for y in space.locus_points():
-        fr = space.locus_frames(y)
+    for p in space.region_samples()[LOCUS]:
+        fr = space.locus_frames(p.coords)
         p1 = fr.t1.T
         p2 = fr.t2.T
         for s1, s2 in pairs:
-            a1 = _primal(apply_block(nabla1, s1, eng)(y))
-            a2 = _primal(apply_block(nabla2, s2, eng)(fr.image))
+            a1 = _primal(apply_block(nabla1, s1, eng)(p.coords))
+            a2 = _primal(apply_block(nabla2, s2, eng)(p.coords2))
             lhs = p1 @ a1 @ p1.T
             rhs = p2 @ a2 @ p2.T
             res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-            out.check(res, tol, point=list(y), residual=res,
+            out.check(res, tol, point=list(p.coords), residual=res,
                       pulled1=lhs.tolist(), pulled2=rhs.tolist())
     return out.compat()
 
@@ -499,7 +498,7 @@ def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedP
 
 
 def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
-                                  samples: dict, tol: float) -> CompatResult:
+                                  points: Sequence[GluedPoint], tol: float) -> CompatResult:
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) over the glued space.
 
     The identity is evaluated through the block splits (the observable
@@ -514,9 +513,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     for s, t in pairs:
         k1 = _gram_pair_field(g1, s.s1, t.s1)
         k2 = _gram_pair_field(g2, s.s2, t.s2)
-
-        # block-only samples first: the witness order depends on it
-        for p in samples[BLOCK1] + samples[BLOCK2] + samples[LOCUS]:
+        for p in points:
             sides = [_compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
                                    (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x, eng)
                      for w, x in p.sides]

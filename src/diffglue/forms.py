@@ -352,16 +352,12 @@ class LambdaSection:
 
 def assemble_section(space: GluedSpace, s1: BlockForm, s2: BlockForm) -> LambdaSection:
     """Assemble block sections into a glued section, checking locus compatibility."""
-    for y in space.locus_points():
-        point = GluedPoint(LOCUS, y, space.map_forward(y))
-        fibre = compute_fibre(space, point)
-        a = s1.at(y)
-        b = s2.at(point.coords2)
-        _, res = pair_residual(fibre, a, b)
-        scale = 1.0 + float(max(np.max(np.abs(a)), np.max(np.abs(b))))
-        if res > EPS_NUM * scale:
+    for p in space.region_samples()[LOCUS]:
+        try:
+            rho_pair_inverse(compute_fibre(space, p), s1.at(p.coords), s2.at(p.coords2))
+        except IncompatiblePair as exc:
             raise IncompatibleSections(
-                f"sections disagree over locus point {y} (residual {res:.3e})")
+                f"sections disagree over locus point {p.coords}: {exc}") from exc
     return LambdaSection(space, s1, s2)
 
 
@@ -374,12 +370,12 @@ class GluedFunction:
     h2: Callable
 
     def validate(self):
-        for y in self.space.locus_points():
-            v1 = float(self.h1(list(y)))
-            v2 = float(self.h2(list(self.space.map_forward(y))))
+        for p in self.space.region_samples()[LOCUS]:
+            v1 = float(self.h1(list(p.coords)))
+            v2 = float(self.h2(list(p.coords2)))
             if abs(v1 - v2) > EPS_NUM * (1.0 + abs(v1) + abs(v2)):
                 raise NotAFunctionOnGluedSpace(
-                    f"h1({y}) = {v1} but h2(f({y})) = {v2}")
+                    f"h1({p.coords}) = {v1} but h2(f({p.coords})) = {v2}")
         return self
 
     def value(self, point: GluedPoint) -> float:

@@ -93,13 +93,13 @@ def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
     tol = space.engine.config.tol("metrics")
     out = Checks()
     kind = space.locus.kind
-    for y in space.locus_points():
-        fr = space.locus_frames(y)
-        gram1 = g1.gram(y)
-        gram2 = g2.gram(fr.image)
+    for p in space.region_samples()[LOCUS]:
+        fr = space.locus_frames(p.coords)
+        gram1 = g1.gram(p.coords)
+        gram2 = g2.gram(p.coords2)
         if kind == "point_set":
             if gram1.shape != gram2.shape:
-                out.check(np.inf, tol, samples=0, point=list(y),
+                out.check(np.inf, tol, samples=0, point=list(p.coords),
                           detail="full-product rule needs equal block dimensions")
                 return out.compat()
             lhs, rhs = gram1, gram2
@@ -114,7 +114,7 @@ def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
             i, j = np.unravel_index(int(np.argmax(np.abs(lhs - rhs))), lhs.shape)
             entry = {"pair": [int(i), int(j)], "lhs": float(lhs[i, j]),
                      "rhs": float(rhs[i, j])}
-        out.check(res, tol, point=list(y), rule=kind, **entry, residual=res)
+        out.check(res, tol, point=list(p.coords), rule=kind, **entry, residual=res)
     return out.compat()
 
 
@@ -199,8 +199,6 @@ def glue_metrics(space: GluedSpace, g1: BlockMetric, g2: BlockMetric) -> GluedMe
     if not result:
         raise IncompatibleMetrics(f"metrics incompatible: {result.witness}")
     G = GluedMetric(space, g1, g2)
-    for y in space.locus_points():
-        point = GluedPoint(LOCUS, y, space.map_forward(y))
-        gram = G.gram_at(point)
-        _require_spd(gram, where=f"glued fibre at {y}")
+    for p in space.region_samples()[LOCUS]:
+        _require_spd(G.gram_at(p), where=f"glued fibre at {p.coords}")
     return G

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -299,12 +299,8 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
                   seed: Optional[int] = None) -> ScenarioContext:
     """Construct the space and block-level objects of a scenario."""
     raw = scenario.raw
-    diff = scenario.diff if mode is None else DiffConfig(mode=mode,
-                                                         fd_step=scenario.diff.fd_step)
-    plan = scenario.plan if seed is None else SamplePlan(
-        per_axis=scenario.plan.per_axis, locus_count=scenario.plan.locus_count,
-        probe_steps=scenario.plan.probe_steps, probe_ratio=scenario.plan.probe_ratio,
-        seed=seed)
+    diff = scenario.diff if mode is None else replace(scenario.diff, mode=mode)
+    plan = scenario.plan if seed is None else replace(scenario.plan, seed=seed)
     engine = DiffEngine(diff)
     sp = raw.get("space")
     if not isinstance(sp, dict):

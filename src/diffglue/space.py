@@ -12,6 +12,11 @@ coordinates a point has (one side off the locus, both over it, block 1
 first), and every glued object evaluates its block data on each side.  The
 pair of side values is either kept as a compatible pair (sections, tensors)
 or half-weighted by :func:`seam_mean` (the metric, pairings, functions).
+
+Where checks evaluate is decided here too: :meth:`GluedSpace.region_samples`
+classifies the block grids and the sampled locus points once per space, and
+every sampled check and post-construction locus loop reads those points.
+The plan's seed does not move them; it drives the suites' random families.
 """
 
 from __future__ import annotations
@@ -166,8 +171,6 @@ class LocusFrames:
     Pullbacks of covectors onto the locus act by the transposes.
     """
 
-    point: tuple
-    image: tuple
     t1: np.ndarray
     t2: np.ndarray
 
@@ -187,6 +190,7 @@ class GluedSpace:
         self.flags = flags
         self.engine = DiffEngine() if engine is None else engine
         self.plan = plan or SamplePlan()
+        self._samples = None
 
     # -- locus geometry ----------------------------------------------------
     def locus_points(self) -> list:
@@ -222,7 +226,6 @@ class GluedSpace:
 
     def locus_frames(self, y) -> LocusFrames:
         d1, d2 = self.block1.dim, self.block2.dim
-        fy = self.map_forward(y)
         if self.locus.kind == "point_set":
             t1 = np.zeros((d1, 0))
             t2 = np.zeros((d2, 0))
@@ -237,7 +240,7 @@ class GluedSpace:
             k = self.locus.param_dim
             t1 = _primal(self.engine.jacobian(self.locus.chart, list(t))).reshape(d1, k)
             t2 = _primal(self.engine.jacobian(comp, list(t))).reshape(d2, k)
-        return LocusFrames(tuple(y), fy, t1, t2)
+        return LocusFrames(t1, t2)
 
     # -- sampling ----------------------------------------------------------
     def block_grid(self, which: int) -> list:
@@ -272,14 +275,16 @@ class GluedSpace:
         return _close(self.map_forward(y), z)
 
     def region_samples(self) -> dict:
-        """Sample points by region: each block grid point classified once
-        and kept if it is off the locus, plus the sampled locus points."""
-        grid = {w: [classify_point(self, w, p) for p in self.block_grid(w)] for w in (1, 2)}
-        return {
-            BLOCK1: [p for p in grid[1] if p.region == BLOCK1],
-            LOCUS: [classify_point(self, 1, y) for y in self.locus_points()],
-            BLOCK2: [p for p in grid[2] if p.region == BLOCK2],
-        }
+        """Sample points by region: tuples of the block grid points off the locus
+        and of the sampled locus points, classified once; each call gives a new dict."""
+        if self._samples is None:
+            grid = {w: [classify_point(self, w, p) for p in self.block_grid(w)] for w in (1, 2)}
+            self._samples = {
+                BLOCK1: tuple(p for p in grid[1] if p.region == BLOCK1),
+                LOCUS: tuple(classify_point(self, 1, y) for y in self.locus_points()),
+                BLOCK2: tuple(p for p in grid[2] if p.region == BLOCK2),
+            }
+        return dict(self._samples)
 
     def probe_sequences(self) -> list:
         """Geometric point sequences approaching each sampled locus point.
@@ -290,9 +295,10 @@ class GluedSpace:
         inside the locus itself (degenerating to a block-smoothness probe).
         """
         out = []
-        block1_pts = [p.coords for p in self.region_samples()[BLOCK1]]
-        for y in self.locus_points():
-            target = None
+        samples = self.region_samples()
+        block1_pts = [p.coords for p in samples[BLOCK1]]
+        for point in samples[LOCUS]:
+            y = point.coords
             if block1_pts:
                 arr = np.asarray(block1_pts, dtype=float)
                 dists = np.linalg.norm(arr - np.asarray(y), axis=1)
@@ -312,7 +318,7 @@ class GluedSpace:
                 if self.block1.contains(p):
                     seq.append(classify_point(self, 1, p))
             if seq:
-                out.append((classify_point(self, 1, y), seq))
+                out.append((point, seq))
         return out
 
 
@@ -347,6 +353,8 @@ def build_glued_space(block1, block2, locus, f, flags=None,
             raise LocusOutsideBlock(f"locus point {y} has wrong dimension")
         if not block1.contains(list(y)):
             raise LocusOutsideBlock(f"locus point {y} outside block 1")
+        if not space.locus_contains(y):
+            raise LocusOutsideBlock(f"locus sample {y} outside the locus")
         z = space.map_forward(y)
         if len(z) != block2.dim:
             raise NotADiffeomorphism(f"f({y}) has wrong dimension")

@@ -80,7 +80,7 @@ def suite(name: str):
 
 def _sections(ctx) -> list:
     """Compatible glued sections for 'for all sections' style checks."""
-    rng = np.random.default_rng(ctx.scenario.plan.seed)
+    rng = np.random.default_rng(ctx.space.plan.seed)
     raw = cx.compatible_section_pairs(ctx.space, rng)
     return [assemble_section(ctx.space, s1, s2) for s1, s2 in raw]
 
@@ -90,13 +90,12 @@ def _section_pairs(sections: list, count: int = 6) -> list:
     return pairs[:count]
 
 
-def _capped_samples(ctx, per_region: int = 4) -> dict:
-    return {k: v[:per_region] for k, v in ctx.space.region_samples().items()}
-
-
-def _points(ctx, per_region: int) -> list:
-    capped = _capped_samples(ctx, per_region)
-    return capped[BLOCK1] + capped[LOCUS] + capped[BLOCK2]
+def _points(ctx, per_region=None) -> tuple:
+    """Block-1, locus, then block-2 sample points, at most ``per_region`` of
+    each (all of them when it is None)."""
+    samples = ctx.space.region_samples()
+    return samples[BLOCK1][:per_region] + samples[LOCUS][:per_region] \
+        + samples[BLOCK2][:per_region]
 
 
 # -- suites ---------------------------------------------------------------
@@ -107,7 +106,7 @@ def suite_fibres(ctx, out: Checks) -> None:
     """Fibre dimensions, basis residuals, and projection round-trips."""
     space = ctx.space
     samples = space.region_samples()
-    rng = np.random.default_rng(ctx.scenario.plan.seed)
+    rng = np.random.default_rng(ctx.space.plan.seed)
     for region, dim in ((BLOCK1, space.block1.dim), (BLOCK2, space.block2.dim)):
         for p in samples[region]:
             fib = compute_fibre(space, p)
@@ -189,7 +188,7 @@ def suite_koszul(ctx, out: Checks) -> None:
     """Koszul assembly equals the closed-form Christoffel oracle; uniqueness."""
     tol = ctx.engine.config.tol("suite")
     spot_tol = ctx.engine.config.tol("uniqueness")
-    rng = np.random.default_rng(ctx.scenario.plan.seed + 1)
+    rng = np.random.default_rng(ctx.space.plan.seed + 1)
     for which, g in ((1, ctx.g1), (2, ctx.g2)):
         solved = cx.koszul_solve(g, ctx.engine)
         oracle = cx.christoffel_closed_form(g, ctx.engine)
@@ -225,7 +224,7 @@ def suite_leibniz(ctx, out: Checks) -> None:
     space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("suite")
-    rng = np.random.default_rng(ctx.scenario.plan.seed + 2)
+    rng = np.random.default_rng(ctx.space.plan.seed + 2)
     sections = _sections(ctx)[:8]
     functions = cx.glued_function_family(space, rng)
     points = _points(ctx, per_region=4)
@@ -266,7 +265,7 @@ def suite_metric_compat(ctx, out: Checks) -> None:
     """Glued connection compatible with the glued metric."""
     C = ctx.glued_connection()
     pairs = _section_pairs(_sections(ctx))
-    out.fold(cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx),
+    out.fold(cx.check_metric_compatible_glued(C, pairs, _points(ctx, per_region=4),
                                               ctx.engine.config.tol("suite")))
 
 
@@ -275,7 +274,7 @@ def suite_bracket_split(ctx, out: Checks) -> None:
     """Glued bracket: action-composition route equals the case formula."""
     G = ctx.glued_metric()
     tol = ctx.engine.config.tol("split")
-    rng = np.random.default_rng(ctx.scenario.plan.seed + 3)
+    rng = np.random.default_rng(ctx.space.plan.seed + 3)
     sections = _sections(ctx)[:5]
     pairs = _section_pairs(sections, count=4)
     points = _points(ctx, per_region=3)
@@ -395,7 +394,7 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
     tol = ctx.engine.config.tol("inheritance")
     n1 = cx.koszul_solve(ctx.g1, ctx.engine)
     n2 = cx.koszul_solve(ctx.g2, ctx.engine)
-    rng = np.random.default_rng(ctx.scenario.plan.seed + 4)
+    rng = np.random.default_rng(ctx.space.plan.seed + 4)
     # factor-level gates
     for which, (nb, g) in ((1, (n1, ctx.g1)), (2, (n2, ctx.g2))):
         fam = cx.block_form_family(g.block, rng, extra=2)
@@ -410,7 +409,7 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
     pairs = _section_pairs(_sections(ctx))
     points = _points(ctx, per_region=4)
     sym = cx.check_symmetric(C, pairs, points, tol)
-    comp = cx.check_metric_compatible_glued(C, pairs, _capped_samples(ctx), tol)
+    comp = cx.check_metric_compatible_glued(C, pairs, points, tol)
     out.fold(sym, detail="glued connection not symmetric")
     out.fold(comp, detail="glued connection not metric-compatible")
 
@@ -423,9 +422,8 @@ def derivative_trust_sweep(ctx) -> dict:
     and raises ModesDisagree on failure.
     """
     space = ctx.space
-    samples = space.region_samples()
     out = Checks()
-    for p in samples[BLOCK1] + samples[LOCUS] + samples[BLOCK2]:
+    for p in _points(ctx):
         for w, x in p.sides:
             g, block = (ctx.g1, ctx.g2)[w - 1], (space.block1, space.block2)[w - 1]
             for row in g.entries:

@@ -282,12 +282,12 @@ def test_sampled_checks_fail_on_torsionful_connection(plane_axis, which):
     sections = [dg.assemble_section(plane_axis, a, b) for a, b in raw[:4]]
     pairs = list(zip(sections, sections[1:]))
     samples = {k: v[:3] for k, v in plane_axis.region_samples().items()}
+    pts = samples["block1"] + samples["locus"] + samples["block2"]
     if which == "symmetric":
-        pts = samples["block1"] + samples["locus"] + samples["block2"]
         r = cx.check_symmetric(C, pairs, pts, tol=1e-10)
         expected = 2.0
     else:
-        r = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10)
+        r = cx.check_metric_compatible_glued(C, pairs, pts, tol=1e-10)
         expected = 4.0
     assert not r
     assert r.max_residual == pytest.approx(expected)
@@ -364,5 +364,6 @@ def test_glued_connection_end_to_end_levi_civita(halfline, engine):
     sym = cx.check_symmetric(C, pairs, pts, tol=1e-10)
     assert sym, sym.witness
     samples = {k: v[:3] for k, v in halfline.region_samples().items()}
-    comp = cx.check_metric_compatible_glued(C, pairs, samples, tol=1e-10)
+    comp = cx.check_metric_compatible_glued(
+        C, pairs, samples["block1"] + samples["locus"] + samples["block2"], tol=1e-10)
     assert comp, comp.witness

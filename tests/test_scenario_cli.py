@@ -126,6 +126,34 @@ def test_mode_override(tmp_path):
     assert verdicts["fd"] == verdicts["dual"]
 
 
+def test_seed_override_reaches_suites():
+    from diffglue.suites import _sections
+    scenario = load_scenario(fixture_path("halfline_curved"))
+    values = []
+    for seed in (3, 11):
+        ctx = build_context(scenario, seed=seed)
+        point = ctx.space.region_samples()["locus"][0]
+        values.append([s.at(point).components.tolist() for s in _sections(ctx)])
+    assert values[0] != values[1]
+
+
+def test_locus_sample_off_the_locus_fails_construction(tmp_path, capsys):
+    import yaml
+    doc = load_scenario(fixture_path("halfline_curved")).raw
+    doc["space"]["locus"]["sample_points"][0] = [0.5]
+    path = tmp_path / "off_locus.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--report-out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    suites = json.loads(out.read_text())["suites"]
+    assert len(suites) == len(SUITE_CATALOGUE)
+    for result in suites:
+        assert result["status"] == "fail"
+        assert result["witnesses"][0]["error"] == "LocusOutsideBlock"
+        assert "(0.5,)" in result["witnesses"][0]["detail"]
+
+
 def test_inspect_cross_origin(capsys):
     rc = main(["inspect", str(fixture_path("cross_flat")), "--point", "locus:0.0"])
     assert rc == 0

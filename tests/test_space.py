@@ -172,7 +172,23 @@ def test_empty_locus_is_disjoint_union():
     assert space.locus_points() == []
     assert dg.classify_point(space, 1, (0.0,)).region == "block1"
     assert dg.classify_point(space, 2, (0.0,)).region == "block2"
-    assert space.region_samples()["locus"] == []
+    assert space.region_samples()["locus"] == ()
+
+
+def test_region_samples_classify_each_point_once(halfline, monkeypatch):
+    calls = []
+    classify = dg.space.classify_point
+    monkeypatch.setattr(dg.space, "classify_point",
+                        lambda *args: calls.append(args) or classify(*args))
+    first = halfline.region_samples()
+    assert len(calls) >= sum(len(pts) for pts in first.values())
+    calls.clear()
+    first["locus"] = ()
+    again = halfline.region_samples()
+    assert calls == []
+    assert [p.coords for p in again["locus"]] == [(-1.0,), (-0.5,), (-2.0,)]
+    with pytest.raises(AttributeError):
+        again["block1"].append(again["block2"][0])
 
 
 def test_submanifold_locus_frames():
