@@ -26,8 +26,9 @@ import numpy as np
 from .errors import IncompatibleConnections, IncompatiblePair, ValidationError
 from .fields import PolyField, random_poly
 from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction,
-                    LambdaSection, compute_fibre, coordinate_form,
-                    pair_residual, rho_pair_inverse, zero_block_form)
+                    LambdaSection, assemble_section, compute_fibre,
+                    coordinate_form, pair_residual, pullback, rho_pair_inverse,
+                    zero_block_form)
 from .metric import BlockMetric, GluedMetric
 from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
@@ -310,24 +311,24 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
                                  nabla2: BlockConnection) -> CompatResult:
     """Locus pullback agreement of the two connection tensors.
 
-    For each sampled locus point and compatible section pair, both tensor
-    values are pulled onto the locus through the tangential covector maps
-    and compared.  Point-set loci have a zero pullback target, so the check
-    is vacuously true there.
+    For each sampled locus point and section of the space's family, both
+    tensor values are pulled onto the locus through the tangential covector
+    maps and compared.  Point-set loci have a zero pullback target, so the
+    check is vacuously true there.
     """
     eng = space.engine
     out = Checks()
     if space.locus.kind == "point_set":
         return out.compat()
-    pairs = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
+    sections = section_family(space)
     tol = eng.config.tol("connections")
     for p in space.region_samples()[LOCUS]:
         fr = space.locus_frames(p.coords)
         p1 = fr.t1.T
         p2 = fr.t2.T
-        for s1, s2 in pairs:
-            a1 = _primal(apply_block(nabla1, s1, eng)(p.coords))
-            a2 = _primal(apply_block(nabla2, s2, eng)(p.coords2))
+        for s in sections:
+            a1 = _primal(apply_block(nabla1, s.s1, eng)(p.coords))
+            a2 = _primal(apply_block(nabla2, s.s2, eng)(p.coords2))
             lhs = p1 @ a1 @ p1.T
             rhs = p2 @ a2 @ p2.T
             res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
@@ -547,14 +548,14 @@ def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     Components: s2_j(z) = sum_i d(f^-1)_i/dz_j (z) * s1_i(f^-1(z)).  The
     inverse Jacobian comes from the map's analytic Jacobian when present;
     a finite-difference inner Jacobian would inject noise that outer
-    derivatives amplify.
+    derivatives amplify.  Without one, this is the pullback along f^-1.
     """
+    if space.f.jacobian is None:
+        return pullback(s1, space.f.inverse, space.block2, space.engine)
+
     def field(z):
         y = space.f.inverse(list(z))
-        if space.f.jacobian is not None:
-            rows = invert_matrix_generic(space.f.jacobian(list(y)))
-        else:
-            rows = space.engine.jacobian(space.f.inverse, z)
+        rows = invert_matrix_generic(space.f.jacobian(list(y)))
         w = s1(y)
         return [_dot(col, w) for col in zip(*rows)]
 
@@ -592,6 +593,16 @@ def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator,
         pairs.append((zero_block_form(space.block1), fam2[0]))
         return pairs
     return [(s1, pushforward_form(space, s1)) for s1 in fam1]
+
+
+def section_family(space: GluedSpace) -> tuple:
+    """The seeded compatible sections of the space, drawn from ``plan.seed`` and
+    assembled once (memoized on the space, like fibres); the connection gate
+    and every suite that quantifies over sections read them."""
+    if "_section_family" not in space.__dict__:
+        raw = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
+        space._section_family = tuple(assemble_section(space, s1, s2) for s1, s2 in raw)
+    return space._section_family
 
 
 def _image_residual_fields(space: GluedSpace) -> list:

@@ -282,6 +282,8 @@ class SamplePlan:
             raise ValueError("sample counts must be >= 1")
         if not 0.0 < self.probe_ratio < 1.0:
             raise ValueError("probe_ratio must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

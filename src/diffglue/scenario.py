@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,8 +19,9 @@ import yaml
 
 from .errors import ParseError, ValidationError
 from .fields import PolyField
-from .metric import BlockMetric
-from .connection import BlockConnection, koszul_solve, zero_connection
+from .metric import BlockMetric, glue_metrics
+from .connection import (BlockConnection, glue_connections, koszul_solve,
+                         zero_connection)
 from .numerics import DiffConfig, DiffEngine, SamplePlan
 from .space import (EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
                     OpenSubdomainLocus, PointSetLocus, SubmanifoldLocus,
@@ -212,7 +213,9 @@ class Scenario:
 
 @dataclass
 class ScenarioContext:
-    """Built objects of a scenario; glued objects are constructed lazily."""
+    """Built objects of a scenario.  Each derived object (a block's Koszul
+    factor, the glued metric, the glued connection of a connection pair) is
+    built once; ``nabla1``/``nabla2`` are the Koszul factors unless set."""
 
     scenario: Scenario
     space: GluedSpace
@@ -221,37 +224,34 @@ class ScenarioContext:
     n1_spec: Optional[BlockConnection]
     n2_spec: Optional[BlockConnection]
     engine: DiffEngine
-    _n1: Optional[BlockConnection] = None
-    _n2: Optional[BlockConnection] = None
-    _glued_metric: object = None
-    _glued_connection: object = None
+    _memo: dict = field(default_factory=dict, repr=False)
+
+    def _once(self, key, build: Callable):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def koszul(self, which: int) -> BlockConnection:
+        """Levi-Civita connection of block ``which``'s metric."""
+        g = (self.g1, self.g2)[which - 1]
+        return self._once(("koszul", which), lambda: koszul_solve(g, self.engine))
 
     @property
     def nabla1(self) -> BlockConnection:
-        if self._n1 is None:
-            self._n1 = self.n1_spec if self.n1_spec is not None \
-                else koszul_solve(self.g1, self.engine)
-        return self._n1
+        return self.koszul(1) if self.n1_spec is None else self.n1_spec
 
     @property
     def nabla2(self) -> BlockConnection:
-        if self._n2 is None:
-            self._n2 = self.n2_spec if self.n2_spec is not None \
-                else koszul_solve(self.g2, self.engine)
-        return self._n2
+        return self.koszul(2) if self.n2_spec is None else self.n2_spec
 
     def glued_metric(self):
-        from .metric import glue_metrics
-        if self._glued_metric is None:
-            self._glued_metric = glue_metrics(self.space, self.g1, self.g2)
-        return self._glued_metric
+        return self._once("metric", lambda: glue_metrics(self.space, self.g1, self.g2))
 
-    def glued_connection(self):
-        from .connection import glue_connections
-        if self._glued_connection is None:
-            self._glued_connection = glue_connections(
-                self.space, self.glued_metric(), self.nabla1, self.nabla2)
-        return self._glued_connection
+    def glued_connection(self, nabla1=None, nabla2=None):
+        """Glued connection of a gated block pair, the scenario's by default."""
+        pair = (nabla1 or self.nabla1, nabla2 or self.nabla2)
+        return self._once(("glued", *pair), lambda: glue_connections(
+            self.space, self.glued_metric(), *pair))
 
 
 @contextmanager
@@ -300,7 +300,8 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
     """Construct the space and block-level objects of a scenario."""
     raw = scenario.raw
     diff = scenario.diff if mode is None else replace(scenario.diff, mode=mode)
-    plan = scenario.plan if seed is None else replace(scenario.plan, seed=seed)
+    with _section("--seed"):
+        plan = scenario.plan if seed is None else replace(scenario.plan, seed=seed)
     engine = DiffEngine(diff)
     sp = raw.get("space")
     if not isinstance(sp, dict):

@@ -16,7 +16,8 @@ or half-weighted by :func:`seam_mean` (the metric, pairings, functions).
 Where checks evaluate is decided here too: :meth:`GluedSpace.region_samples`
 classifies the block grids and the sampled locus points once per space, and
 every sampled check and post-construction locus loop reads those points.
-The plan's seed does not move them; it drives the suites' random families.
+The plan's seed does not move them; it drives the random families, whose
+sections (:func:`~diffglue.connection.section_family`) are built once per space.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DiffglueError, HypothesisNotAsserted, LocusOutsideBlock,
-                     NotADiffeomorphism, OutsideDomain, ValidationError)
+from .errors import (DiffglueError, DimensionMismatch, HypothesisNotAsserted,
+                     LocusOutsideBlock, NotADiffeomorphism, OutsideDomain,
+                     ValidationError)
 from .numerics import EPS_DOM, EPS_NUM, DiffEngine, SamplePlan, _primal
 
 BLOCK1, LOCUS, BLOCK2 = "block1", "locus", "block2"
@@ -201,7 +203,7 @@ class GluedSpace:
             pts = list(self.locus.sample_points)
         else:
             pts = [tuple(self.locus.chart(list(t))) for t in self.locus.param_samples]
-        return pts[: max(self.plan.locus_count, 1)] if len(pts) > self.plan.locus_count else pts
+        return pts[: self.plan.locus_count]
 
     def locus_contains(self, coords) -> bool:
         if self.locus.kind == "point_set":
@@ -394,18 +396,17 @@ def classify_point(space: GluedSpace, which: int, coords) -> GluedPoint:
     same locus point (block-2 input is pulled back through the inverse).
     """
     coords = tuple(float(c) for c in coords)
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    block = (space.block1, space.block2)[which - 1]
+    if len(coords) != block.dim:
+        raise DimensionMismatch(f"{coords}: block {which} has dimension {block.dim}")
+    if not block.contains(list(coords)):
+        raise OutsideDomain(f"{coords} outside block {which}")
     if which == 1:
-        if not space.block1.contains(list(coords)):
-            raise OutsideDomain(f"{coords} outside block 1")
         if space.locus_contains(coords):
             return GluedPoint(LOCUS, coords, space.map_forward(coords))
         return GluedPoint(BLOCK1, coords)
-    if which == 2:
-        if not space.block2.contains(list(coords)):
-            raise OutsideDomain(f"{coords} outside block 2")
-        if space.in_glued_image(coords):
-            y = space.map_inverse(coords)
-            return GluedPoint(LOCUS, y, coords)
-        return GluedPoint(BLOCK2, coords)
-    raise ValueError("which must be 1 or 2")
-
+    if space.in_glued_image(coords):
+        return GluedPoint(LOCUS, space.map_inverse(coords), coords)
+    return GluedPoint(BLOCK2, coords)

@@ -78,16 +78,10 @@ def suite(name: str):
     return register
 
 
-def _sections(ctx) -> list:
-    """Compatible glued sections for 'for all sections' style checks."""
-    rng = np.random.default_rng(ctx.space.plan.seed)
-    raw = cx.compatible_section_pairs(ctx.space, rng)
-    return [assemble_section(ctx.space, s1, s2) for s1, s2 in raw]
-
-
-def _section_pairs(sections: list, count: int = 6) -> list:
-    pairs = list(zip(sections, sections[1:] + sections[:1]))
-    return pairs[:count]
+def _section_pairs(ctx, count: int = 6) -> list:
+    """The first ``count`` consecutive pairs of the space's section family."""
+    family = cx.section_family(ctx.space)
+    return list(zip(family, family[1:]))[:count]
 
 
 def _points(ctx, per_region=None) -> tuple:
@@ -190,7 +184,7 @@ def suite_koszul(ctx, out: Checks) -> None:
     spot_tol = ctx.engine.config.tol("uniqueness")
     rng = np.random.default_rng(ctx.space.plan.seed + 1)
     for which, g in ((1, ctx.g1), (2, ctx.g2)):
-        solved = cx.koszul_solve(g, ctx.engine)
+        solved = ctx.koszul(which)
         oracle = cx.christoffel_closed_form(g, ctx.engine)
         grid = ctx.space.block_grid(which)
         for x in grid:
@@ -225,28 +219,26 @@ def suite_leibniz(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("suite")
     rng = np.random.default_rng(ctx.space.plan.seed + 2)
-    sections = _sections(ctx)[:8]
+    sections = cx.section_family(space)[:8]
     functions = cx.glued_function_family(space, rng)
     points = _points(ctx, per_region=4)
+    # nabla s at each point, shared by every h
+    applied = [[C.apply(s).at(p) for p in points] for s in sections]
     for h in functions:
-        for s in sections:
-            hs = LambdaSection(space, s.s1.scaled(h.h1), s.s2.scaled(h.h2))
-            lhs = C.apply(hs)
-            rhs_tensor = C.apply(s)
-            dh = differential_glued(space, h)
-            for p in points:
+        dh = differential_glued(space, h)
+        for s, values in zip(sections, applied):
+            lhs = C.apply(LambdaSection(space, s.s1.scaled(h.h1), s.s2.scaled(h.h2)))
+            for p, rhs in zip(points, values):
                 res = 0.0
-                for (w, x), lm, rm in zip(p.sides, lhs.at(p), rhs_tensor.at(p)):
+                for (w, x), lm, rm in zip(p.sides, lhs.at(p), rhs):
                     expect = np.outer((dh.s1, dh.s2)[w - 1].at(x), (s.s1, s.s2)[w - 1].at(x)) \
                         + _primal((h.h1, h.h2)[w - 1](list(x))) * rm
                     res = max(res, float(np.max(np.abs(lm - expect))))
                 out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     # additivity control
-    s, r = sections[0], sections[1]
-    add_lhs = C.apply(s + r)
-    add_s, add_r = C.apply(s), C.apply(r)
-    for p in points[:6]:
-        for a, b, c in zip(add_lhs.at(p), add_s.at(p), add_r.at(p)):
+    add_lhs = C.apply(sections[0] + sections[1])
+    for p, add_s, add_r in zip(points[:6], applied[0], applied[1]):
+        for a, b, c in zip(add_lhs.at(p), add_s, add_r):
             res = float(np.max(np.abs(a - b - c)))
             out.check(res, tol, point=list(p.coords), additivity=res)
 
@@ -255,7 +247,7 @@ def suite_leibniz(ctx, out: Checks) -> None:
 def suite_symmetry(ctx, out: Checks) -> None:
     """Torsion of the glued connection vanishes over sampled section pairs."""
     C = ctx.glued_connection()
-    pairs = _section_pairs(_sections(ctx))
+    pairs = _section_pairs(ctx)
     points = _points(ctx, per_region=4)
     out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.tol("suite")))
 
@@ -264,7 +256,7 @@ def suite_symmetry(ctx, out: Checks) -> None:
 def suite_metric_compat(ctx, out: Checks) -> None:
     """Glued connection compatible with the glued metric."""
     C = ctx.glued_connection()
-    pairs = _section_pairs(_sections(ctx))
+    pairs = _section_pairs(ctx)
     out.fold(cx.check_metric_compatible_glued(C, pairs, _points(ctx, per_region=4),
                                               ctx.engine.config.tol("suite")))
 
@@ -275,8 +267,7 @@ def suite_bracket_split(ctx, out: Checks) -> None:
     G = ctx.glued_metric()
     tol = ctx.engine.config.tol("split")
     rng = np.random.default_rng(ctx.space.plan.seed + 3)
-    sections = _sections(ctx)[:5]
-    pairs = _section_pairs(sections, count=4)
+    pairs = _section_pairs(ctx, count=4)
     points = _points(ctx, per_region=3)
     probes = cx.glued_function_family(ctx.space, rng)
     for s, r in pairs:
@@ -338,8 +329,7 @@ def suite_covderiv_split(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     G = ctx.glued_metric()
     tol = ctx.engine.config.tol("split")
-    sections = _sections(ctx)[:6]
-    pairs = _section_pairs(sections, count=4)
+    pairs = _section_pairs(ctx, count=4)
     points = _points(ctx, per_region=4)
     for sdir, s in pairs:
         t = cx.phi_glued(G, sdir)
@@ -356,7 +346,7 @@ def suite_torsion_split(ctx, out: Checks) -> str:
     space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
-    pairs = _section_pairs(_sections(ctx)[:5], count=3)
+    pairs = _section_pairs(ctx, count=3)
     samples = space.region_samples()
     half_gap = 0.0
     for s, r in pairs:
@@ -390,10 +380,9 @@ def suite_torsion_split(ctx, out: Checks) -> str:
 def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
     """Koszul factors glue to the Levi-Civita connection of the glued metric."""
     space = ctx.space
-    G = ctx.glued_metric()
+    ctx.glued_metric()   # the metric gate comes first
     tol = ctx.engine.config.tol("inheritance")
-    n1 = cx.koszul_solve(ctx.g1, ctx.engine)
-    n2 = cx.koszul_solve(ctx.g2, ctx.engine)
+    n1, n2 = ctx.koszul(1), ctx.koszul(2)
     rng = np.random.default_rng(ctx.space.plan.seed + 4)
     # factor-level gates
     for which, (nb, g) in ((1, (n1, ctx.g1)), (2, (n2, ctx.g2))):
@@ -405,8 +394,9 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
         comp = cx.check_metric_compatible_block(nb, g, pairs, pts, ctx.engine, tol)
         out.expect(bool(comp), samples=0, block=which, detail="factor not compatible",
                    witness=comp.witness)
-    C = cx.glue_connections(space, G, n1, n2)
-    pairs = _section_pairs(_sections(ctx))
+    # the Koszul factors, not the scenario's connections (they may differ)
+    C = ctx.glued_connection(n1, n2)
+    pairs = _section_pairs(ctx)
     points = _points(ctx, per_region=4)
     sym = cx.check_symmetric(C, pairs, points, tol)
     comp = cx.check_metric_compatible_glued(C, pairs, points, tol)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import diffglue
+from diffglue import connection as cx
 from diffglue.cli import main
 from diffglue.errors import ParseError, ValidationError
 from diffglue.scenario import (SUITE_CATALOGUE, build_context, fixture_path,
@@ -127,14 +128,59 @@ def test_mode_override(tmp_path):
 
 
 def test_seed_override_reaches_suites():
-    from diffglue.suites import _sections
     scenario = load_scenario(fixture_path("halfline_curved"))
     values = []
     for seed in (3, 11):
         ctx = build_context(scenario, seed=seed)
         point = ctx.space.region_samples()["locus"][0]
-        values.append([s.at(point).components.tolist() for s in _sections(ctx)])
+        values.append([s.at(point).components.tolist()
+                       for s in cx.section_family(ctx.space)])
     assert values[0] != values[1]
+
+
+def test_negative_seed_override_exits_2(capsys):
+    assert main(["run", str(fixture_path("halfline_curved")), "--suite", "koszul",
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
+def _counting(monkeypatch, names) -> dict:
+    """Count calls of connection functions under every name the package uses."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cx, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("diffglue") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_run_builds_each_scenario_quantity_once(monkeypatch):
+    counts = _counting(monkeypatch, ("koszul_solve", "compatible_section_pairs",
+                                     "check_connections_compatible"))
+    assert main(["run", str(fixture_path("plane_axis_gluing"))]) == 0
+    assert counts == {"koszul_solve": 2, "compatible_section_pairs": 1,
+                      "check_connections_compatible": 1}
+
+
+def test_inheritance_glues_koszul_factors_not_the_scenario_connections(tmp_path):
+    import yaml
+    doc = load_scenario(fixture_path("halfline_curved")).raw
+    doc["connections"] = {"kind": "flat"}
+    path = tmp_path / "flat.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--suite", "metric-compat",
+                 "--suite", "levi-civita-inheritance", "--report-out", str(out)]) == 1
+    status = {r["suite"]: r["status"] for r in json.loads(out.read_text())["suites"]}
+    assert status == {"metric-compat": "fail", "levi-civita-inheritance": "pass"}
 
 
 def test_locus_sample_off_the_locus_fails_construction(tmp_path, capsys):
@@ -168,6 +214,15 @@ def test_inspect_block_point(capsys):
     assert "dim=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, point", [("halfline_curved", "block1:0.5,1.0"),
+                                         ("plane_axis_gluing", "block1:0.5")])
+def test_inspect_point_of_wrong_arity_exits_2(capsys, name, point):
+    assert main(["inspect", str(fixture_path(name)), "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err
+    assert "Traceback" not in err
+
+
 def _del_locus_bound(doc):
     del doc["space"]["locus"]["domain"]["bound"]
 
@@ -182,6 +237,10 @@ def _one_index_metric_key(doc):
 
 def _zero_per_axis(doc):
     doc["samples"]["per_axis"] = 0
+
+
+def _negative_seed(doc):
+    doc["samples"]["seed"] = -2
 
 
 def _unknown_domain_kind(doc):
@@ -235,7 +294,7 @@ def _negative_exponent(doc):
 
 
 @pytest.mark.parametrize("damage", [_del_locus_bound, _word_dim, _one_index_metric_key,
-                                    _zero_per_axis, _unknown_domain_kind,
+                                    _zero_per_axis, _negative_seed, _unknown_domain_kind,
                                     _scalar_suite_list, _plane_seed_in_line_block,
                                     _plane_locus_sample, _chart_axis_too_big,
                                     _chart_axis_negative, _domain_axis_too_big,
