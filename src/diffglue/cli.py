@@ -82,6 +82,8 @@ def run_command(args) -> int:
     if "max_discrepancy" in diagnostic:
         print(f"  derivative-trust: dual/fd agree within "
               f"{diagnostic['max_discrepancy']:.3e} ({diagnostic['samples']} samples)")
+    elif diagnostic["status"] == "fail":
+        print(f"  derivative-trust: FAIL {diagnostic['error']}: {diagnostic['detail']}")
     for r in sorted(results, key=lambda r: r.suite):
         status = "PASS" if r.passed else "FAIL"
         line = f"  {r.suite:<24} {status}  max_residual={r.max_residual:.3e} " \

@@ -33,6 +33,8 @@ from .metric import BlockMetric, GluedMetric
 from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
+MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
+
 
 @dataclass(frozen=True)
 class BlockConnection:
@@ -184,6 +186,10 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
     three bracket terms vanish for coordinate frames; asserted numerically
     at the block seeds) and solves the dual Gram system for the Christoffel
     coefficients.
+
+    The closure keeps its value at each float point (at most MEMO_POINTS, then
+    it starts over) as an immutable tuple nest, exactly: Gamma at a point
+    depends only on the metric there.  Dual inputs are solved afresh.
     """
     block = g.block
     d = block.dim
@@ -202,7 +208,7 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
         """Dual-side Gram, flattened row-major: entry (b, c) at b * d + c."""
         return [v for row in invert_matrix_generic(g.gram_generic(x)) for v in row]
 
-    def christoffel(x):
+    def solve(x):
         # dgs[b * d + c][a] = d_a of dual Gram entry (b, c)
         dgs = engine.jacobian(dual_gram, x, within=block.contains)
         gram = g.gram_generic(x)
@@ -214,6 +220,18 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
                 for k in range(d):
                     gamma[k][a][b] = 0.5 * _dot(gram[k], rhs)
         return gamma
+
+    memo = {}
+
+    def christoffel(x):
+        key = tuple(x)
+        if not all(isinstance(c, float) for c in key):
+            return solve(x)
+        if key not in memo:
+            if len(memo) >= MEMO_POINTS:
+                memo.clear()
+            memo[key] = tuple(tuple(map(tuple, plane)) for plane in solve(x))
+        return memo[key]
 
     return BlockConnection(block, christoffel)
 

@@ -119,11 +119,11 @@ class Checks:
 
     def check(self, res: float, tol: float, samples: int = 1, **witness) -> None:
         """Track a residual over ``samples`` evaluations; above tol it fails."""
-        if res > self.worst:
+        if res > self.worst or res != res:   # a NaN residual is the worst
             self.worst = res
             self.worst_witness = witness
         self.samples += samples
-        if res > tol:
+        if not res <= tol:
             self.witnesses.append(witness)
 
     def expect(self, ok: bool, samples: int = 1, **witness) -> bool:
@@ -333,9 +333,12 @@ class LambdaSection:
         self.s1 = s1
         self.s2 = s2
 
+    def side_values(self, point: GluedPoint) -> list:
+        return [(self.s1, self.s2)[w - 1].at(x) for w, x in point.sides]
+
     def at(self, point: GluedPoint) -> FibreElement:
         fibre = compute_fibre(self.space, point)
-        values = [(self.s1, self.s2)[w - 1].at(x) for w, x in point.sides]
+        values = self.side_values(point)
         if len(values) == 1:
             return FibreElement(fibre, values[0])
         # derived sections (brackets, covariant derivatives) carry the

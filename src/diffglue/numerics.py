@@ -253,8 +253,8 @@ class DiffConfig:
     def __post_init__(self):
         if self.mode not in ("forward_dual", "central_fd"):
             raise ValueError(f"unknown diff mode {self.mode!r}")
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
 
     def tol(self, check: str) -> float:
         """Pass bound of ``check`` (a key of TOLERANCES) in this mode."""
@@ -360,13 +360,13 @@ class DiffEngine:
         scalar = lambda x: (field(x),)
         gd = [_primal(v) for v in self._jacobian_dual(scalar, coords)[0]]
         gf = [_primal(v) for v in self._jacobian_fd(scalar, coords, within)[0]]
-        disc = max(abs(a - b) for a, b in zip(gd, gf))
+        disc = max((abs(a - b) for a, b in zip(gd, gf)), key=lambda v: (v != v, v))  # NaN wins
         h = self.config.fd_step
         scale = max(1.0, abs(_primal(field(list(coords)))), max(abs(v) for v in gd))
         threshold = max(10.0 * h * h * scale, 1e-10)
         report = CrossCheckReport(tuple(float(c) for c in coords),
                                   tuple(gd), tuple(gf), disc, threshold)
-        if disc > threshold:
+        if not disc <= threshold:
             raise ModesDisagree(
                 f"dual/fd gradients disagree by {disc:.3e} at {report.point} "
                 f"(threshold {threshold:.3e})")

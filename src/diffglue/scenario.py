@@ -288,7 +288,10 @@ def load_scenario(path) -> Scenario:
                           probe_ratio=float(s.get("probe_ratio", 0.5)),
                           seed=int(s.get("seed", 0)))
     with _section(f"{path}: suites"):
-        suites = tuple(raw.get("suites") or SUITE_CATALOGUE)
+        listed = raw.get("suites") or SUITE_CATALOGUE
+        if not isinstance(listed, (list, tuple)):
+            raise TypeError(f"expected a list of suite names, got {listed!r}")
+        suites = tuple(listed)
     for su in suites:
         if su not in SUITE_CATALOGUE:
             raise ValidationError(f"unknown suite {su!r}; catalogue: {SUITE_CATALOGUE}")

@@ -222,17 +222,20 @@ def suite_leibniz(ctx, out: Checks) -> None:
     sections = cx.section_family(space)[:8]
     functions = cx.glued_function_family(space, rng)
     points = _points(ctx, per_region=4)
-    # nabla s at each point, shared by every h
+    # values at each point: nabla s and s shared by every h, dh and h by every s
     applied = [[C.apply(s).at(p) for p in points] for s in sections]
+    s_values = [[s.side_values(p) for p in points] for s in sections]
     for h in functions:
         dh = differential_glued(space, h)
-        for s, values in zip(sections, applied):
+        dh_values = [dh.side_values(p) for p in points]
+        h_values = [[_primal((h.h1, h.h2)[w - 1](list(x))) for w, x in p.sides]
+                    for p in points]
+        for s, nabla_s, s_at in zip(sections, applied, s_values):
             lhs = C.apply(LambdaSection(space, s.s1.scaled(h.h1), s.s2.scaled(h.h2)))
-            for p, rhs in zip(points, values):
+            for p, rhs, s_p, dh_p, h_p in zip(points, nabla_s, s_at, dh_values, h_values):
                 res = 0.0
-                for (w, x), lm, rm in zip(p.sides, lhs.at(p), rhs):
-                    expect = np.outer((dh.s1, dh.s2)[w - 1].at(x), (s.s1, s.s2)[w - 1].at(x)) \
-                        + _primal((h.h1, h.h2)[w - 1](list(x))) * rm
+                for lm, rm, s_x, dh_x, h_x in zip(lhs.at(p), rhs, s_p, dh_p, h_p):
+                    expect = np.outer(dh_x, s_x) + h_x * rm
                     res = max(res, float(np.max(np.abs(lm - expect))))
                 out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     # additivity control

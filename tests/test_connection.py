@@ -5,8 +5,11 @@ import pytest
 
 import diffglue as dg
 from diffglue import connection as cx
+from diffglue.cli import main
 from diffglue.forms import coordinate_form
-from diffglue.numerics import _primal, exp
+from diffglue.numerics import DiffEngine, _primal, exp
+from diffglue.scenario import build_context, fixture_path, load_scenario
+from diffglue.suites import SUITES
 
 
 def line(name="line", seeds=((1.0,), (-1.0,), (0.5,))):
@@ -245,14 +248,17 @@ def test_koszul_exponential_dual_gram(engine):
         assert C.gamma((x,)) == pytest.approx(np.full((1, 1, 1), 1.0), abs=1e-10)
 
 
+def curved_plane_metric():
+    """Block Gram diag(1, 1/(1+x^2)), so dual-side Gram diag(1, 1+x^2)."""
+    entries = ((lambda x: 1.0, lambda x: 0.0),
+               (lambda x: 0.0, lambda x: 1.0 / (1.0 + x[0] ** 2)))
+    return dg.BlockMetric(plane(), entries)
+
+
 def test_koszul_2d_curved_dual_gram(engine):
     # dual-side Gram diag(1, 1+x^2):
     # Gamma^2_12 = Gamma^2_21 = x/(1+x^2), Gamma^1_22 = -x, others 0
-    b = plane()
-    entries = ((lambda x: 1.0, lambda x: 0.0),
-               (lambda x: 0.0, lambda x: 1.0 / (1.0 + x[0] ** 2)))
-    g = dg.BlockMetric(b, entries)
-    C = cx.koszul_solve(g, engine)
+    C = cx.koszul_solve(curved_plane_metric(), engine)
     for x in (-0.8, 0.3, 1.5):
         got = C.gamma((x, 0.4))
         expect = np.zeros((2, 2, 2))
@@ -277,6 +283,67 @@ def test_koszul_inverts_once_per_evaluation(engine, monkeypatch):
     assert len(calls) == 1
     oracle = cx.christoffel_closed_form(g, engine)
     assert gamma == pytest.approx(np.asarray(oracle([0.3, -0.4, 0.2])), abs=1e-10)
+
+
+def test_koszul_memo_values_are_equal_and_immutable(engine):
+    g = curved_plane_metric()
+    C = cx.koszul_solve(g, engine)
+    first = C.christoffel([0.3, 0.4])
+    assert C.christoffel([np.float64(0.3), 0.4]) == first
+    assert first == cx.koszul_solve(g, engine).christoffel([0.3, 0.4])
+    with pytest.raises(TypeError):
+        first[1][0][1] = 0.0
+    assert C.gamma((0.3, 0.4))[1][0][1] == pytest.approx(0.3 / 1.09, abs=1e-12)
+
+
+def test_koszul_dual_input_bypasses_memo(engine):
+    # d/dx Gamma^2_12 = (1-x^2)/(1+x^2)^2 and d/dx Gamma^1_22 = -1; a float
+    # nest from the memo would give zero rows
+    C = cx.koszul_solve(curved_plane_metric(), engine)
+    C.christoffel([0.3, 0.4])
+
+    def entries(x):
+        gam = C.christoffel(x)
+        return [gam[1][0][1], gam[0][1][1]]
+
+    jac = _primal(engine.jacobian(entries, [0.3, 0.4]))
+    assert jac == pytest.approx(np.array([[0.91 / 1.09 ** 2, 0.0], [-1.0, 0.0]]), abs=1e-9)
+
+
+def test_koszul_solves_once_per_float_point(monkeypatch):
+    solves = {}
+    jacobian = DiffEngine.jacobian
+
+    def counted(self, mapping, coords, within=None):
+        if getattr(mapping, "__name__", None) == "dual_gram" \
+                and all(isinstance(c, float) for c in coords):
+            key = (mapping, tuple(coords))
+            solves[key] = solves.get(key, 0) + 1
+        return jacobian(self, mapping, coords, within)
+
+    monkeypatch.setattr(DiffEngine, "jacobian", counted)
+    assert main(["run", str(fixture_path("plane_axis_gluing")), "--mode", "dual"]) == 0
+    assert len(solves) > 50
+    assert set(solves.values()) == {1}
+
+
+def test_koszul_suite_evaluates_oracle_at_every_point(monkeypatch):
+    # the oracle has no memo: a second pass over the same context, where every
+    # Koszul value comes from the memo, still computes every oracle value
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")))
+    evaluations = []
+    oracle = cx.christoffel_closed_form
+
+    def counted(g, engine):
+        fn = oracle(g, engine)
+        return lambda x: evaluations.append(tuple(x)) or fn(x)
+
+    monkeypatch.setattr(cx, "christoffel_closed_form", counted)
+    grid = [tuple(x) for w in (1, 2) for x in ctx.space.block_grid(w)]
+    for _ in range(2):
+        evaluations.clear()
+        assert SUITES["koszul"](ctx).passed
+        assert evaluations == grid
 
 
 def test_koszul_matches_closed_form_fd_mode():

@@ -390,3 +390,15 @@ def test_checks_keeps_witness_of_worst_residual():
     r = passing.compat()
     assert r and r.witness is None
     assert (r.max_residual, r.samples) == (1e-4, 3)
+
+
+def test_checks_nan_residual_fails_and_is_the_witness():
+    out = Checks()
+    out.check(0.5, 1.0, point=[0.0])
+    out.check(float("nan"), 1.0, point=[1.0])
+    out.check(0.8, 1.0, point=[2.0])
+    r = out.compat()
+    assert not r
+    assert np.isnan(r.max_residual)
+    assert r.witness == {"point": [1.0]}
+    assert out.witnesses == [{"point": [1.0]}]

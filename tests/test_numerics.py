@@ -141,6 +141,13 @@ def test_fd_cross_check_detects_kink():
         eng.fd_cross_check(lambda x: abs(x[0] - x0), [0.5])
 
 
+def test_fd_cross_check_nan_gradient_fails():
+    # the NaN sits in the second partial, after a finite one
+    eng = DiffEngine(DiffConfig())
+    with pytest.raises(ModesDisagree):
+        eng.fd_cross_check(lambda x: x[0] + math.nan * x[1], [0.5, 0.5])
+
+
 def test_invert_matrix_generic_roundtrip():
     m = [[2.0, 1.0], [1.0, 2.0]]
     inv = invert_matrix_generic(m)
@@ -163,8 +170,9 @@ def test_invert_matrix_generic_singular():
 def test_config_validation():
     with pytest.raises(ValueError):
         DiffConfig(mode="backward")
-    with pytest.raises(ValueError):
-        DiffConfig(fd_step=0.0)
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DiffConfig(fd_step=step)
     with pytest.raises(ValueError):
         SamplePlan(per_axis=0)
     assert DiffConfig().suite_tol == 1e-10

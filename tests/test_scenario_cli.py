@@ -61,6 +61,11 @@ def test_unknown_suite_rejected(tmp_path):
     p.write_text(yaml.safe_dump(doc))
     with pytest.raises(ValidationError):
         load_scenario(p)
+    # a bare name is not read as a list of one-letter suites
+    doc["suites"] = "koszul"
+    p.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ParseError, match="list of suite names"):
+        load_scenario(p)
 
 
 def test_context_builds_for_positive_fixtures():
@@ -251,6 +256,18 @@ def _scalar_suite_list(doc):
     doc["suites"] = 5
 
 
+def _string_suite_list(doc):
+    doc["suites"] = "koszul"
+
+
+def _nan_fd_step(doc):
+    doc["diff"]["fd_step"] = float("nan")
+
+
+def _infinite_fd_step(doc):
+    doc["diff"]["fd_step"] = float("inf")
+
+
 def _plane_seed_in_line_block(doc):
     doc["space"]["block1"]["seed_points"] = [[1.0, 2.0]]
 
@@ -295,7 +312,8 @@ def _negative_exponent(doc):
 
 @pytest.mark.parametrize("damage", [_del_locus_bound, _word_dim, _one_index_metric_key,
                                     _zero_per_axis, _negative_seed, _unknown_domain_kind,
-                                    _scalar_suite_list, _plane_seed_in_line_block,
+                                    _scalar_suite_list, _string_suite_list, _nan_fd_step,
+                                    _infinite_fd_step, _plane_seed_in_line_block,
                                     _plane_locus_sample, _chart_axis_too_big,
                                     _chart_axis_negative, _domain_axis_too_big,
                                     _metric_key_too_big, _christoffel_key_too_big,
@@ -309,6 +327,32 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     assert main(["run", str(path)]) == 2
     assert main(["inspect", str(path), "--point", "block1:1.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_nan_fd_step_exits_2_in_both_modes(tmp_path, capsys, mode):
+    import yaml
+    doc = load_scenario(fixture_path("halfline_curved")).raw
+    _nan_fd_step(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert "fd_step must be positive and finite" in captured.err
+    assert "derivative-trust" not in captured.out
+
+
+def test_failed_derivative_trust_sweep_is_reported(monkeypatch, capsys):
+    from diffglue import cli
+    from diffglue.errors import ModesDisagree
+
+    def failing(ctx):
+        raise ModesDisagree("dual/fd gradients disagree by 1.0e+00")
+
+    monkeypatch.setattr(cli, "derivative_trust_sweep", failing)
+    assert main(["run", str(fixture_path("halfline_curved")), "--suite", "koszul"]) == 1
+    out = capsys.readouterr().out
+    assert "derivative-trust: FAIL ModesDisagree: dual/fd gradients disagree" in out
 
 
 def test_inspect_malformed_point_spec(capsys):
