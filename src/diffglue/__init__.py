@@ -17,8 +17,8 @@ from .space import (EuclideanBlock, GluedPoint, GluedSpace, GluingMap,
                     SubmanifoldLocus, build_glued_space, classify_point)
 from .forms import (BlockForm, FibreElement, FibreModel, GluedFunction,
                     LambdaSection, assemble_section, compute_fibre,
-                    differential_block, differential_glued, pullback, rho1,
-                    rho2, rho_pair_inverse)
+                    differential_block, differential_glued, rho1, rho2,
+                    rho_pair_inverse)
 from .metric import (BlockMetric, GluedMetric, check_metrics_compatible,
                      constant_metric, eval_block_metric, glue_metrics)
 from .connection import (BlockConnection, DualSection, GluedConnection, action,

@@ -10,7 +10,7 @@ closed-form Christoffel oracle built on the dual-side Gram cross-checks it.
 Over a glued space every operator follows the seam rule of
 :attr:`~diffglue.space.GluedPoint.sides`: block values off the locus, and
 over the locus the pair of block values, constrained to the compatible
-subspace; dual sections and the action half-weight the pair instead.
+subspace; the action t(h) is a glued function, half-weighted instead.
 A glued tensor value is one float matrix per side; over the locus,
 membership of the pair in the tensor square of the compatible subspace is
 a linear feasibility check run at evaluation time.
@@ -27,11 +27,12 @@ from .errors import IncompatibleConnections, IncompatiblePair, ValidationError
 from .fields import PolyField, random_poly
 from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction,
                     LambdaSection, assemble_section, compute_fibre,
-                    coordinate_form, pair_residual, pullback, rho_pair_inverse,
+                    coordinate_form, pair_residual, rho_pair_inverse,
                     zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import EPS_NUM, DiffEngine, invert_matrix_generic, _dot, _primal
-from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
+from .numerics import (EPS_NUM, DiffEngine, invert_matrix_generic, nan_first, _dot,
+                       _primal)
+from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
 
@@ -433,30 +434,18 @@ class DualSection:
     t1: Callable
     t2: Callable
 
-    def at(self, point: GluedPoint) -> np.ndarray:
-        sides = point.sides
-        values = [_primal((self.t1, self.t2)[w - 1](list(x))) for w, x in sides]
-        if len(sides) == 2:
-            fibre = compute_fibre(self.space, point)
-            values = [fibre.block_basis(w) @ v for (w, _), v in zip(sides, values)]
-        return seam_mean(values)
-
 
 def phi_glued(G: GluedMetric, s: LambdaSection) -> DualSection:
     return DualSection(G.space, phi_apply_block(G.g1, s.s1), phi_apply_block(G.g2, s.s2))
 
 
-def action(t: DualSection, h: GluedFunction) -> Callable:
-    """t(h): pointwise pairing with the differential; half-weighted on the locus."""
+def action(t: DualSection, h: GluedFunction) -> GluedFunction:
+    """t(h): the glued function of the block actions ``t_w(dh_w)``, so actions
+    compose; its ``value`` half-weights the pair over the locus."""
     space = t.space
     eng = space.engine
-    a1 = action_block(t.t1, h.h1, eng, space.block1)
-    a2 = action_block(t.t2, h.h2, eng, space.block2)
-
-    def value(point: GluedPoint) -> float:
-        return seam_mean([_primal((a1, a2)[w - 1](list(x))) for w, x in point.sides])
-
-    return value
+    return GluedFunction(space, action_block(t.t1, h.h1, eng, space.block1),
+                         action_block(t.t2, h.h2, eng, space.block2))
 
 
 def lie_bracket_forms(G: GluedMetric, s: LambdaSection, r: LambdaSection) -> LambdaSection:
@@ -530,30 +519,29 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     g1, g2 = C.metric.g1, C.metric.g2
     out = Checks()
     for s, t in pairs:
-        k1 = _gram_pair_field(g1, s.s1, t.s1)
-        k2 = _gram_pair_field(g2, s.s2, t.s2)
+        k = GluedFunction(space, _gram_pair_field(g1, s.s1, t.s1),
+                          _gram_pair_field(g2, s.s2, t.s2))
         for p in points:
             sides = [_compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
                                    (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x, eng)
                      for w, x in p.sides]
-            res = max(float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides)
+            res = max((float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides), key=nan_first)
             if len(sides) == 2:
                 # collapse: the split values of g(s,t) agree over the locus,
                 # so the function is glued there.  Point-set loci admit
                 # mixing section pairs for which no glued function exists;
                 # the identity is vacuous at fibre level for those and only
                 # the block (pair level) identities apply.
-                v1 = _primal(k1(list(p.coords)))
-                v2 = _primal(k2(list(p.coords2)))
+                v1, v2 = k.side_values(p)
                 collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
                 if space.locus.kind != "point_set":
-                    res = max(res, collapse)
+                    res = max(res, collapse, key=nan_first)
                 if collapse <= 1e-6:
                     # well-posed glued function: its split differentials
                     # must form a compatible pair over the locus fibre
                     (dk1, _), (dk2, _) = sides
                     _, mem = pair_residual(compute_fibre(space, p), dk1, dk2)
-                    res = max(res, mem)
+                    res = max(res, mem, key=nan_first)
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     return out.compat()
 
@@ -563,14 +551,10 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
 def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     """Block-2 section matching s1 through the gluing map.
 
-    Components: s2_j(z) = sum_i d(f^-1)_i/dz_j (z) * s1_i(f^-1(z)).  The
-    inverse Jacobian comes from the map's analytic Jacobian when present;
-    a finite-difference inner Jacobian would inject noise that outer
-    derivatives amplify.  Without one, this is the pullback along f^-1.
+    s2(z) = J_f(y)^-T s1(y) at y = f^-1(z), with the map's analytic Jacobian
+    (every gluing map carries one), so outer derivatives of s2 see no inner
+    finite-difference noise.
     """
-    if space.f.jacobian is None:
-        return pullback(s1, space.f.inverse, space.block2, space.engine)
-
     def field(z):
         y = space.f.inverse(list(z))
         rows = invert_matrix_generic(space.f.jacobian(list(y)))

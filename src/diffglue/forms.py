@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IncompatiblePair, IncompatibleSections,
                      NotAFunctionOnGluedSpace, OutsideDomain, RankAmbiguous)
-from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine, _dot, _primal
+from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine, _primal, nan_first
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
@@ -59,9 +59,6 @@ class BlockForm:
 
         return BlockForm(self.block, field)
 
-    def scaled_const(self, c: float) -> "BlockForm":
-        return BlockForm(self.block, lambda x: [c * v for v in self(x)])
-
 
 def zero_block_form(block: EuclideanBlock) -> BlockForm:
     return BlockForm(block, lambda x: [0.0] * block.dim)
@@ -75,24 +72,6 @@ def coordinate_form(block: EuclideanBlock, axis: int) -> BlockForm:
 def differential_block(block: EuclideanBlock, h: Callable, engine: DiffEngine) -> BlockForm:
     """Differential of a scalar field: components are the gradient."""
     return BlockForm(block, lambda x: engine.gradient(h, x, within=block.contains))
-
-
-def pullback(form: BlockForm, mapping: Callable, source: EuclideanBlock,
-             engine: DiffEngine) -> BlockForm:
-    """Pullback along a smooth map into the form's block.
-
-    Component i at u is sum_j J[j][i](u) * omega_j(mapping(u)).
-    """
-    target_dim = form.block.dim
-
-    def field(u):
-        y = mapping(list(u))
-        if len(y) != target_dim:
-            raise DimensionMismatch("map target dimension does not match the form's block")
-        w = form(y)
-        return [_dot(col, w) for col in zip(*engine.jacobian(mapping, u))]
-
-    return BlockForm(source, field)
 
 
 @dataclass(frozen=True)
@@ -119,7 +98,7 @@ class Checks:
 
     def check(self, res: float, tol: float, samples: int = 1, **witness) -> None:
         """Track a residual over ``samples`` evaluations; above tol it fails."""
-        if res > self.worst or res != res:   # a NaN residual is the worst
+        if nan_first(res) > nan_first(self.worst):
             self.worst = res
             self.worst_witness = witness
         self.samples += samples
@@ -135,7 +114,7 @@ class Checks:
 
     def fold(self, r: CompatResult, **context) -> None:
         """Fold in a CompatResult; context wraps its witness."""
-        self.worst = max(self.worst, r.max_residual)
+        self.worst = max(self.worst, r.max_residual, key=nan_first)
         self.samples += r.samples
         if not r:
             self.witnesses.append(dict(context, witness=r.witness) if context
@@ -349,9 +328,6 @@ class LambdaSection:
     def __add__(self, other: "LambdaSection") -> "LambdaSection":
         return LambdaSection(self.space, self.s1 + other.s1, self.s2 + other.s2)
 
-    def scaled_const(self, c: float) -> "LambdaSection":
-        return LambdaSection(self.space, self.s1.scaled_const(c), self.s2.scaled_const(c))
-
 
 def assemble_section(space: GluedSpace, s1: BlockForm, s2: BlockForm) -> LambdaSection:
     """Assemble block sections into a glued section, checking locus compatibility."""
@@ -374,16 +350,18 @@ class GluedFunction:
 
     def validate(self):
         for p in self.space.region_samples()[LOCUS]:
-            v1 = float(self.h1(list(p.coords)))
-            v2 = float(self.h2(list(p.coords2)))
+            v1, v2 = self.side_values(p)
             if abs(v1 - v2) > EPS_NUM * (1.0 + abs(v1) + abs(v2)):
                 raise NotAFunctionOnGluedSpace(
                     f"h1({p.coords}) = {v1} but h2(f({p.coords})) = {v2}")
         return self
 
+    def side_values(self, point: GluedPoint) -> list:
+        """Float value of each side of ``point``, block 1 first."""
+        return [_primal((self.h1, self.h2)[w - 1](list(x))) for w, x in point.sides]
+
     def value(self, point: GluedPoint) -> float:
-        return seam_mean([float((self.h1, self.h2)[w - 1](list(x)))
-                          for w, x in point.sides])
+        return seam_mean(self.side_values(point))
 
 
 def differential_glued(space: GluedSpace, h: GluedFunction) -> LambdaSection:

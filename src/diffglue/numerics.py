@@ -196,6 +196,11 @@ def exp(x):
     return _unary(x, math.exp, lambda v: exp(v))
 
 
+def nan_first(v) -> tuple:
+    """Residual ordering key with a NaN above every number (``max(0.0, nan)`` is 0.0)."""
+    return (v != v, v)
+
+
 def _dot(u, v):
     """sum_i u_i * v_i accumulated left to right from 0.0 (dual-safe)."""
     total = 0.0
@@ -360,7 +365,7 @@ class DiffEngine:
         scalar = lambda x: (field(x),)
         gd = [_primal(v) for v in self._jacobian_dual(scalar, coords)[0]]
         gf = [_primal(v) for v in self._jacobian_fd(scalar, coords, within)[0]]
-        disc = max((abs(a - b) for a, b in zip(gd, gf)), key=lambda v: (v != v, v))  # NaN wins
+        disc = max((abs(a - b) for a, b in zip(gd, gf)), key=nan_first)
         h = self.config.fd_step
         scale = max(1.0, abs(_primal(field(list(coords)))), max(abs(v) for v in gd))
         threshold = max(10.0 * h * h * scale, 1e-10)

@@ -91,6 +91,8 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
         off = np.asarray(spec.get("offset", [0.0] * d2), dtype=float)
         if mat.shape != (d2, d1):
             raise ParseError(f"{where}: affine matrix must be {d2}x{d1}")
+        if off.shape != (d2,):
+            raise ParseError(f"{where}: affine offset must have {d2} entries")
         inv = np.linalg.inv(mat) if d1 == d2 else None
         if inv is None:
             raise ParseError(f"{where}: affine gluing needs square matrix")

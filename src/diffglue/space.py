@@ -111,12 +111,12 @@ class GluingMap:
 
     The forward and inverse formulas must stay valid on the whole block:
     the verification suites push block-1 test data through f when building
-    compatible families.
+    compatible families.  ``jacobian(y)`` is J_f(y), dim2 rows of dim1 entries.
     """
 
     forward: Callable
     inverse: Callable
-    jacobian: Optional[Callable] = None
+    jacobian: Callable
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ class LocusFrames:
     """Tangential data of the locus at one point.
 
     ``t1`` has shape (dim1, k): columns span the locus tangent directions in
-    block-1 coordinates; ``t2`` (dim2, k) are their pushforwards through f.
-    Pullbacks of covectors onto the locus act by the transposes.
+    block-1 coordinates; ``t2 = J_f(y) @ t1`` (dim2, k) pushes them through f
+    (k = 0 on a point set).  Pullbacks of covectors act by the transposes.
     """
 
     t1: np.ndarray
@@ -222,27 +222,21 @@ class GluedSpace:
 
     def f_jacobian(self, y) -> np.ndarray:
         """Jacobian of f at a locus point (dim2 x dim1)."""
-        if self.f.jacobian is not None:
-            return np.asarray(self.f.jacobian(list(y)), dtype=float)
-        return _primal(self.engine.jacobian(self.f.forward, list(y)))
+        return np.asarray(self.f.jacobian(list(y)), dtype=float)
 
     def locus_frames(self, y) -> LocusFrames:
         d1, d2 = self.block1.dim, self.block2.dim
         if self.locus.kind == "point_set":
-            t1 = np.zeros((d1, 0))
-            t2 = np.zeros((d2, 0))
-        elif self.locus.kind == "open_subdomain":
+            return LocusFrames(np.zeros((d1, 0)), np.zeros((d2, 0)))
+        if self.locus.kind == "open_subdomain":
             t1 = np.eye(d1)
-            t2 = self.f_jacobian(y)
         else:
             # jacobian rows are d(chart_j)/dt_i, so the array itself has the
             # tangent directions as columns
             t = self.locus.invert(list(y))
-            comp = lambda params: self.f.forward(self.locus.chart(params))
-            k = self.locus.param_dim
-            t1 = _primal(self.engine.jacobian(self.locus.chart, list(t))).reshape(d1, k)
-            t2 = _primal(self.engine.jacobian(comp, list(t))).reshape(d2, k)
-        return LocusFrames(t1, t2)
+            t1 = _primal(self.engine.jacobian(self.locus.chart, list(t))).reshape(
+                d1, self.locus.param_dim)
+        return LocusFrames(t1, self.f_jacobian(y) @ t1)
 
     # -- sampling ----------------------------------------------------------
     def block_grid(self, which: int) -> list:

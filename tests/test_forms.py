@@ -1,4 +1,4 @@
-"""Differentials, pullbacks, glued fibres, and section splitting."""
+"""Differentials, form transport, glued fibres, and section splitting."""
 
 from collections import namedtuple
 
@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import diffglue as dg
-from diffglue.forms import (Checks, coordinate_form, nullspace_basis,
+from diffglue.forms import (Checks, CompatResult, coordinate_form, nullspace_basis,
                             relation_matrix, vanishing_at_point, zero_block_form)
+from diffglue.connection import pushforward_form
 from diffglue.numerics import _primal
+from diffglue.scenario import parse_map
 
 
 # parametrized map from R^domain_dim into a block, centred at basepoint
@@ -20,7 +22,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z),
+                        lambda y: np.eye(len(y)).tolist())
 
 
 @pytest.fixture
@@ -76,41 +79,37 @@ def test_differential_xy_cross_checked(engine):
     assert _primal(fd.gradient(h, [1.0, 2.0])) == pytest.approx([2.0, 1.0], abs=1e-6)
 
 
-# -- pullbacks ---------------------------------------------------------------
+# -- the gluing map's derivative and form transport ---------------------------
 
-def test_pullback_linear_map(engine):
-    target, source = line("t"), line("s")
-    dx = coordinate_form(target, 0)
-    pulled = dg.pullback(dx, lambda u: [2.0 * u[0]], source, engine)
-    assert pulled.at((0.7,)) == pytest.approx([2.0])
+AFFINE = {"kind": "affine", "matrix": [[2.0, 1.0], [0.0, 1.0]], "offset": [0.5, 0.0]}
 
 
-def test_pullback_constant_map_is_zero(engine):
-    target, source = line("t"), line("s")
-    form = dg.BlockForm(target, lambda x: [1.0 + x[0] ** 2])
-    pulled = dg.pullback(form, lambda u: [4.0], source, engine)
-    assert pulled.at((0.3,)) == pytest.approx([0.0])
+@pytest.mark.parametrize("spec, dim", [({"kind": "identity"}, 2), (AFFINE, 2),
+                                       ({"kind": "cubic"}, 1)])
+def test_map_jacobian_matches_the_engine(spec, dim, engine):
+    # the map's analytic Jacobian is the only derivative of f the library
+    # takes; it must equal the dual-number derivative of the forward formula
+    f = parse_map(spec, dim, dim, "map")
+    for y in ([0.7, -1.3][:dim], [-2.0, 0.4][:dim]):
+        exact = np.asarray(f.jacobian(list(y)), dtype=float)
+        assert np.array_equal(exact, _primal(engine.jacobian(f.forward, list(y))))
 
 
-def test_pullback_chain_rule(engine):
-    # y dy pulled along x -> x^2 gives 2x^3 dx
-    target, source = line("t"), line("s")
-    ydy = dg.BlockForm(target, lambda y: [y[0]])
-    pulled = dg.pullback(ydy, lambda u: [u[0] ** 2], source, engine)
-    for x in (0.5, -1.2, 2.0):
-        assert pulled.at((x,)) == pytest.approx([2.0 * x ** 3])
-
-
-def test_pullback_functoriality(engine):
-    # pullback(pullback(w, F), G) = pullback(w, F o G) at sampled points
-    target, mid, source = line("t"), line("m"), line("s")
-    w = dg.BlockForm(target, lambda y: [1.0 + y[0] ** 2])
-    F = lambda u: [3.0 * u[0] + 1.0]
-    G = lambda v: [v[0] ** 2]
-    two_step = dg.pullback(dg.pullback(w, F, mid, engine), G, source, engine)
-    one_step = dg.pullback(w, lambda v: F(G(v)), source, engine)
-    for x in (0.4, -0.9, 1.5):
-        assert two_step.at((x,)) == pytest.approx(one_step.at((x,)), abs=1e-9)
+def test_pushforward_form_through_affine_map():
+    # s2(f(y)) = A^-T s1(y); at y = (-1, 0.5), s1 = (0.8, 0.2) maps to (0.4, -0.2)
+    plane = lambda n: dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], n)
+    locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0, 0.5), (-0.5, -1.0)])
+    f = parse_map(AFFINE, 2, 2, "map")
+    space = dg.build_glued_space(plane("p1"), plane("p2"), locus, f,
+                                 dg.HypothesisFlags(True, True))
+    s1 = dg.BlockForm(space.block1, lambda x: [-0.8 * x[0], 0.4 * x[1]])
+    s2 = pushforward_form(space, s1)
+    y = (-1.0, 0.5)
+    assert s2.at(space.map_forward(y)) == pytest.approx([0.4, -0.2], abs=1e-15)
+    a_inv_t = np.linalg.inv(np.asarray(AFFINE["matrix"])).T
+    for y in ((-1.0, 0.5), (0.3, 2.0), (-0.5, -1.0)):
+        assert s2.at(space.map_forward(y)) == pytest.approx(a_inv_t @ s1.at(y), abs=1e-15)
+    assert isinstance(dg.assemble_section(space, s1, s2), dg.LambdaSection)
 
 
 def test_block_form_rejects_wrong_component_count():
@@ -119,13 +118,6 @@ def test_block_form_rejects_wrong_component_count():
         form((0.5,))
     with pytest.raises(dg.DimensionMismatch):
         form.at((0.5,))
-
-
-def test_pullback_dimension_mismatch(engine):
-    target, source = line("t"), line("s")
-    dx = coordinate_form(target, 0)
-    with pytest.raises(dg.DimensionMismatch):
-        dg.pullback(dx, lambda u: [u[0], 0.0], source, engine).at((0.5,))
 
 
 # -- compatibility of forms ----------------------------------------------------
@@ -148,7 +140,7 @@ def test_forms_compatible_halfline(halfline):
     dx1 = coordinate_form(halfline.block1, 0)
     dx2 = coordinate_form(halfline.block2, 0)
     dg.assemble_section(halfline, dx1, dx2)
-    doubled = dx2.scaled_const(2.0)
+    doubled = dx2.scaled(lambda x: 2.0)
     with pytest.raises(dg.IncompatibleSections, match="locus point"):
         dg.assemble_section(halfline, dx1, doubled)
 
@@ -160,7 +152,7 @@ def test_forms_compatible_plane_axis(plane_axis):
     # dy pulls back to 0 along the axis; dx pulls back to dt
     with pytest.raises(dg.IncompatibleSections):
         dg.assemble_section(plane_axis, dy1, dx2)
-    dg.assemble_section(plane_axis, dy1, dy2.scaled_const(0.0))
+    dg.assemble_section(plane_axis, dy1, dy2.scaled(lambda x: 0.0))
 
 
 # -- fibres ---------------------------------------------------------------------
@@ -401,4 +393,16 @@ def test_checks_nan_residual_fails_and_is_the_witness():
     assert not r
     assert np.isnan(r.max_residual)
     assert r.witness == {"point": [1.0]}
+    assert out.witnesses == [{"point": [1.0]}]
+
+
+def test_checks_fold_keeps_a_nan_max_residual():
+    # max(0.5, nan) would be 0.5: the folded NaN must stay the worst
+    out = Checks()
+    out.check(0.5, 1.0, point=[0.0])
+    out.fold(CompatResult(False, float("nan"), {"point": [1.0]}, 2))
+    out.fold(CompatResult(True, 0.7, None, 1))
+    r = out.compat()
+    assert not r
+    assert np.isnan(r.max_residual)
     assert out.witnesses == [{"point": [1.0]}]

@@ -7,6 +7,7 @@ import diffglue as dg
 from diffglue import connection as cx
 from diffglue.forms import coordinate_form
 from diffglue.numerics import _primal
+from diffglue.space import seam_mean
 
 
 def line(name="line", seeds=((1.0,), (-1.0,), (-2.5,))):
@@ -14,7 +15,8 @@ def line(name="line", seeds=((1.0,), (-1.0,), (-2.5,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z),
+                        lambda y: np.eye(len(y)).tolist())
 
 
 @pytest.fixture
@@ -131,9 +133,30 @@ def test_action_glued_half_weights(cross):
     h = dg.GluedFunction(cross, lambda x: x[0], lambda z: z[0])
     val = dg.action(t, h)
     p0 = dg.classify_point(cross, 1, (0.0,))
-    assert val(p0) == pytest.approx(1.0)
+    assert val.value(p0) == pytest.approx(1.0)
     p = dg.classify_point(cross, 1, (2.0,))
-    assert val(p) == pytest.approx(1.0)
+    assert val.value(p) == pytest.approx(1.0)
+
+
+def test_action_composes_side_by_side(cross, engine):
+    # t(u(h)) is a glued function whose sides are the nested block actions;
+    # over the locus (at 0) they are 1 * d/dx[(x+2)(3x^2+1)] = 1 and
+    # 2 * d/dz[(z-3)(2z+1)] = -10, half-weighted to -4.5
+    t = cx.DualSection(cross, lambda x: [x[0] + 1.0], lambda z: [2.0])
+    u = cx.DualSection(cross, lambda x: [x[0] + 2.0], lambda z: [z[0] - 3.0])
+    h = dg.GluedFunction(cross, lambda x: x[0] ** 3 + x[0], lambda z: z[0] ** 2 + z[0])
+    composed = dg.action(t, dg.action(u, h))
+    blocks = (cross.block1, cross.block2)
+    for p in (dg.classify_point(cross, 1, (0.0,)), dg.classify_point(cross, 2, (1.5,))):
+        nested = [_primal(cx.action_block(
+            (t.t1, t.t2)[w - 1],
+            cx.action_block((u.t1, u.t2)[w - 1], (h.h1, h.h2)[w - 1], engine, blocks[w - 1]),
+            engine, blocks[w - 1])(list(x))) for w, x in p.sides]
+        assert composed.side_values(p) == nested
+        assert composed.value(p) == seam_mean(nested)
+    p0 = dg.classify_point(cross, 1, (0.0,))
+    assert composed.side_values(p0) == pytest.approx([1.0, -10.0])
+    assert composed.value(p0) == pytest.approx(-4.5)
 
 
 def test_action_agrees_with_glued_metric_pairing(halfline):
@@ -149,7 +172,7 @@ def test_action_agrees_with_glued_metric_pairing(halfline):
     val = dg.action(t, h)
     for c in ((-1.0,), (0.5,), (-2.0,)):
         p = dg.classify_point(halfline, 1, c)
-        assert val(p) == pytest.approx(G.eval(p, s.at(p), dh.at(p)), abs=1e-10)
+        assert val.value(p) == pytest.approx(G.eval(p, s.at(p), dh.at(p)), abs=1e-10)
 
 
 # -- covariant derivative: lemma vs direct contraction ---------------------------------
@@ -205,7 +228,7 @@ def test_bracket_splitting_three_cases(cross):
     one2 = dg.BlockForm(cross.block2, lambda z: [1.0])
     two2 = dg.BlockForm(cross.block2, lambda z: [2.0])
     s = dg.assemble_section(cross, one1, one2)
-    r = dg.assemble_section(cross, one1.scaled_const(3.0), two2)
+    r = dg.assemble_section(cross, one1.scaled(lambda x: 3.0), two2)
     br = cx.lie_bracket_forms(G, s, r)
     for c, which in (((0.5,), 1), ((0.0,), 1)):
         p = dg.classify_point(cross, which, c)
@@ -293,6 +316,21 @@ def test_sampled_checks_fail_on_torsionful_connection(plane_axis, which):
     assert r.max_residual == pytest.approx(expected)
     assert r.witness["residual"] == r.max_residual
     assert r.samples == 27
+
+
+def test_metric_compatible_glued_fails_on_a_nan_second_side(halfline, engine):
+    # block 1 is exact and block 2 gives NaN: max(0.0, nan) would drop it
+    g = dg.BlockMetric(halfline.block1, ((lambda x: 1.0 + x[0] ** 2,),))
+    g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
+    G = dg.glue_metrics(halfline, g, g2)
+    nan = dg.BlockConnection(halfline.block2, lambda x: [[[float("nan")]]])
+    C = cx.GluedConnection(halfline, G, dg.koszul_solve(g, engine), nan)
+    family = cx.section_family(halfline)
+    r = cx.check_metric_compatible_glued(C, list(zip(family, family[1:]))[:6],
+                                         halfline.region_samples()["locus"], 1e-10)
+    assert not r
+    assert np.isnan(r.max_residual)
+    assert r.samples == 18
 
 
 def test_torsion_antisymmetry(halfline, engine):

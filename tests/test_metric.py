@@ -12,7 +12,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z),
+                        lambda y: np.eye(len(y)).tolist())
 
 
 @pytest.fixture

@@ -306,6 +306,22 @@ def _christoffel_key_too_big(doc):
                                           "gamma2": {"entries": {}}}
 
 
+def _affine_map(doc, offset):
+    doc["space"]["map"] = {"kind": "affine", "matrix": [[2.0]], "offset": offset}
+
+
+def _empty_affine_offset(doc):
+    _affine_map(doc, [])
+
+
+def _scalar_affine_offset(doc):
+    _affine_map(doc, 1.0)
+
+
+def _long_affine_offset(doc):
+    _affine_map(doc, [1.0, 2.0])
+
+
 def _negative_exponent(doc):
     _as_plane_axis(doc)["metrics"]["g1"]["entries"]["0,0"]["-1,0"] = 1.0
 
@@ -317,7 +333,8 @@ def _negative_exponent(doc):
                                     _plane_locus_sample, _chart_axis_too_big,
                                     _chart_axis_negative, _domain_axis_too_big,
                                     _metric_key_too_big, _christoffel_key_too_big,
-                                    _negative_exponent])
+                                    _negative_exponent, _empty_affine_offset,
+                                    _scalar_affine_offset, _long_affine_offset])
 def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     import yaml
     doc = load_scenario(fixture_path("halfline_curved")).raw
@@ -353,6 +370,22 @@ def test_failed_derivative_trust_sweep_is_reported(monkeypatch, capsys):
     assert main(["run", str(fixture_path("halfline_curved")), "--suite", "koszul"]) == 1
     out = capsys.readouterr().out
     assert "derivative-trust: FAIL ModesDisagree: dual/fd gradients disagree" in out
+
+
+def test_leibniz_fails_on_a_nan_connection_off_the_locus():
+    # block 2's connection is NaN only where block 2 is off the locus
+    # (x >= 0), so the NaN reaches no additivity check and no locus tensor
+    from diffglue.suites import SUITES
+    ctx = build_context(load_scenario(fixture_path("halfline_curved")))
+    n2 = ctx.koszul(2)
+    nan = diffglue.BlockConnection(ctx.space.block2, lambda x: (
+        [[[float("nan")]]] if x[0] >= 0.0 else n2.christoffel(x)))
+    C = cx.GluedConnection(ctx.space, ctx.glued_metric(), ctx.koszul(1), nan)
+    ctx.glued_connection = lambda *pair: C
+    r = SUITES["leibniz"](ctx)
+    assert not r.passed
+    assert r.max_residual != r.max_residual
+    assert {w["region"] for w in r.witnesses} == {"block2"}
 
 
 def test_inspect_malformed_point_spec(capsys):

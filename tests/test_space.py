@@ -12,7 +12,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 
 def identity_map():
-    return dg.GluingMap(lambda y: list(y), lambda z: list(z))
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z),
+                        lambda y: np.eye(len(y)).tolist())
 
 
 @pytest.fixture
@@ -40,7 +41,7 @@ def test_cubic_gluing_rejected():
     locus = dg.OpenSubdomainLocus(lambda x: -1.0 < x[0] < 1.0,
                                   [(-0.5,), (0.0,), (0.5,)])
     cbrt = lambda z: [abs(z[0]) ** (1 / 3) * (1 if z[0] >= 0 else -1)]
-    f = dg.GluingMap(lambda y: [y[0] ** 3], cbrt)
+    f = dg.GluingMap(lambda y: [y[0] ** 3], cbrt, lambda y: [[3.0 * y[0] ** 2]])
     with pytest.raises(dg.NotADiffeomorphism):
         dg.build_glued_space(line("c1", ((1.5,), (-1.5,))),
                              line("c2", ((1.5,), (-1.5,))),
@@ -48,7 +49,7 @@ def test_cubic_gluing_rejected():
 
 
 def test_broken_roundtrip_rejected():
-    f = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0]])
+    f = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0]], lambda y: [[1.0]])
     with pytest.raises(dg.NotADiffeomorphism):
         dg.build_glued_space(line(), line(), dg.PointSetLocus([(0.0,)]), f,
                              dg.HypothesisFlags(True, True))
@@ -134,7 +135,8 @@ def test_gluing_consistency(halfline):
 
 
 def test_sides_lists_each_block_side_block1_first():
-    shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0])
+    shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0],
+                         lambda y: [[1.0]])
     space = dg.build_glued_space(line("s1"), line("s2"), dg.PointSetLocus([(0.0,)]),
                                  shift)
     assert dg.classify_point(space, 1, (3.0,)).sides == ((1, (3.0,)),)
@@ -195,8 +197,7 @@ def test_submanifold_locus_frames():
     plane = dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], "p")
     locus = dg.SubmanifoldLocus(1, lambda t: [t[0], 0.0], lambda x: [x[0]],
                                 [(-1.0,), (0.5,)])
-    f = dg.GluingMap(lambda y: list(y), lambda z: list(z))
-    space = dg.build_glued_space(plane, plane, locus, f,
+    space = dg.build_glued_space(plane, plane, locus, identity_map(),
                                  dg.HypothesisFlags(True, True))
     fr = space.locus_frames((0.5, 0.0))
     assert fr.t1 == pytest.approx(np.array([[1.0], [0.0]]))
@@ -207,9 +208,9 @@ def test_submanifold_rank_deficient_chart_rejected():
     plane = dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], "p")
     locus = dg.SubmanifoldLocus(1, lambda t: [0.0, 0.0], lambda x: [x[0]],
                                 [(0.0,)])
-    f = dg.GluingMap(lambda y: list(y), lambda z: list(z))
     with pytest.raises(dg.ValidationError):
-        dg.build_glued_space(plane, plane, locus, f, dg.HypothesisFlags(True, True))
+        dg.build_glued_space(plane, plane, locus, identity_map(),
+                             dg.HypothesisFlags(True, True))
 
 
 def test_probe_sequences_stay_in_block(halfline):
@@ -228,7 +229,7 @@ def test_in_glued_image_lets_programming_errors_through():
         return list(z)
 
     locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0,), (-0.5,)])
-    f = dg.GluingMap(lambda y: list(y), inverse)
+    f = dg.GluingMap(lambda y: list(y), inverse, lambda y: [[1.0]])
     space = dg.build_glued_space(line("b1", ((-1.0,), (-2.5,))),
                                  line("b2", ((-1.0,), (-2.5,))),
                                  locus, f, dg.HypothesisFlags(True, True))
