@@ -551,14 +551,13 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
 def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     """Block-2 section matching s1 through the gluing map.
 
-    s2(z) = J_f(y)^-T s1(y) at y = f^-1(z), with the map's analytic Jacobian
-    (every gluing map carries one), so outer derivatives of s2 see no inner
-    finite-difference noise.
+    s2(z) = J_{f^-1}(z)^T s1(f^-1(z)), with the map's analytic inverse
+    Jacobian (every gluing map carries one), so outer derivatives of s2 see
+    no inner finite-difference noise and no matrix is inverted per call.
     """
     def field(z):
-        y = space.f.inverse(list(z))
-        rows = invert_matrix_generic(space.f.jacobian(list(y)))
-        w = s1(y)
+        rows = space.f.inverse_jacobian(list(z))
+        w = s1(space.f.inverse(list(z)))
         return [_dot(col, w) for col in zip(*rows)]
 
     return BlockForm(space.block2, field)
@@ -633,7 +632,7 @@ def _image_residual_fields(space: GluedSpace) -> list:
 
 
 def glued_function_family(space: GluedSpace, rng: np.random.Generator) -> list:
-    """Compatible scalar-function pairs: mirrored polynomials plus seam extras."""
+    """Compatible scalar-function pairs: mirrored polynomials plus seam extras (unvalidated)."""
     out = []
     for _ in range(5):
         h1 = random_poly(rng, space.block1.dim)
@@ -641,11 +640,11 @@ def glued_function_family(space: GluedSpace, rng: np.random.Generator) -> list:
         def h2(z, h1=h1):
             return h1(space.f.inverse(list(z)))
 
-        out.append(GluedFunction(space, h1, h2).validate())
+        out.append(GluedFunction(space, h1, h2))
     extras = _image_residual_fields(space)
     zero1 = lambda x: 0.0
     for q in extras[: 2]:
-        out.append(GluedFunction(space, zero1, q).validate())
+        out.append(GluedFunction(space, zero1, q))
     # constant and coordinate-like controls
-    out.append(GluedFunction(space, lambda x: 1.0, lambda z: 1.0).validate())
+    out.append(GluedFunction(space, lambda x: 1.0, lambda z: 1.0))
     return out

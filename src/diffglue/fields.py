@@ -15,9 +15,10 @@ import numpy as np
 
 
 class PolyField:
-    """Multivariate polynomial as a map exponent-tuple -> coefficient."""
+    """Multivariate polynomial as a map exponent-tuple -> coefficient; evaluation reads
+    ``terms``, each coefficient with its factors' axes: exponents (2, 0, 1) give (0, 0, 2)."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "coeffs", "terms")
 
     def __init__(self, dim: int, coeffs: dict):
         self.dim = dim
@@ -28,6 +29,8 @@ class PolyField:
                 raise ValueError(f"exponent tuple {key} has wrong length for dim {dim}")
             if c != 0.0:
                 self.coeffs[key] = self.coeffs.get(key, 0.0) + float(c)
+        self.terms = tuple((c, tuple(a for a, e in enumerate(exps) for _ in range(e)))
+                           for exps, c in self.coeffs.items())
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "PolyField":
@@ -41,11 +44,10 @@ class PolyField:
 
     def __call__(self, coords: Sequence):
         total = 0.0
-        for exps, c in self.coeffs.items():
+        for c, axes in self.terms:
             term = c
-            for x, e in zip(coords, exps):
-                for _ in range(e):
-                    term = term * x
+            for a in axes:
+                term = term * coords[a]
             total = total + term
         return total
 

@@ -67,12 +67,6 @@ class DualScalar:
         self.value = value
         self.partials = tuple(partials)
 
-    # -- helpers -------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, DualScalar):
-            return other
-        return DualScalar(other, (0.0,) * len(self.partials))
-
     @property
     def float_value(self) -> float:
         v = self.value
@@ -81,41 +75,51 @@ class DualScalar:
         return float(v)
 
     # -- arithmetic ----------------------------------------------------
+    # A non-dual operand takes a fast path doing the float operations of its constant
+    # dual (partials 0.0), bit for bit; the reflected methods only ever see a non-dual.
     def __add__(self, other):
-        o = self._coerce(other)
-        return DualScalar(self.value + o.value,
-                          tuple(a + b for a, b in zip(self.partials, o.partials)))
+        if not isinstance(other, DualScalar):
+            return DualScalar(self.value + other, tuple(a + 0.0 for a in self.partials))
+        return DualScalar(self.value + other.value,
+                          tuple(a + b for a, b in zip(self.partials, other.partials)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return DualScalar(self.value - o.value,
-                          tuple(a - b for a, b in zip(self.partials, o.partials)))
+        if not isinstance(other, DualScalar):
+            return DualScalar(self.value - other, tuple(a - 0.0 for a in self.partials))
+        return DualScalar(self.value - other.value,
+                          tuple(a - b for a, b in zip(self.partials, other.partials)))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return o.__sub__(self)
+        return DualScalar(other - self.value, tuple(0.0 - b for b in self.partials))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return DualScalar(self.value * o.value,
-                          tuple(self.value * b + a * o.value
-                                for a, b in zip(self.partials, o.partials)))
+        if not isinstance(other, DualScalar):
+            z = self.value * 0.0
+            return DualScalar(self.value * other, tuple(z + a * other for a in self.partials))
+        return DualScalar(self.value * other.value,
+                          tuple(self.value * b + a * other.value
+                                for a, b in zip(self.partials, other.partials)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        inv = 1.0 / o.value
+        if not isinstance(other, DualScalar):
+            inv = 1.0 / other
+            val = self.value * inv
+            z = val * 0.0
+            return DualScalar(val, tuple((a - z) * inv for a in self.partials))
+        inv = 1.0 / other.value
         val = self.value * inv
         return DualScalar(val,
                           tuple((a - val * b) * inv
-                                for a, b in zip(self.partials, o.partials)))
+                                for a, b in zip(self.partials, other.partials)))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.__truediv__(self)
+        inv = 1.0 / self.value
+        val = other * inv
+        return DualScalar(val, tuple((0.0 - val * b) * inv for b in self.partials))
 
     def __pow__(self, n):
         if isinstance(n, int) or (isinstance(n, float) and n.is_integer()):

@@ -84,8 +84,9 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
     if kind == "identity":
         if d1 != d2:
             raise ParseError(f"{where}: identity map needs equal block dims")
+        eye = np.eye(d1).tolist()
         return GluingMap(lambda y: list(y), lambda z: list(z),
-                         jacobian=lambda y, d=d1: np.eye(d).tolist())
+                         jacobian=lambda y: eye, inverse_jacobian=lambda z: eye)
     if kind == "affine":
         mat = np.asarray(spec["matrix"], dtype=float)
         off = np.asarray(spec.get("offset", [0.0] * d2), dtype=float)
@@ -93,6 +94,8 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
             raise ParseError(f"{where}: affine matrix must be {d2}x{d1}")
         if off.shape != (d2,):
             raise ParseError(f"{where}: affine offset must have {d2} entries")
+        if not (np.isfinite(mat).all() and np.isfinite(off).all()):
+            raise ParseError(f"{where}: affine matrix and offset must be finite")
         inv = np.linalg.inv(mat) if d1 == d2 else None
         if inv is None:
             raise ParseError(f"{where}: affine gluing needs square matrix")
@@ -105,13 +108,15 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
             return [sum(m[i][j] * (z[j] - o[j]) for j in range(len(z)))
                     for i in range(m.shape[0])]
 
-        return GluingMap(forward, inverse, jacobian=lambda y, m=mat: m.tolist())
+        return GluingMap(forward, inverse, jacobian=lambda y, m=mat.tolist(): m,
+                         inverse_jacobian=lambda z, m=inv.tolist(): m)
     if kind == "cubic":
         if d1 != 1 or d2 != 1:
             raise ParseError(f"{where}: cubic map is one-dimensional")
         return GluingMap(lambda y: [y[0] ** 3],
                          lambda z: [_cbrt(z[0])],
-                         jacobian=lambda y: [[3.0 * y[0] ** 2]])
+                         jacobian=lambda y: [[3.0 * y[0] ** 2]],
+                         inverse_jacobian=lambda z: [[1.0 / (3.0 * _cbrt(z[0]) ** 2)]])
     raise ParseError(f"{where}: unknown map kind {kind!r}")
 
 
@@ -268,7 +273,7 @@ def _section(where: str):
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

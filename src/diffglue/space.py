@@ -111,12 +111,14 @@ class GluingMap:
 
     The forward and inverse formulas must stay valid on the whole block:
     the verification suites push block-1 test data through f when building
-    compatible families.  ``jacobian(y)`` is J_f(y), dim2 rows of dim1 entries.
+    compatible families.  ``jacobian(y)`` is J_f(y), dim2 rows of dim1 entries,
+    and ``inverse_jacobian(z)`` is J_{f^-1}(z), dim1 rows of dim2 entries.
     """
 
     forward: Callable
     inverse: Callable
     jacobian: Callable
+    inverse_jacobian: Callable
 
 
 @dataclass(frozen=True)
@@ -370,6 +372,7 @@ def build_glued_space(block1, block2, locus, f, flags=None,
                 raise NotADiffeomorphism("open-subdomain gluing needs square Jacobian")
             if abs(np.linalg.det(j)) <= 1e-10:
                 raise NotADiffeomorphism(f"Jacobian of f singular at locus point {y}")
+            _check_inverse_jacobian(space, y)
     elif locus.kind == "submanifold":
         k = locus.param_dim
         if k >= block1.dim:
@@ -380,7 +383,17 @@ def build_glued_space(block1, block2, locus, f, flags=None,
                 raise ValidationError(f"parametrization Jacobian rank-deficient at {y}")
             if np.linalg.matrix_rank(frames.t2, tol=1e-10) < k:
                 raise NotADiffeomorphism(f"pushforward frame rank-deficient at {y}")
+            _check_inverse_jacobian(space, y)
     return space
+
+
+def _check_inverse_jacobian(space: GluedSpace, y) -> None:
+    """J_f(y) @ J_{f^-1}(f(y)) must be the identity, within EPS_NUM scaled by both sizes."""
+    j = space.f_jacobian(y)
+    inv = np.asarray(space.f.inverse_jacobian(list(space.map_forward(y))), dtype=float)
+    tol = EPS_NUM * (1.0 + np.abs(j).max() * np.abs(inv).max(initial=0.0))
+    if inv.shape != j.shape[::-1] or not np.abs(j @ inv - np.eye(len(j))).max() <= tol:
+        raise NotADiffeomorphism(f"J_f and J_f^-1 disagree at locus point {y}")
 
 
 def classify_point(space: GluedSpace, which: int, coords) -> GluedPoint:

@@ -23,7 +23,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 def identity_map():
     return dg.GluingMap(lambda y: list(y), lambda z: list(z),
-                        lambda y: np.eye(len(y)).tolist())
+                        lambda y: np.eye(len(y)).tolist(),
+                        lambda z: np.eye(len(z)).tolist())
 
 
 @pytest.fixture
@@ -93,6 +94,29 @@ def test_map_jacobian_matches_the_engine(spec, dim, engine):
     for y in ([0.7, -1.3][:dim], [-2.0, 0.4][:dim]):
         exact = np.asarray(f.jacobian(list(y)), dtype=float)
         assert np.array_equal(exact, _primal(engine.jacobian(f.forward, list(y))))
+
+
+def test_pushforward_form_on_identity_map_inverts_no_matrix(monkeypatch, engine):
+    # the map carries J_{f^-1}, so pushing a form through it inverts nothing,
+    # on float points and on the seeded duals of a Jacobian
+    from diffglue import connection, numerics
+    calls = []
+    for mod in (connection, numerics):
+        original = mod.invert_matrix_generic
+        monkeypatch.setattr(mod, "invert_matrix_generic",
+                            lambda rows, _f=original: calls.append(rows) or _f(rows))
+    plane = lambda n: dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], n)
+    locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0, 0.5), (-0.5, -1.0)])
+    f = parse_map({"kind": "identity"}, 2, 2, "map")
+    space = dg.build_glued_space(plane("p1"), plane("p2"), locus, f,
+                                 dg.HypothesisFlags(True, True))
+    s1 = dg.BlockForm(space.block1, lambda x: [x[0] * x[1], 2.0 * x[0]])
+    s2 = pushforward_form(space, s1)
+    for z in ((-1.0, 0.5), (0.3, 2.0)):
+        assert s2.at(z) == pytest.approx(s1.at(z), abs=0.0)
+        assert _primal(engine.jacobian(s2, list(z))) == pytest.approx(
+            _primal(engine.jacobian(s1, list(z))), abs=0.0)
+    assert calls == []
 
 
 def test_pushforward_form_through_affine_map():

@@ -16,7 +16,8 @@ def line(name="line", seeds=((1.0,), (-1.0,), (-2.5,))):
 
 def identity_map():
     return dg.GluingMap(lambda y: list(y), lambda z: list(z),
-                        lambda y: np.eye(len(y)).tolist())
+                        lambda y: np.eye(len(y)).tolist(),
+                        lambda z: np.eye(len(z)).tolist())
 
 
 @pytest.fixture

@@ -13,7 +13,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 def identity_map():
     return dg.GluingMap(lambda y: list(y), lambda z: list(z),
-                        lambda y: np.eye(len(y)).tolist())
+                        lambda y: np.eye(len(y)).tolist(),
+                        lambda z: np.eye(len(z)).tolist())
 
 
 @pytest.fixture

@@ -1,16 +1,18 @@
 """Dual-number arithmetic, gradients, and the dual/fd cross-check."""
 
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffglue.errors import ModesDisagree, OutsideDomain, SingularGram
+from diffglue.fields import PolyField, random_poly
 from diffglue.numerics import (TOLERANCES, DiffConfig, DiffEngine, DualScalar,
-                               SamplePlan, _primal, exp, invert_matrix_generic)
+                               SamplePlan, _primal, _seeds, exp, invert_matrix_generic)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -72,6 +74,99 @@ def test_primal_scalars_and_nests():
         expect = np.asarray(nest, dtype=object)
         assert out.dtype == np.float64 and out.shape == expect.shape
         assert all(out[i] == _primal(v) for i, v in np.ndenumerate(expect))
+
+
+# -- bit identity of the scalar kernel ---------------------------------------
+
+# any double, with signed zeros, NaN and infinities drawn often
+reals = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                   -1.5, 2.0]),
+                  st.floats())
+
+
+@st.composite
+def duals(draw):
+    """A dual with 1-3 partials whose coefficients may be duals of one width."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    coeff = reals
+    if m:
+        coeff = st.one_of(reals, st.builds(DualScalar, reals, st.tuples(*[reals] * m)))
+    return DualScalar(draw(coeff), draw(st.tuples(*[coeff] * n)))
+
+
+def bits(v):
+    """Bit pattern of a generic value, so that -0.0 != 0.0.  Every NaN reads
+    as one: CPython picks the sign of ``nan * -nan`` differently once it has
+    specialized the operation, so a NaN's sign and payload are not stable."""
+    if isinstance(v, DualScalar):
+        return (bits(v.value), tuple(bits(p) for p in v.partials))
+    return b"nan" if v != v else struct.pack("d", v)
+
+
+def outcome(op, *args):
+    try:
+        return bits(op(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# op on a float operand -> the same op on its constant dual, as the coerced
+# path computed it (``x + u`` evaluated as ``u + const``, ``x - u`` as ``const - u``)
+KERNEL_OPS = {
+    "add": (lambda u, x: u + x, lambda u, c: u + c),
+    "radd": (lambda u, x: x + u, lambda u, c: u + c),
+    "sub": (lambda u, x: u - x, lambda u, c: u - c),
+    "rsub": (lambda u, x: x - u, lambda u, c: c - u),
+    "mul": (lambda u, x: u * x, lambda u, c: u * c),
+    "rmul": (lambda u, x: x * u, lambda u, c: u * c),
+    "truediv": (lambda u, x: u / x, lambda u, c: u / c),
+    "rtruediv": (lambda u, x: x / u, lambda u, c: c / u),
+}
+
+
+@settings(max_examples=300)
+@given(u=duals(), x=reals)
+@example(u=DualScalar(1.0, (-0.0,)), x=0.0)
+@example(u=DualScalar(math.inf, (2.0,)), x=0.0)
+@example(u=DualScalar(DualScalar(-0.0, (-0.0,)), (DualScalar(math.nan, (1.0,)),)), x=-3.0)
+def test_float_operand_fast_path_is_bit_identical(u, x):
+    const = DualScalar(x, (0.0,) * len(u.partials))
+    for name, (fast, coerced) in KERNEL_OPS.items():
+        assert outcome(fast, u, x) == outcome(coerced, u, const), name
+
+
+def exponent_loop(poly, coords):
+    """PolyField evaluation as the per-axis exponent loop it replaced."""
+    total = 0.0
+    for exps, c in poly.coeffs.items():
+        term = c
+        for x, e in zip(coords, exps):
+            for _ in range(e):
+                term = term * x
+        total = total + term
+    return total
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * dim), reals, max_size=6),
+    st.lists(reals, min_size=dim, max_size=dim))))
+def test_poly_field_matches_the_exponent_loop(case):
+    coeffs, coords = case
+    poly = PolyField(len(coords), coeffs)
+    assert bits(poly(coords)) == bits(exponent_loop(poly, coords))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_poly_field_matches_the_exponent_loop_on_seeded_duals(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        poly = random_poly(rng, dim)
+        coords = [float(c) for c in rng.uniform(-2.0, 2.0, dim)]
+        seeds = _seeds(coords)
+        nested = _seeds(seeds)   # duals of duals, as nested engine calls give
+        for x in (coords, seeds, nested):
+            assert bits(poly(x)) == bits(exponent_loop(poly, x))
 
 
 def test_gradient_cubic():

@@ -45,12 +45,15 @@ def test_chart_axes_must_be_distinct():
         parse_locus(spec, 3, "space.locus")
 
 
-def test_malformed_yaml_reports_location(tmp_path):
+def test_malformed_yaml_reports_location(tmp_path, capsys):
+    # a truncated flow sequence: the parser's mark survives the C loader
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nspace: [unclosed\n")
     with pytest.raises(ParseError) as err:
         load_scenario(bad)
-    assert "line" in str(err.value)
+    assert "invalid YAML (line 3, column 1)" in str(err.value)
+    assert main(["run", str(bad)]) == 2
+    assert "invalid YAML (line 3, column 1)" in capsys.readouterr().err
 
 
 def test_unknown_suite_rejected(tmp_path):
@@ -173,6 +176,22 @@ def test_run_builds_each_scenario_quantity_once(monkeypatch):
     assert main(["run", str(fixture_path("plane_axis_gluing"))]) == 0
     assert counts == {"koszul_solve": 2, "compatible_section_pairs": 1,
                       "check_connections_compatible": 1}
+
+
+@pytest.mark.parametrize("suite", ["leibniz", "bracket-split"])
+def test_each_probe_function_is_validated_once_per_suite(monkeypatch, suite):
+    from diffglue.forms import GluedFunction
+    families, validated = [], []
+    family = cx.glued_function_family
+    validate = GluedFunction.validate
+    monkeypatch.setattr(cx, "glued_function_family",
+                        lambda *a: families.append(family(*a)) or families[-1])
+    monkeypatch.setattr(GluedFunction, "validate",
+                        lambda self: validated.append(self) or validate(self))
+    assert main(["run", str(fixture_path("plane_axis_gluing")), "--suite", suite]) == 0
+    functions, = families
+    assert len(functions) == 8
+    assert [id(h) for h in validated] == [id(h) for h in functions]
 
 
 def test_inheritance_glues_koszul_factors_not_the_scenario_connections(tmp_path):
@@ -322,6 +341,14 @@ def _long_affine_offset(doc):
     _affine_map(doc, [1.0, 2.0])
 
 
+def _nan_affine_matrix(doc):
+    doc["space"]["map"] = {"kind": "affine", "matrix": [[float("nan")]], "offset": [0.0]}
+
+
+def _infinite_affine_offset(doc):
+    _affine_map(doc, [float("inf")])
+
+
 def _negative_exponent(doc):
     _as_plane_axis(doc)["metrics"]["g1"]["entries"]["0,0"]["-1,0"] = 1.0
 
@@ -334,7 +361,8 @@ def _negative_exponent(doc):
                                     _chart_axis_negative, _domain_axis_too_big,
                                     _metric_key_too_big, _christoffel_key_too_big,
                                     _negative_exponent, _empty_affine_offset,
-                                    _scalar_affine_offset, _long_affine_offset])
+                                    _scalar_affine_offset, _long_affine_offset,
+                                    _nan_affine_matrix, _infinite_affine_offset])
 def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     import yaml
     doc = load_scenario(fixture_path("halfline_curved")).raw

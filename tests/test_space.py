@@ -13,7 +13,8 @@ def line(name="line", seeds=((1.5,), (-1.0,))):
 
 def identity_map():
     return dg.GluingMap(lambda y: list(y), lambda z: list(z),
-                        lambda y: np.eye(len(y)).tolist())
+                        lambda y: np.eye(len(y)).tolist(),
+                        lambda z: np.eye(len(z)).tolist())
 
 
 @pytest.fixture
@@ -41,7 +42,8 @@ def test_cubic_gluing_rejected():
     locus = dg.OpenSubdomainLocus(lambda x: -1.0 < x[0] < 1.0,
                                   [(-0.5,), (0.0,), (0.5,)])
     cbrt = lambda z: [abs(z[0]) ** (1 / 3) * (1 if z[0] >= 0 else -1)]
-    f = dg.GluingMap(lambda y: [y[0] ** 3], cbrt, lambda y: [[3.0 * y[0] ** 2]])
+    f = dg.GluingMap(lambda y: [y[0] ** 3], cbrt, lambda y: [[3.0 * y[0] ** 2]],
+                     lambda z: [[1.0 / (3.0 * cbrt(z)[0] ** 2)]])
     with pytest.raises(dg.NotADiffeomorphism):
         dg.build_glued_space(line("c1", ((1.5,), (-1.5,))),
                              line("c2", ((1.5,), (-1.5,))),
@@ -49,7 +51,8 @@ def test_cubic_gluing_rejected():
 
 
 def test_broken_roundtrip_rejected():
-    f = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0]], lambda y: [[1.0]])
+    f = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0]], lambda y: [[1.0]],
+                     lambda z: [[1.0]])
     with pytest.raises(dg.NotADiffeomorphism):
         dg.build_glued_space(line(), line(), dg.PointSetLocus([(0.0,)]), f,
                              dg.HypothesisFlags(True, True))
@@ -136,7 +139,7 @@ def test_gluing_consistency(halfline):
 
 def test_sides_lists_each_block_side_block1_first():
     shift = dg.GluingMap(lambda y: [y[0] + 1.0], lambda z: [z[0] - 1.0],
-                         lambda y: [[1.0]])
+                         lambda y: [[1.0]], lambda z: [[1.0]])
     space = dg.build_glued_space(line("s1"), line("s2"), dg.PointSetLocus([(0.0,)]),
                                  shift)
     assert dg.classify_point(space, 1, (3.0,)).sides == ((1, (3.0,)),)
@@ -193,6 +196,32 @@ def test_region_samples_classify_each_point_once(halfline, monkeypatch):
         again["block1"].append(again["block2"][0])
 
 
+def _with_inverse_jacobian(inverse_jacobian):
+    return dg.GluingMap(lambda y: list(y), lambda z: list(z),
+                        lambda y: np.eye(len(y)).tolist(), inverse_jacobian)
+
+
+@pytest.mark.parametrize("inverse_jacobian", [
+    lambda z: [[2.0, 0.0], [0.0, 1.0]],      # wrong entry
+    lambda z: [[1.0, 0.0]],                   # wrong shape
+    lambda z: [[float("nan"), 0.0], [0.0, 1.0]],
+])
+@pytest.mark.parametrize("kind", ["open_subdomain", "submanifold"])
+def test_inverse_jacobian_disagreeing_with_jacobian_is_rejected(kind, inverse_jacobian):
+    # J_f(y) @ J_{f^-1}(f(y)) = I is checked at every locus sample, so the
+    # two Jacobians of a gluing map cannot silently disagree
+    plane = dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], "p")
+    if kind == "open_subdomain":
+        locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0, 0.5)])
+    else:
+        locus = dg.SubmanifoldLocus(1, lambda t: [t[0], 0.0], lambda x: [x[0]], [(-1.0,)])
+    flags = dg.HypothesisFlags(True, True)
+    dg.build_glued_space(plane, plane, locus, identity_map(), flags)
+    with pytest.raises(dg.NotADiffeomorphism, match="J_f and J_f\\^-1 disagree"):
+        dg.build_glued_space(plane, plane, locus, _with_inverse_jacobian(inverse_jacobian),
+                             flags)
+
+
 def test_submanifold_locus_frames():
     plane = dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], "p")
     locus = dg.SubmanifoldLocus(1, lambda t: [t[0], 0.0], lambda x: [x[0]],
@@ -229,7 +258,7 @@ def test_in_glued_image_lets_programming_errors_through():
         return list(z)
 
     locus = dg.OpenSubdomainLocus(lambda x: x[0] < 0.0, [(-1.0,), (-0.5,)])
-    f = dg.GluingMap(lambda y: list(y), inverse, lambda y: [[1.0]])
+    f = dg.GluingMap(lambda y: list(y), inverse, lambda y: [[1.0]], lambda z: [[1.0]])
     space = dg.build_glued_space(line("b1", ((-1.0,), (-2.5,))),
                                  line("b2", ((-1.0,), (-2.5,))),
                                  locus, f, dg.HypothesisFlags(True, True))
