@@ -55,7 +55,7 @@ def run_command(args) -> int:
     results = []
     diagnostic = {"status": "skipped"}
     try:
-        ctx = build_context(scenario, mode=mode, seed=args.seed)
+        ctx = build_context(scenario, mode=mode, seed=args.seed, prime_koszul=True)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

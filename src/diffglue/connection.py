@@ -30,8 +30,9 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     coordinate_form, pair_residual, rho_pair_inverse,
                     zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import (EPS_NUM, DiffEngine, invert_matrix_generic, nan_first, _dot,
-                       _primal)
+from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
+                       float_semantics, invert_matrix_generic, nan_first, point_count,
+                       _dot, _over_points, _primal)
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
@@ -180,7 +181,7 @@ def torsion_dual_block(C: BlockConnection, t: Callable, u: Callable,
 
 # -- Koszul solver ------------------------------------------------------------
 
-def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
+def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> BlockConnection:
     """Unique symmetric metric-compatible connection, by the Koszul identity.
 
     Evaluates the Koszul right-hand side on the coordinate dual frame (the
@@ -190,20 +191,23 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
 
     The closure keeps its value at each float point (at most MEMO_POINTS, then
     it starts over) as an immutable tuple nest, exactly: Gamma at a point
-    depends only on the metric there.  Dual inputs are solved afresh.
+    depends only on the metric there.  Dual inputs are solved afresh.  The
+    float ``points`` are solved here, in one pass of the same solve over
+    their coordinate arrays, which gives each point the bits of its own
+    solve; if that pass raises, they are left to be solved one at a time,
+    so an error surfaces at the point that causes it.
     """
     block = g.block
     d = block.dim
 
-    # coordinate dual-frame brackets must vanish; assert rather than trust
+    # coordinate dual-frame brackets must vanish at the seeds; assert rather than trust
     frame = [coordinate_form(block, a) for a in range(d)]
-    for seed in block.seed_points:
-        for a in range(d):
-            for b in range(d):
-                br = lie_bracket_dual_block(frame[a], frame[b], engine, block)
-                vals = [abs(_primal(c)) for c in br(list(seed))]
-                if max(vals) > EPS_NUM:
-                    raise ValidationError("coordinate-frame bracket failed to vanish")
+    seeds = coordinate_arrays(block.seed_points)
+    for a in range(d):
+        for b in range(d):
+            br = lie_bracket_dual_block(frame[a], frame[b], engine, block)
+            if np.max(np.abs(_over_points(br(seeds), len(block.seed_points)))) > EPS_NUM:
+                raise ValidationError("coordinate-frame bracket failed to vanish")
 
     def dual_gram(x):
         """Dual-side Gram, flattened row-major: entry (b, c) at b * d + c."""
@@ -234,6 +238,17 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine) -> BlockConnection:
             memo[key] = tuple(tuple(map(tuple, plane)) for plane in solve(x))
         return memo[key]
 
+    keys = list(dict.fromkeys(tuple(map(float, p)) for p in points))[:MEMO_POINTS]
+    if keys:
+        try:
+            with float_semantics():
+                gamma = _over_points(solve(coordinate_arrays(keys)), len(keys))
+        except OVER_POINTS_ERRORS:
+            pass
+        else:
+            for key, value in zip(keys, np.moveaxis(gamma, -1, 0).tolist()):
+                memo[key] = tuple(tuple(map(tuple, plane)) for plane in value)
+
     return BlockConnection(block, christoffel)
 
 
@@ -243,7 +258,10 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
     Gamma^k_{ij} = 1/2 sum_l G_dual^{-1}[k,l] (d_i Gd[j,l] + d_j Gd[i,l]
     - d_l Gd[i,j]) with the dual-Gram derivatives taken analytically through
     the inverse: dGd = -Gd (dGram) Gd.  Float-only; this is the independent
-    cross-check route for koszul_solve.
+    cross-check route for koszul_solve.  The returned field takes one point,
+    giving a (d, d, d) array, or coordinate arrays over points, giving one
+    such array per point: the Gram and its Jacobian are evaluated once over
+    the points, and the algebra above runs on each point's matrices.
     """
     block = g.block
     d = block.dim
@@ -251,11 +269,10 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
     def gram_flat(x):
         return [v for row in g.gram_generic(x) for v in row]
 
-    def christoffel(x):
-        gram = g.gram(x)
+    def at_point(gram, jac):
         gd = np.linalg.inv(gram)
         # dgram[a, i, j] = d_a Gram[i, j]
-        dgram = _primal(engine.jacobian(gram_flat, x, within=block.contains)).T.reshape(d, d, d)
+        dgram = jac.T.reshape(d, d, d)
         dgd = np.empty((d, d, d))
         for a in range(d):
             dgd[a] = -gd @ dgram[a] @ gd
@@ -266,6 +283,16 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
                                 for l in range(d)])
                 gamma[:, i, j] = 0.5 * (gram @ rhs)
         return gamma
+
+    def christoffel(x):
+        count = point_count(x)
+        with float_semantics():
+            grams = _over_points(g.gram_generic(x), count or 1)
+            jacs = _over_points(engine.jacobian(gram_flat, x, within=block.contains), count or 1)
+        # one C-ordered matrix per point, as a single point's evaluation gives
+        out = [at_point(gram, jac) for gram, jac in
+               zip(np.moveaxis(grams, -1, 0).copy(), np.moveaxis(jacs, -1, 0).copy())]
+        return out[0] if count is None else np.array(out)
 
     return christoffel
 

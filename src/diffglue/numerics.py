@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ModesDisagree, OutsideDomain, SingularGram
+from .errors import DiffglueError, ModesDisagree, OutsideDomain, SingularGram
 
 # Library-wide numeric constants.
 EPS_NUM = 1e-9          # round-trip / membership tolerance
@@ -57,22 +57,17 @@ TOLERANCES = {
 class DualScalar:
     """First-order dual number ``value + sum_i partials[i] * eps_i``.
 
-    Coefficients are generic Python numbers; a partial may itself be a
-    DualScalar, which gives exact second derivatives when engines nest.
+    Coefficients are generic Python numbers, or float arrays holding one
+    value per point (see :func:`coordinate_arrays`); a partial may itself be
+    a DualScalar, which gives exact second derivatives when engines nest.
     """
 
     __slots__ = ("value", "partials")
+    __array_ufunc__ = None   # ``ndarray op dual`` defers to the dual's reflected method
 
     def __init__(self, value, partials):
         self.value = value
         self.partials = tuple(partials)
-
-    @property
-    def float_value(self) -> float:
-        v = self.value
-        while isinstance(v, DualScalar):
-            v = v.value
-        return float(v)
 
     # -- arithmetic ----------------------------------------------------
     # A non-dual operand takes a fast path doing the float operations of its constant
@@ -133,8 +128,8 @@ class DualScalar:
                 out = out * self
             return out
         # real exponent: value must stay positive along the evaluation
-        base = self.value ** n
-        scale = n * self.value ** (n - 1.0)
+        base = _pow(self.value, n)
+        scale = n * _pow(self.value, n - 1.0)
         return DualScalar(base, tuple(scale * p for p in self.partials))
 
     def __neg__(self):
@@ -146,16 +141,16 @@ class DualScalar:
 
     # comparisons act on the primal value (used for pivoting and branching)
     def __lt__(self, other):
-        return self.float_value < _primal(other)
+        return _primal(self) < _primal(other)
 
     def __gt__(self, other):
-        return self.float_value > _primal(other)
+        return _primal(self) > _primal(other)
 
     def __le__(self, other):
-        return self.float_value <= _primal(other)
+        return _primal(self) <= _primal(other)
 
     def __ge__(self, other):
-        return self.float_value >= _primal(other)
+        return _primal(self) >= _primal(other)
 
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r})"
@@ -164,13 +159,19 @@ class DualScalar:
 def _primal(x):
     """Float value of a generic value: the one place where one becomes a float.
 
-    A scalar gives a Python float (the primal part of a dual); a list or
-    tuple nest gives a float ndarray of the same shape.
+    A scalar gives a Python float (the primal part of a dual) and a value
+    over points (a float array, or a dual with one as its primal) a float
+    ndarray; a list or tuple nest of scalars gives a float ndarray of the
+    same shape (see :func:`_over_points` for nests of values over points).
     """
     if type(x) is float:    # the common case, e.g. pivots in invert_matrix_generic
         return x
     if isinstance(x, DualScalar):
-        return x.float_value
+        while isinstance(x, DualScalar):
+            x = x.value
+        return x if isinstance(x, np.ndarray) else float(x)
+    if isinstance(x, np.ndarray):
+        return x
     if isinstance(x, (list, tuple)):
         try:
             return np.array(x, dtype=float)
@@ -182,8 +183,90 @@ def _primal(x):
 _primal_entries = np.frompyfunc(_primal, 1, 1)
 
 
-def _sign(x) -> float:
+# -- values over points ----------------------------------------------------
+#
+# Generic arithmetic works elementwise when each coordinate is a float array
+# over points, so one evaluation of a field on coordinate arrays gives its
+# value at every point: a dual's value and partials become arrays, and an
+# entry that does not depend on the point stays a plain float.  Every
+# floating-point operation is the one the scalar path does at that point,
+# so each point's value is bit-identical to evaluating it alone.
+
+def coordinate_arrays(points) -> list:
+    """One float array per axis, over ``points`` (a sequence of coordinate tuples)."""
+    return list(np.array(points, dtype=float).T.copy())
+
+
+def point_count(coords):
+    """Number of points that coordinate arrays run over; None for one point."""
+    c = coords[0]
+    return len(c) if isinstance(c, np.ndarray) else None
+
+
+def _each_point(coords) -> list:
+    """The points of ``coords`` as lists of floats (``coords`` itself for one point)."""
+    if point_count(coords) is None:
+        return [coords]
+    return np.array(coords, dtype=float).T.tolist()
+
+
+def _over_points(x, count: int) -> np.ndarray:
+    """Primal of a generic nest evaluated over ``count`` points, point axis
+    last; an entry that stayed a plain float is repeated over the points."""
+    shape, leaves = (), [x]
+    while isinstance(leaves[0], (list, tuple)):
+        shape += (len(leaves[0]),)
+        leaves = [v for nest in leaves for v in nest]
+    out = np.empty((len(leaves), count))
+    for i, v in enumerate(leaves):
+        out[i] = _primal(v)
+    return out.reshape(shape + (count,))
+
+
+# What a pass over points can raise where evaluating the points one at a time
+# raises elsewhere or not at all: an error met at a later point than the first
+# failing one, or a field that branches on its coordinates or takes floats
+# only.  A caller that catches one does the work point by point instead.
+OVER_POINTS_ERRORS = (DiffglueError, ArithmeticError, ValueError, TypeError)
+
+
+def float_semantics():
+    """numpy error handling for evaluations over points: a division by zero,
+    an overflow or an invalid operation raises FloatingPointError (an
+    ArithmeticError), so a pass over finite inputs makes no inf or NaN.  Python
+    floats raise on some of these and not on others (``0.0 / 0.0`` raises,
+    ``1e308 * 10`` is inf), and numpy does not flag ``inf / 0`` or ``nan / 0``
+    as Python does; a caller that catches the error evaluates point by point."""
+    return np.errstate(divide="raise", over="raise", invalid="raise", under="ignore")
+
+
+def _elementwise(f, *args) -> np.ndarray:
+    """``f`` applied point by point to float arrays as Python floats, so each
+    point's bits are those of the scalar call (numpy's exp and power are not)."""
+    return np.frompyfunc(f, len(args), 1)(*args).astype(float)
+
+
+def _pow(v, n):
+    return _elementwise(pow, v, n) if isinstance(v, np.ndarray) else v ** n
+
+
+def _first_max(values, key=None):
+    """``(index, max(values, key=key))`` taken elementwise over arrays: a later
+    value replaces the running one only where it ranks strictly higher, as in
+    Python's max; ``key`` is None or :func:`nan_first`."""
+    index, best = 0, values[0]
+    for i, v in enumerate(values[1:], 1):
+        better = v > best
+        if key is nan_first:
+            better = better | ((v != v) & (best == best))
+        index, best = np.where(better, i, index), np.where(better, v, best)
+    return index, best
+
+
+def _sign(x):
     v = _primal(x)
+    if isinstance(v, np.ndarray):
+        return np.where(v == 0.0, 0.0, np.copysign(1.0, v))
     return 0.0 if v == 0.0 else math.copysign(1.0, v)
 
 
@@ -193,7 +276,7 @@ def _unary(x, f, df):
         base = _unary(x.value, f, df)
         scale = df(x.value)
         return DualScalar(base, tuple(scale * p for p in x.partials))
-    return f(x)
+    return _elementwise(f, x) if isinstance(x, np.ndarray) else f(x)
 
 
 def exp(x):
@@ -224,12 +307,26 @@ def invert_matrix_generic(rows):
     """Invert a square matrix given as nested lists of generic scalars.
 
     Gauss-Jordan with partial pivoting on primal magnitude.  Entries may be
-    floats or DualScalar, so derivatives flow through the inversion.
+    floats or DualScalar, so derivatives flow through the inversion.  Entries
+    over points invert every point's matrix in one pass where all points take
+    the same steps, and point by point otherwise (see
+    :func:`_invert_over_points`).
     """
     n = len(rows)
     a = [list(r) for r in rows]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    scale = max((abs(_primal(a[i][j])) for i in range(n) for j in range(n)), default=0.0)
+    try:
+        scale = max((abs(_primal(a[i][j])) for i in range(n) for j in range(n)), default=0.0)
+    except ValueError:      # entries over points: an array has no truth value
+        scale = None
+    if type(scale) is not float:
+        try:
+            return _invert_over_points(a, inv)
+        except _StepsDiffer:
+            count = next(len(_primal(v)) for row in rows for v in row
+                         if isinstance(_primal(v), np.ndarray))
+            return _stack_points([invert_matrix_generic(_at_point(rows, k))
+                                  for k in range(count)])
     if scale == 0.0:
         raise SingularGram("zero matrix")
     for col in range(n):
@@ -245,11 +342,83 @@ def invert_matrix_generic(rows):
             if r == col:
                 continue
             m = a[r][col]
-            if isinstance(m, (int, float)) and m == 0.0:
+            if not isinstance(m, DualScalar) and m == 0.0:
                 continue
             a[r] = [x - m * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - m * y for x, y in zip(inv[r], inv[col])]
     return inv
+
+
+class _StepsDiffer(Exception):
+    """Points of a batch take different pivot rows or zero-multiplier skips."""
+
+
+def _invert_over_points(a, inv):
+    """Gauss-Jordan on entries over points, doing each point's scalar steps.
+
+    Each step is the scalar loop's, taken by every point at once, so it
+    applies only while every point picks the same pivot row and skips the
+    same zero multipliers; otherwise it raises _StepsDiffer and the caller
+    inverts point by point.  A singular pivot at any point raises
+    SingularGram.
+    """
+    n = len(a)
+    _, scale = _first_max([abs(_primal(x)) for row in a for x in row])
+    if np.any(scale == 0.0):
+        raise SingularGram("zero matrix")
+    for col in range(n):
+        piv, best = _first_max([abs(_primal(a[r][col])) for r in range(col, n)])
+        if np.any(best <= 1e-14 * scale):
+            raise SingularGram(f"singular pivot in column {col}")
+        piv = col + _uniform(piv)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        inv[col] = [x / d for x in inv[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            m = a[r][col]
+            if not isinstance(m, DualScalar) and _uniform(m == 0.0):
+                continue
+            a[r] = [x - m * y for x, y in zip(a[r], a[col])]
+            inv[r] = [x - m * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def _uniform(v):
+    """The one value an array holds at every point; raises _StepsDiffer if
+    points differ."""
+    v = np.asarray(v)
+    first = v.flat[0]
+    if np.any(v != first):
+        raise _StepsDiffer
+    return first.item()
+
+
+def _at_point(x, k: int):
+    """Generic nest at point ``k`` of a nest over points."""
+    if isinstance(x, (list, tuple)):
+        return [_at_point(v, k) for v in x]
+    if isinstance(x, DualScalar):
+        return DualScalar(_at_point(x.value, k), [_at_point(p, k) for p in x.partials])
+    return float(x[k]) if isinstance(x, np.ndarray) else x
+
+
+def _stack_points(nests: list):
+    """Nest over points from one generic nest per point (the inverse of
+    :func:`_at_point`); a float among duals becomes a constant dual."""
+    first = nests[0]
+    if isinstance(first, list):
+        return [_stack_points([v[i] for v in nests]) for i in range(len(first))]
+    duals = [v for v in nests if isinstance(v, DualScalar)]
+    if not duals:
+        return np.array(nests, dtype=float)
+    return DualScalar(
+        _stack_points([v.value if isinstance(v, DualScalar) else v for v in nests]),
+        [_stack_points([v.partials[i] if isinstance(v, DualScalar) else 0.0 for v in nests])
+         for i in range(len(duals[0].partials))])
 
 
 @dataclass(frozen=True)
@@ -297,11 +466,11 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    point: tuple
-    dual: tuple
-    fd: tuple
-    max_discrepancy: float
-    threshold: float
+    point: tuple                  # the coordinates (or coordinate arrays) checked
+    dual: np.ndarray              # (outputs, axes, points)
+    fd: np.ndarray
+    max_discrepancy: np.ndarray   # (outputs, points)
+    threshold: np.ndarray
 
 
 class DiffEngine:
@@ -342,13 +511,15 @@ class DiffEngine:
         h = self.config.fd_step
         n = len(coords)
         if within is not None:
-            for i in range(n):
-                for s in (+h, -h):
-                    probe = list(coords)
-                    probe[i] = probe[i] + s
-                    if not within(probe):
-                        raise OutsideDomain(
-                            f"fd stencil leaves the domain at {tuple(coords)} (axis {i})")
+            # domain predicates branch on floats, so the guard runs point by point
+            for x in _each_point(coords):
+                for i in range(n):
+                    for s in (+h, -h):
+                        probe = list(x)
+                        probe[i] = probe[i] + s
+                        if not within(probe):
+                            raise OutsideDomain(
+                                f"fd stencil leaves the domain at {tuple(x)} (axis {i})")
         stencils = []
         for i in range(n):
             up = list(coords)
@@ -361,22 +532,34 @@ class DiffEngine:
 
     # -- cross-check ----------------------------------------------------
     def fd_cross_check(self, field, coords, within=None) -> CrossCheckReport:
-        """Compare dual and central-difference gradients at one point.
+        """Compare dual and central-difference derivatives of a field.
 
-        Raises ModesDisagree when the discrepancy exceeds 10x the expected
-        finite-difference truncation error.
+        ``field`` is a scalar field or a vector field ``x -> [m scalars]``
+        (one output or m), and ``coords`` one point or coordinate arrays over
+        points.  Each output at each point is one check: its discrepancy is
+        its worst partial's, and it fails above 10x the expected
+        finite-difference truncation error.  Raises ModesDisagree for the
+        first failing output of the first point that has one.  The report's
+        ``max_discrepancy`` and ``threshold`` are (outputs, points) arrays,
+        ``dual`` and ``fd`` (outputs, axes, points) arrays.
         """
-        scalar = lambda x: (field(x),)
-        gd = [_primal(v) for v in self._jacobian_dual(scalar, coords)[0]]
-        gf = [_primal(v) for v in self._jacobian_fd(scalar, coords, within)[0]]
-        disc = max((abs(a - b) for a, b in zip(gd, gf)), key=nan_first)
+        value = field(list(coords))
+        vector = isinstance(value, (list, tuple))
+        mapping = field if vector else lambda x: (field(x),)
+        points = _each_point(coords)
+        value = _over_points(value if vector else (value,), len(points))
+        gd = _over_points(self._jacobian_dual(mapping, coords), len(points))
+        gf = _over_points(self._jacobian_fd(mapping, coords, within), len(points))
+        _, disc = _first_max(list(np.abs(gd - gf).swapaxes(0, 1)), key=nan_first)
+        _, top = _first_max(list(np.abs(gd).swapaxes(0, 1)))
+        _, scale = _first_max([1.0, np.abs(value), top])
         h = self.config.fd_step
-        scale = max(1.0, abs(_primal(field(list(coords)))), max(abs(v) for v in gd))
-        threshold = max(10.0 * h * h * scale, 1e-10)
-        report = CrossCheckReport(tuple(float(c) for c in coords),
-                                  tuple(gd), tuple(gf), disc, threshold)
-        if not disc <= threshold:
+        _, threshold = _first_max([10.0 * h * h * scale, 1e-10])
+        report = CrossCheckReport(tuple(coords), gd, gf, disc, threshold)
+        failed = np.argwhere(~(disc <= threshold).T)   # (point, output), point by point
+        if len(failed):
+            k, j = failed[0]
             raise ModesDisagree(
-                f"dual/fd gradients disagree by {disc:.3e} at {report.point} "
-                f"(threshold {threshold:.3e})")
+                f"dual/fd gradients disagree by {disc[j, k]:.3e} at {tuple(map(float, points[k]))} "
+                f"(threshold {threshold[j, k]:.3e})")
         return report

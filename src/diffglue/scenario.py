@@ -17,13 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .errors import ParseError, ValidationError
+from .errors import NotADiffeomorphism, ParseError, ValidationError
 from .fields import PolyField
 from .metric import BlockMetric, glue_metrics
 from .connection import (BlockConnection, glue_connections, koszul_solve,
                          zero_connection)
-from .numerics import DiffConfig, DiffEngine, SamplePlan
-from .space import (EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
+from .numerics import DiffConfig, DiffEngine, DualScalar, SamplePlan, _primal
+from .space import (LOCUS, EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
                     OpenSubdomainLocus, PointSetLocus, SubmanifoldLocus,
                     build_glued_space)
 from .suites import SUITES
@@ -76,7 +76,17 @@ def parse_domain(spec: dict, dim: int, where: str) -> Callable:
 
 
 def _cbrt(v):
+    """Real cube root (generic); its derivative is undefined at 0."""
+    if isinstance(v, DualScalar) and _primal(v) == 0.0:
+        raise NotADiffeomorphism("cubic gluing map: the inverse has no derivative at z = 0")
     return abs(v) ** (1.0 / 3.0) * (1.0 if v >= 0 else -1.0)
+
+
+def _cbrt_slope(z):
+    """J_{f^-1}(z) = 1 / (3 cbrt(z)^2) of the cubic map, undefined at z = 0."""
+    if _primal(z) == 0.0:
+        raise NotADiffeomorphism("cubic gluing map: J_{f^-1} is undefined at z = 0")
+    return 1.0 / (3.0 * _cbrt(z) ** 2)
 
 
 def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
@@ -116,7 +126,7 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
         return GluingMap(lambda y: [y[0] ** 3],
                          lambda z: [_cbrt(z[0])],
                          jacobian=lambda y: [[3.0 * y[0] ** 2]],
-                         inverse_jacobian=lambda z: [[1.0 / (3.0 * _cbrt(z[0]) ** 2)]])
+                         inverse_jacobian=lambda z: [[_cbrt_slope(z[0])]])
     raise ParseError(f"{where}: unknown map kind {kind!r}")
 
 
@@ -222,7 +232,9 @@ class Scenario:
 class ScenarioContext:
     """Built objects of a scenario.  Each derived object (a block's Koszul
     factor, the glued metric, the glued connection of a connection pair) is
-    built once; ``nabla1``/``nabla2`` are the Koszul factors unless set."""
+    built once; ``nabla1``/``nabla2`` are the Koszul factors unless set.
+    ``prime_koszul`` is set for a suite run, which asks a Koszul factor for
+    every sample point, and left unset for a point query."""
 
     scenario: Scenario
     space: GluedSpace
@@ -231,6 +243,7 @@ class ScenarioContext:
     n1_spec: Optional[BlockConnection]
     n2_spec: Optional[BlockConnection]
     engine: DiffEngine
+    prime_koszul: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
 
     def _once(self, key, build: Callable):
@@ -239,9 +252,18 @@ class ScenarioContext:
         return self._memo[key]
 
     def koszul(self, which: int) -> BlockConnection:
-        """Levi-Civita connection of block ``which``'s metric."""
-        g = (self.g1, self.g2)[which - 1]
-        return self._once(("koszul", which), lambda: koszul_solve(g, self.engine))
+        """Levi-Civita connection of block ``which``'s metric.  With
+        ``prime_koszul`` set, it is solved when built at the suites' sample
+        points of the block: its grid and its side of each locus sample."""
+        def build():
+            points = []
+            if self.prime_koszul:
+                points = self.space.block_grid(which) + [
+                    x for p in self.space.region_samples()[LOCUS] for w, x in p.sides
+                    if w == which]
+            return koszul_solve((self.g1, self.g2)[which - 1], self.engine, points)
+
+        return self._once(("koszul", which), build)
 
     @property
     def nabla1(self) -> BlockConnection:
@@ -306,8 +328,9 @@ def load_scenario(path) -> Scenario:
 
 
 def build_context(scenario: Scenario, mode: Optional[str] = None,
-                  seed: Optional[int] = None) -> ScenarioContext:
-    """Construct the space and block-level objects of a scenario."""
+                  seed: Optional[int] = None, prime_koszul: bool = False) -> ScenarioContext:
+    """Construct the space and block-level objects of a scenario
+    (``prime_koszul``: see :class:`ScenarioContext`)."""
     raw = scenario.raw
     diff = scenario.diff if mode is None else replace(scenario.diff, mode=mode)
     with _section("--seed"):
@@ -352,7 +375,7 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
         elif kind != "levi_civita":
             raise ParseError(f"connections: unknown kind {kind!r}")
 
-    return ScenarioContext(scenario, space, g1, g2, n1_spec, n2_spec, engine)
+    return ScenarioContext(scenario, space, g1, g2, n1_spec, n2_spec, engine, prime_koszul)
 
 
 def fixture_path(name: str):

@@ -14,7 +14,7 @@ import pytest
 import diffglue as dg
 from diffglue import connection as cx
 from diffglue.forms import compute_fibre, relation_matrix
-from diffglue.numerics import exp
+from diffglue.numerics import exp, nan_first
 from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.suites import SUITES, derivative_trust_sweep
 
@@ -231,3 +231,75 @@ def test_derivative_trust_sweep_checks_block2_side_of_the_seam(contexts):
     kinked = dg.BlockMetric(ctx.space.block2, ((lambda z: 1.0 + abs(z[0] - z0),),))
     with pytest.raises(dg.ModesDisagree):
         derivative_trust_sweep(dataclasses.replace(ctx, g2=kinked))
+
+
+def per_point_sweep(ctx) -> dict:
+    """The derivative-trust sweep one entry and one point at a time, in
+    sample order: the reference the batched sweep must reproduce."""
+    worst, samples = 0.0, 0
+    space = ctx.space
+    points = [p for region in ("block1", "locus", "block2")
+              for p in space.region_samples()[region]]
+    for p in points:
+        for w, x in p.sides:
+            g, block = (ctx.g1, ctx.g2)[w - 1], (space.block1, space.block2)[w - 1]
+            for row in g.entries:
+                for f in row:
+                    rep = ctx.engine.fd_cross_check(f, list(x), within=block.contains)
+                    worst = max(worst, float(rep.max_discrepancy[0, 0]), key=nan_first)
+                    samples += 1
+    return {"max_discrepancy": worst, "samples": samples, "status": "pass"}
+
+
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+def test_derivative_trust_sweep_equals_the_per_point_sweep(mode):
+    for name in POSITIVE:
+        ctx = build_context(load_scenario(fixture_path(name)), mode=mode)
+        assert derivative_trust_sweep(ctx) == per_point_sweep(ctx), name
+
+
+def test_derivative_trust_sweep_names_the_first_failing_entry_in_sample_order(contexts):
+    # kinks half an fd step from the block-2 side of the first locus sample
+    # and from the block-1 side of the second: sample order meets the block-2
+    # side of the first one first, though a batch over block 1 fails first
+    ctx = contexts["halfline_curved"]
+    locus = ctx.space.region_samples()["locus"]
+    h = ctx.engine.config.fd_step
+    y1 = locus[1].coords[0] + 0.5 * h
+    z0 = locus[0].coords2[0] + 0.5 * h
+    g1 = dg.BlockMetric(ctx.space.block1, ((lambda y: 1.0 + abs(y[0] - y1),),))
+    g2 = dg.BlockMetric(ctx.space.block2, ((lambda z: 1.0 + abs(z[0] - z0),),))
+    kinked = dataclasses.replace(ctx, g1=g1, g2=g2)
+    with pytest.raises(dg.ModesDisagree) as expected:
+        per_point_sweep(kinked)
+    assert f"at {locus[0].coords2}" in str(expected.value)
+    with pytest.raises(dg.ModesDisagree) as got:
+        derivative_trust_sweep(kinked)
+    assert str(got.value) == str(expected.value)
+
+
+def test_koszul_suite_reports_a_singular_gram_at_its_grid_point(contexts):
+    # the Gram is singular at one grid point: the passes over points raise,
+    # and the suite fails with the SingularGram its per-point solve raises
+    ctx = contexts["cross_flat"]
+    xk = ctx.space.block_grid(1)[3][0]
+    g1 = dg.BlockMetric(ctx.space.block1, ((lambda x: (x[0] - xk) * (x[0] - xk),),))
+    result = SUITES["koszul"](dataclasses.replace(ctx, g1=g1, _memo={}))
+    assert not result.passed
+    assert result.witnesses == [{"error": "SingularGram", "detail": "zero matrix"}]
+
+
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+def test_a_metric_that_branches_on_its_coordinates_runs_point_by_point(mode):
+    # a branch has no truth value over points, so every pass over points
+    # falls back to its per-point path and gives the same results
+    ctx = build_context(load_scenario(fixture_path("cross_mixed_grams")), mode=mode)
+    f = ctx.g1.entries[0][0]
+    g1 = dg.BlockMetric(ctx.space.block1,
+                        ((lambda x: f(x) if x[0] < 100.0 else 1.0,),))
+    branching = dataclasses.replace(ctx, g1=g1, _memo={})
+    assert derivative_trust_sweep(branching) == per_point_sweep(branching)
+    assert SUITES["koszul"](branching).passed
+    primed = branching.koszul(1)
+    for x in branching.space.block_grid(1):
+        assert primed.christoffel(list(x)) == cx.koszul_solve(g1, ctx.engine).christoffel(list(x))

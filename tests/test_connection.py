@@ -1,5 +1,8 @@
 """Block connections: Leibniz operator, brackets, torsion, Koszul solver."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,13 @@ import diffglue as dg
 from diffglue import connection as cx
 from diffglue.cli import main
 from diffglue.forms import coordinate_form
-from diffglue.numerics import DiffEngine, _primal, exp
+from diffglue.numerics import DiffEngine, _primal, exp, point_count
 from diffglue.scenario import build_context, fixture_path, load_scenario
-from diffglue.suites import SUITES
+from diffglue.suites import SUITES, derivative_trust_sweep
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "benchmarks"))
+import ladder  # noqa: E402
 
 
 def line(name="line", seeds=((1.0,), (-1.0,), (0.5,))):
@@ -310,40 +317,183 @@ def test_koszul_dual_input_bypasses_memo(engine):
     assert jac == pytest.approx(np.array([[0.91 / 1.09 ** 2, 0.0], [-1.0, 0.0]]), abs=1e-9)
 
 
+def points_of(coords) -> list:
+    """The points a call evaluates at: each point of coordinate arrays, or
+    the one float point; a dual point gives none."""
+    if point_count(coords) is not None:
+        return [tuple(p) for p in np.array(coords, dtype=float).T.tolist()]
+    return [tuple(coords)] if all(isinstance(c, float) for c in coords) else []
+
+
 def test_koszul_solves_once_per_float_point(monkeypatch):
-    solves = {}
+    # a point solved in the construction-time pass over coordinate arrays
+    # counts like one solved alone: over a whole run, every float point is
+    # solved exactly once, by one of the two
     jacobian = DiffEngine.jacobian
+    for mode in ("dual", "fd"):
+        solves = {}
+        batches = []
 
-    def counted(self, mapping, coords, within=None):
-        if getattr(mapping, "__name__", None) == "dual_gram" \
-                and all(isinstance(c, float) for c in coords):
-            key = (mapping, tuple(coords))
-            solves[key] = solves.get(key, 0) + 1
-        return jacobian(self, mapping, coords, within)
+        def counted(self, mapping, coords, within=None):
+            if getattr(mapping, "__name__", None) == "dual_gram":
+                if point_count(coords) is not None:
+                    batches.append(point_count(coords))
+                for p in points_of(coords):
+                    key = (mapping, p)
+                    solves[key] = solves.get(key, 0) + 1
+            return jacobian(self, mapping, coords, within)
 
-    monkeypatch.setattr(DiffEngine, "jacobian", counted)
-    assert main(["run", str(fixture_path("plane_axis_gluing")), "--mode", "dual"]) == 0
-    assert len(solves) > 50
-    assert set(solves.values()) == {1}
+        monkeypatch.setattr(DiffEngine, "jacobian", counted)
+        assert main(["run", str(fixture_path("plane_axis_gluing")), "--mode", mode]) == 0
+        assert len(solves) > 50
+        assert set(solves.values()) == {1}
+        assert len(batches) == 2 and sum(batches) > 50
 
 
-def test_koszul_suite_evaluates_oracle_at_every_point(monkeypatch):
+def scenario_path(name, tmp_path):
+    """A fixture's path, or a ladder rung ``ladder_d<d>`` written to tmp_path."""
+    if not name.startswith("ladder_"):
+        return fixture_path(name)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(ladder.ladder_yaml(int(name[-1]), 0))
+    return path
+
+
+def test_koszul_suite_evaluates_oracle_at_every_point(monkeypatch, tmp_path):
     # the oracle has no memo: a second pass over the same context, where every
-    # Koszul value comes from the memo, still computes every oracle value
-    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")))
-    evaluations = []
+    # Koszul value comes from the memo, still computes an oracle value at
+    # every grid point, in grid order, in one evaluation over each block grid
+    evaluations, batches = [], []
     oracle = cx.christoffel_closed_form
 
     def counted(g, engine):
         fn = oracle(g, engine)
-        return lambda x: evaluations.append(tuple(x)) or fn(x)
+
+        def evaluate(x):
+            values = fn(x)
+            points = points_of(x)
+            shape = (len(points),) * (point_count(x) is not None) + (g.block.dim,) * 3
+            assert np.shape(values) == shape and np.isfinite(values).all()
+            evaluations.extend(points)
+            batches.append(point_count(x))
+            return values
+
+        return evaluate
 
     monkeypatch.setattr(cx, "christoffel_closed_form", counted)
-    grid = [tuple(x) for w in (1, 2) for x in ctx.space.block_grid(w)]
-    for _ in range(2):
-        evaluations.clear()
-        assert SUITES["koszul"](ctx).passed
-        assert evaluations == grid
+    for name in ("plane_axis_gluing", "ladder_d3"):
+        ctx = build_context(load_scenario(scenario_path(name, tmp_path)))
+        grids = [ctx.space.block_grid(w) for w in (1, 2)]
+        for _ in range(2):
+            evaluations.clear()
+            batches.clear()
+            assert SUITES["koszul"](ctx).passed, name
+            assert evaluations == [tuple(x) for grid in grids for x in grid], name
+            assert batches == [len(grid) for grid in grids], name
+
+
+@pytest.mark.parametrize("name", ["plane_axis_gluing", "ladder_d4"])
+def test_derivative_trust_sweep_checks_each_block_side_in_one_pass(monkeypatch, name,
+                                                                   tmp_path):
+    # one cross-check per block side, over the coordinate arrays of all of
+    # its sample points, not one per point
+    ctx = build_context(load_scenario(scenario_path(name, tmp_path)))
+    sides = {1: 0, 2: 0}
+    for region in ("block1", "locus", "block2"):
+        for p in ctx.space.region_samples()[region]:
+            for w, _ in p.sides:
+                sides[w] += 1
+    batches = []
+    cross_check = DiffEngine.fd_cross_check
+
+    def counted(self, field, coords, within=None):
+        batches.append(point_count(coords))
+        return cross_check(self, field, coords, within)
+
+    monkeypatch.setattr(DiffEngine, "fd_cross_check", counted)
+    derivative_trust_sweep(ctx)
+    assert batches == [sides[1], sides[2]] and min(batches) > 1
+
+
+@pytest.mark.parametrize("name", ["ladder_d2", "ladder_d3", "ladder_d4", "plane_axis_gluing"])
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+def test_koszul_values_primed_at_construction_equal_unprimed(name, mode, tmp_path,
+                                                             monkeypatch):
+    # the construction-time pass covers the suites' sample points (no solve
+    # afterwards), and its values are those of a closure that solves each
+    # point alone, bit for bit
+    ctx = build_context(load_scenario(scenario_path(name, tmp_path)), mode=mode,
+                        prime_koszul=True)
+    for which, g in ((1, ctx.g1), (2, ctx.g2)):
+        primed = ctx.koszul(which)
+        samples = ctx.space.region_samples()
+        points = ctx.space.block_grid(which) + [
+            x for p in samples["locus"] for w, x in p.sides if w == which]
+        solves = []
+        jacobian = DiffEngine.jacobian
+
+        def counted(self, mapping, coords, within=None):
+            if getattr(mapping, "__name__", None) == "dual_gram":
+                solves.append(coords)
+            return jacobian(self, mapping, coords, within)
+
+        monkeypatch.setattr(DiffEngine, "jacobian", counted)
+        got = [primed.christoffel(list(x)) for x in points]
+        assert solves == []
+        plain = cx.koszul_solve(g, ctx.engine)
+        want = [plain.christoffel(list(x)) for x in points]
+        monkeypatch.undo()
+        assert len(solves) == len(set(points)) > 10
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_point_query_context_solves_no_sample_point_up_front(monkeypatch):
+    # a context built for a point query (the default) leaves its Koszul
+    # factors unprimed: building one and asking for one point solves that
+    # point alone
+    solved = []
+    jacobian = DiffEngine.jacobian
+
+    def counted(self, mapping, coords, within=None):
+        if getattr(mapping, "__name__", None) == "dual_gram":
+            solved.append(points_of(coords))
+        return jacobian(self, mapping, coords, within)
+
+    monkeypatch.setattr(DiffEngine, "jacobian", counted)
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")))
+    ctx.nabla1.gamma([-0.5, 0.3])
+    assert solved == [[(-0.5, 0.3)]]
+
+
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+def test_koszul_priming_stores_no_value_where_a_point_solve_raises(mode):
+    # x/x is 0.0/0.0 at 0, which raises on Python floats and is NaN in numpy:
+    # the pass over points must not store that NaN, so the point raises
+    # primed as it does unprimed
+    eng = DiffEngine(dg.DiffConfig(mode))
+    g = dg.BlockMetric(line(), ((lambda x: 1.0 + x[0] / x[0],),))
+    points = [(0.5,), (0.0,), (2.0,)]
+    primed, plain = cx.koszul_solve(g, eng, points), cx.koszul_solve(g, eng)
+    for x in points:
+        try:
+            want = plain.christoffel(list(x))
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                primed.christoffel(list(x))
+        else:
+            assert primed.christoffel(list(x)) == want
+    with pytest.raises(ZeroDivisionError):
+        plain.christoffel([0.0])
+
+
+def test_koszul_priming_that_raises_leaves_each_point_to_its_own_solve(engine):
+    # the Gram x^2 is singular at 0: the pass over all three points raises,
+    # so construction succeeds and only the singular point raises, when asked
+    g = dg.BlockMetric(line(), ((lambda x: x[0] * x[0],),))
+    C = cx.koszul_solve(g, engine, [(0.5,), (0.0,), (2.0,)])
+    assert C.christoffel([0.5]) == cx.koszul_solve(g, engine).christoffel([0.5])
+    with pytest.raises(dg.SingularGram):
+        C.christoffel([0.0])
 
 
 def test_koszul_matches_closed_form_fd_mode():

@@ -119,6 +119,25 @@ def test_pushforward_form_on_identity_map_inverts_no_matrix(monkeypatch, engine)
     assert calls == []
 
 
+def test_cubic_map_raises_where_its_inverse_jacobian_is_undefined():
+    # z = 0 lies in block 2 off the glued image f((0.25, 1)); J_{f^-1} there
+    # is 1/(3 cbrt(0)^2), so both a float and a dual evaluation must raise a
+    # library error, which a suite reports, not a ZeroDivisionError
+    from diffglue.scenario import build_context, fixture_path, load_scenario
+    scenario = load_scenario(fixture_path("cubic_gluing_invalid"))
+    locus = scenario.raw["space"]["locus"]
+    locus["domain"]["lo"] = 0.25
+    locus["sample_points"] = [[0.5], [0.75]]
+    ctx = build_context(scenario)
+    s2 = pushforward_form(ctx.space, coordinate_form(ctx.space.block1, 0))
+    with pytest.raises(dg.NotADiffeomorphism):
+        s2.at([0.0])
+    with pytest.raises(dg.NotADiffeomorphism):
+        dg.DiffEngine().jacobian(s2, [0.0])
+    assert s2.at([0.125]) == pytest.approx([4.0 / 3.0])
+    assert ctx.space.map_inverse((0.0,)) == (0.0,)
+
+
 def test_pushforward_form_through_affine_map():
     # s2(f(y)) = A^-T s1(y); at y = (-1, 0.5), s1 = (0.8, 0.2) maps to (0.4, -0.2)
     plane = lambda n: dg.EuclideanBlock(2, lambda x: True, [(0.5, 1.0), (-1.0, -0.5)], n)

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffglue import numerics
 from diffglue.errors import ModesDisagree, OutsideDomain, SingularGram
 from diffglue.fields import PolyField, random_poly
 from diffglue.numerics import (TOLERANCES, DiffConfig, DiffEngine, DualScalar,
-                               SamplePlan, _primal, _seeds, exp, invert_matrix_generic)
+                               SamplePlan, _primal, _seeds, coordinate_arrays, exp,
+                               invert_matrix_generic)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -295,3 +297,182 @@ def test_readme_tolerance_table_matches_tolerances():
         assert rows[row] == (pytest.approx(dual), pytest.approx(fd)), row
         assert DiffConfig().tol(row) == dual
         assert DiffConfig("central_fd").tol(row) == fd
+
+
+# -- values over points ------------------------------------------------------
+#
+# Generic values over points (float arrays, duals with array values and
+# partials) must give every point the bits of that point's scalar call.
+
+def at(v, k):
+    """Point ``k`` of a generic value over points."""
+    if isinstance(v, DualScalar):
+        return DualScalar(at(v.value, k), tuple(at(p, k) for p in v.partials))
+    return float(v[k]) if isinstance(v, np.ndarray) else v
+
+
+def same(over, scalar) -> bool:
+    """Bit equality of a point of a batch result with the scalar result; a
+    float equals a dual that carries it with +0.0 partials (a batch inverted
+    point by point stacks its floats as such duals)."""
+    if isinstance(over, DualScalar) and isinstance(scalar, DualScalar):
+        return (same(over.value, scalar.value) and len(over.partials) == len(scalar.partials)
+                and all(same(p, q) for p, q in zip(over.partials, scalar.partials)))
+    if isinstance(over, DualScalar):
+        return same(over.value, scalar) and all(same(p, 0.0) for p in over.partials)
+    return not isinstance(scalar, DualScalar) and bits(over) == bits(scalar)
+
+
+def stack(values):
+    """One generic value over points from per-point ones of equal structure;
+    a value equal at every point and plain float stays a plain float."""
+    first = values[0]
+    if isinstance(first, DualScalar):
+        return DualScalar(stack([v.value for v in values]),
+                          tuple(stack([v.partials[i] for v in values])
+                                for i in range(len(first.partials))))
+    if all(v is first for v in values):
+        return first
+    return np.array(values, dtype=float)
+
+
+def spd(rng, n, swaps):
+    """A random SPD matrix; with ``swaps`` its off-diagonal entries outgrow
+    the diagonal, so partial pivoting swaps rows."""
+    b = rng.uniform(-2.0, 2.0, (n, n))
+    m = b @ b.T + 0.2 * np.eye(n)
+    if swaps:
+        m = m + 3.0 * (np.ones((n, n)) - np.eye(n)) * np.sign(m)
+        m = m @ m.T + 0.2 * np.eye(n)   # SPD again, off-diagonals still large
+    return m
+
+
+def generic_entry(rng, value, kind, width):
+    """``value`` as a float, a dual of ``width`` partials or a nested dual."""
+    if kind == "float":
+        return float(value)
+    partials = [float(p) for p in rng.uniform(-1.0, 1.0, width)]
+    if kind == "dual":
+        return DualScalar(float(value), partials)
+    return DualScalar(DualScalar(float(value), (float(rng.uniform(-1, 1)),)),
+                      [DualScalar(p, (float(rng.uniform(-1, 1)),)) for p in partials])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), points=st.integers(2, 5),
+       kind=st.sampled_from(["float", "dual", "nested"]), swaps=st.booleans(),
+       constants=st.sampled_from([0.0, 0.3, 0.6]))
+@example(seed=0, n=2, points=3, kind="float", swaps=True, constants=0.0)
+@example(seed=1, n=3, points=4, kind="dual", swaps=True, constants=0.6)
+def test_invert_matrix_generic_over_points_is_bit_identical(seed, n, points, kind,
+                                                            swaps, constants):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 3))
+    # each point's matrix; a share ``constants`` of the symmetric entry pairs
+    # is one plain float at every point, as a constant metric entry is
+    mats = [spd(rng, n, swaps and rng.random() < 0.7) for _ in range(points)]
+    fixed = {(i, j) for i in range(n) for j in range(i, n) if rng.random() < constants}
+    per_point = []
+    for m in mats:
+        per_point.append([[float(mats[0][i, j]) if (min(i, j), max(i, j)) in fixed
+                           else generic_entry(rng, m[i, j], kind, width)
+                           for j in range(n)] for i in range(n)])
+    rows = [[stack([pp[i][j] for pp in per_point]) for j in range(n)] for i in range(n)]
+    expected = []
+    for pp in per_point:
+        try:
+            expected.append(invert_matrix_generic(pp))
+        except SingularGram:
+            expected.append(None)
+    if None in expected:
+        with pytest.raises(SingularGram):
+            invert_matrix_generic(rows)
+        return
+    got = invert_matrix_generic(rows)
+    for k, want in enumerate(expected):
+        for i in range(n):
+            for j in range(n):
+                assert same(at(got[i][j], k), want[i][j]), (k, i, j)
+
+
+def over_points(mats):
+    """Matrix rows of float arrays over points, from one matrix per point."""
+    n = len(mats[0])
+    return [[np.array([m[i, j] for m in mats]) for j in range(n)] for i in range(n)]
+
+
+def assert_each_point_inverted(got, mats):
+    n = len(mats[0])
+    for k, m in enumerate(mats):
+        want = invert_matrix_generic(m.tolist())
+        assert all(bits(float(got[i][j][k])) == bits(want[i][j])
+                   for i in range(n) for j in range(n)), k
+
+
+def test_invert_matrix_generic_swaps_in_one_pass_when_pivots_agree(monkeypatch):
+    # column 0 pivots on row 1 at both points: one batched pass, no point split
+    mats = [np.array([[1.0, 3.0], [2.0, 5.0]]), np.array([[0.5, 2.0], [4.0, 1.0]])]
+    monkeypatch.setattr(numerics, "_at_point", lambda *a: pytest.fail("split by point"))
+    assert_each_point_inverted(invert_matrix_generic(over_points(mats)), mats)
+
+
+@pytest.mark.parametrize("mats", [
+    # column 0 pivots on row 0 at the first point and on row 1 at the second
+    [np.array([[4.0, 1.0], [0.5, 2.0]]), np.array([[1.0, 3.0], [2.0, 5.0]])],
+    # the multiplier below the pivot is zero at the first point only
+    [np.array([[2.0, 1.0], [0.0, 3.0]]), np.array([[2.0, 1.0], [0.5, 3.0]])],
+])
+def test_invert_matrix_generic_splits_by_point_when_steps_differ(monkeypatch, mats):
+    split = []
+    at_point = numerics._at_point
+    monkeypatch.setattr(numerics, "_at_point", lambda x, k: split.append(k) or at_point(x, k))
+    assert_each_point_inverted(invert_matrix_generic(over_points(mats)), mats)
+    assert set(split) == {0, 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=2, max_size=6),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=6, max_size=6))
+@example([0.0, -0.0, 1.5, -2.0], [1.0, -1.0, 0.5, 0.0, 2.0, 1.0])
+def test_abs_exp_and_real_powers_over_points_are_bit_identical(values, partials):
+    count = len(values)
+    scalars = [DualScalar(v, (p,)) for v, p in zip(values, partials)]
+    over = DualScalar(np.array(values), (np.array(partials[:count]),))
+    positive = [DualScalar(abs(v) + 0.5, (p,)) for v, p in zip(values, partials)]
+    over_positive = DualScalar(np.abs(np.array(values)) + 0.5, (np.array(partials[:count]),))
+    for f in (abs, exp, lambda u: exp(u.value) * u):
+        got = f(over)
+        assert all(same(at(got, k), f(s)) for k, s in enumerate(scalars))
+    for power in (0.5, 1.5, -0.75, 3.0):
+        got = over_positive ** power
+        assert all(same(at(got, k), s ** power) for k, s in enumerate(positive))
+
+
+def test_fd_cross_check_over_points_matches_each_point():
+    # a vector field over coordinate arrays: each (output, point) check
+    # equals the scalar check of that output at that point
+    field = lambda x: [x[0] * x[1], 3.0, exp(0.5 * x[0]) - x[1] * x[1]]
+    pts = [(0.3, -0.7), (1.1, 0.4), (-0.5, 2.0)]
+    eng = DiffEngine(DiffConfig())
+    rep = eng.fd_cross_check(field, coordinate_arrays(pts))
+    assert rep.max_discrepancy.shape == rep.threshold.shape == (3, 3)
+    for k, p in enumerate(pts):
+        for j in range(3):
+            one = eng.fd_cross_check(lambda x, j=j: field(x)[j], list(p))
+            assert bits(float(rep.max_discrepancy[j, k])) == bits(float(one.max_discrepancy[0, 0]))
+            assert bits(float(rep.threshold[j, k])) == bits(float(one.threshold[0, 0]))
+
+
+def test_fd_cross_check_over_points_names_the_first_failing_point():
+    x0 = 0.5 + 0.5e-5
+    eng = DiffEngine(DiffConfig())
+    pts = [(0.2,), (0.5,), (0.8,)]
+    with pytest.raises(ModesDisagree, match=r"at \(0\.5,\)"):
+        eng.fd_cross_check(lambda x: [x[0], abs(x[0] - x0)], coordinate_arrays(pts))
+
+
+def test_fd_guard_runs_point_by_point_over_arrays():
+    eng = DiffEngine(DiffConfig("central_fd", fd_step=1e-2))
+    pts = coordinate_arrays([(0.5,), (0.005,)])
+    with pytest.raises(OutsideDomain, match=r"at \(0\.005,\)"):
+        eng.jacobian(lambda x: [x[0]], pts, within=lambda x: x[0] > 0)

@@ -47,3 +47,24 @@ def test_install_then_uninstall_restores_patched_names():
     assert after[2].keys() == before[2].keys()
     assert all(after[2][k] is fn for k, fn in before[2].items())
     assert after[3] is before[3]
+
+
+def test_traced_runs_pass(tmp_path, capsys):
+    # the tracer wraps the Koszul closure and the oracle callable, and its
+    # closure hook reads float points, so the construction-time and oracle
+    # passes over coordinate arrays must run beneath it unchanged
+    import ladder
+    from diffglue.cli import main
+    from diffglue.scenario import fixture_path
+
+    rung = tmp_path / "ladder_d4.yaml"
+    rung.write_text(ladder.ladder_yaml(4, 0))
+    tracer = tracing.Tracer().install()
+    try:
+        for path in (rung, fixture_path("plane_axis_gluing")):
+            assert main(["run", str(path), "--mode", "dual"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["connection.koszul_solve"] == 4
+    assert tracer.calls["connection.christoffel_closed_form"] == 4
