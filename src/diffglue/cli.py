@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from .connection import release_point_store
 from .errors import DiffglueError, ParseError, ValidationError
 from .scenario import SUITE_CATALOGUE, build_context, load_scenario
 from .space import classify_point
@@ -71,6 +72,7 @@ def run_command(args) -> int:
                           "detail": str(exc)}
         for name in selected:
             results.append(SUITES[name](ctx))
+        release_point_store(ctx.space)
     wall = time.time() - t0
 
     seed = args.seed if args.seed is not None else scenario.plan.seed

@@ -38,9 +38,10 @@ from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockConnection:
-    """Christoffel coefficient field on one block."""
+    """Christoffel coefficient field on one block (compared and hashed by
+    identity, as the point store keys on it)."""
 
     block: EuclideanBlock
     christoffel: Callable   # coords -> Gamma[k][i][j], generic arithmetic
@@ -57,24 +58,23 @@ def zero_connection(block: EuclideanBlock) -> BlockConnection:
 
 def apply_block(C: BlockConnection, s: BlockForm, engine: DiffEngine) -> Callable:
     """Tensor field x -> rows[i][j] = d_i s_j - Gamma^k_{ij} s_k (generic)."""
-    d = C.block.dim
+    return lambda x: _covariant_rows(C.christoffel(list(x)), s(x),
+                                     engine.jacobian(s, x, within=C.block.contains))
 
-    def tensor(x):
-        gam = C.christoffel(list(x))
-        sval = s(x)
-        jac = engine.jacobian(s, x, within=C.block.contains)
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                total = jac[j][i]
-                for k in range(d):
-                    total = total - gam[k][i][j] * sval[k]
-                row.append(total)
-            rows.append(row)
-        return rows
 
-    return tensor
+def _covariant_rows(gam, sval, jac) -> list:
+    """rows[i][j] = jac[j][i] - Gamma^k_{ij} s_k from Gamma, s and its Jacobian at a point."""
+    d = len(sval)
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            total = jac[j][i]
+            for k in range(d):
+                total = total - gam[k][i][j] * sval[k]
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
@@ -206,7 +206,7 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> B
     for a in range(d):
         for b in range(d):
             br = lie_bracket_dual_block(frame[a], frame[b], engine, block)
-            if np.max(np.abs(_over_points(br(seeds), len(block.seed_points)))) > EPS_NUM:
+            if not np.max(np.abs(_over_points(br(seeds), len(block.seed_points)))) <= EPS_NUM:
                 raise ValidationError("coordinate-frame bracket failed to vanish")
 
     def dual_gram(x):
@@ -312,41 +312,133 @@ def perturb_connection(C: BlockConnection, rng: np.random.Generator) -> BlockCon
 
 # -- compatibility checks -----------------------------------------------------
 
+def _pair_value(gram, sv, tv):
+    """g(s, t) = s_i Gram_ij t_j from the Gram and both fields' values (generic)."""
+    d = len(sv)
+    total = 0.0
+    for i in range(d):
+        for j in range(d):
+            total = total + sv[i] * gram[i][j] * tv[j]
+    return total
+
+
 def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
     """Scalar field x -> g(s, t)(x) = s_i Gram_ij t_j, dual-safe."""
-    d = g.block.dim
-
-    def field(x):
-        gram = g.gram_generic(x)
-        sv, tv = s(x), t(x)
-        total = 0.0
-        for i in range(d):
-            for j in range(d):
-                total = total + sv[i] * gram[i][j] * tv[j]
-        return total
-
-    return field
+    return lambda x: _pair_value(g.gram_generic(x), s(x), t(x))
 
 
-def _compat_sides(C: BlockConnection, g: BlockMetric, s: BlockForm, t: BlockForm,
-                  coords, engine: DiffEngine) -> tuple:
-    """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at one point."""
-    lhs = _primal(engine.gradient(_gram_pair_field(g, s, t), list(coords),
-                                  within=g.block.contains))
-    gram = g.gram(list(coords))
-    rhs = _primal(apply_block(C, s, engine)(coords)) @ gram @ t.at(coords) \
-        + _primal(apply_block(C, t, engine)(coords)) @ gram @ s.at(coords)
-    return lhs, rhs
+class PointStore:
+    """Values at float sample points that the compatibility checks and
+    leibniz share, each built once, when first asked for, and kept.
+
+    A value is keyed by the objects it depends on and the point: the
+    Christoffels of a block connection, a block metric's Gram and its probe,
+    a block field's probe and value, a field's covariant tensor under a
+    connection.  It is built in the generic arithmetic of the direct route
+    (``apply_block``, ``engine.gradient`` of ``_gram_pair_field``), so it
+    has the same bits.  A build that raises keeps nothing, so the error
+    recurs where the direct route raises.  Float results are read-only.
+    """
+
+    def __init__(self, engine: DiffEngine):
+        self.engine = engine
+        self._memo = {}
+
+    def _once(self, key, build: Callable):
+        value = self._memo.get(key)
+        if value is None:   # no value built is None
+            value = self._memo[key] = build()
+        return value
+
+    def gamma(self, C: BlockConnection, x):
+        return self._once(("gamma", C, x), lambda: C.christoffel(list(x)))
+
+    def probe(self, field: Callable, x, within: Callable):
+        """``engine.probe`` of ``field`` (scalar or vector valued) at x."""
+        return self._once(("probe", field, x), lambda: self.engine.probe(field, x, within))
+
+    def value(self, field: Callable, x):
+        """``field(x)``, generic as the field returns it."""
+        return self._once(("value", field, x), lambda: field(x))
+
+    def gradient(self, h: Callable, x, within: Callable) -> np.ndarray:
+        """Float value of ``engine.gradient(h, x, within)`` for a scalar field h."""
+        eng = self.engine
+        return _primal(eng.rows(eng.combine(lambda v: (v,), self.probe(h, x, within)))[0])
+
+    def at(self, s: BlockForm, x) -> np.ndarray:
+        """``s.at(x)``: the float value at a point of the block (elsewhere
+        ``s.at`` raises)."""
+        return self._once(("at", s, x), lambda: _frozen(
+            _primal(self.value(s, x)) if s.block.contains(list(x)) else s.at(x)))
+
+    def gram(self, g: BlockMetric, x) -> np.ndarray:
+        return self._once(("gram", g, x), lambda: _frozen(g.gram(list(x))))
+
+    def tensor(self, C: BlockConnection, s: BlockForm, x) -> np.ndarray:
+        """Float value of ``apply_block(C, s, engine)`` at x."""
+        return self._once(("tensor", C, s, x), lambda: _frozen(_primal(_covariant_rows(
+            self.gamma(C, x), self.value(s, x),
+            self.engine.rows(self.probe(s, x, C.block.contains))))))
+
+    def scaled_tensor(self, C: BlockConnection, h: Callable, s: BlockForm, x) -> np.ndarray:
+        """Float value of ``apply_block(C, s.scaled(h), engine)`` at x, from
+        the probes of h and s (not kept: each product is asked for once)."""
+        gam = self.gamma(C, x)
+        hx = self.value(h, x)
+        sval = [hx * v for v in self.value(s, x)]
+        within = C.block.contains
+        jac = self.engine.rows(self.engine.combine(
+            lambda hv, sv: [hv * v for v in sv], self.probe(h, x, within), self.probe(s, x, within)))
+        return _primal(_covariant_rows(gam, sval, jac))
+
+    def compat_sides(self, C: BlockConnection, g: BlockMetric, s: BlockForm, t: BlockForm,
+                     x) -> tuple:
+        """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at x."""
+        def build():
+            within = g.block.contains
+            probes = (self.probe(g.gram_generic, x, within), self.probe(s, x, within),
+                      self.probe(t, x, within))
+            lhs = self.engine.rows(self.engine.combine(
+                lambda gram, sv, tv: (_pair_value(gram, sv, tv),), *probes))[0]
+            gram = self.gram(g, x)
+            rhs = self.tensor(C, s, x) @ gram @ self.at(t, x) \
+                + self.tensor(C, t, x) @ gram @ self.at(s, x)
+            return _frozen(_primal(lhs)), _frozen(rhs)
+
+        return self._once(("compat", C, g, s, t, x), build)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def point_store(space: GluedSpace) -> PointStore:
+    """The space's point store, memoized on it like its fibres: the checks
+    and suites of one run over the space share it."""
+    if "_point_store" not in space.__dict__:
+        space._point_store = PointStore(space.engine)
+    return space._point_store
+
+
+def release_point_store(space: GluedSpace) -> None:
+    """Drop the space's point store.  A space sits in reference cycles (its
+    sections refer to it), so it lingers until the cyclic collector runs; a
+    run releases its store when its suites are done instead."""
+    space.__dict__.pop("_point_store", None)
 
 
 def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
                                   pairs: Sequence, points: Sequence,
                                   engine: DiffEngine, tol: float) -> CompatResult:
-    """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points."""
+    """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points; the pairs
+    share each field's values at a point through one PointStore."""
+    store = PointStore(engine)
     out = Checks()
     for s, t in pairs:
         for x in points:
-            lhs, rhs = _compat_sides(C, g, s, t, x, engine)
+            lhs, rhs = store.compat_sides(C, g, s, t, tuple(x))
             res = float(np.max(np.abs(lhs - rhs)))
             out.check(res, tol, point=list(x), residual=res,
                       lhs=lhs.tolist(), rhs=rhs.tolist())
@@ -360,23 +452,23 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     For each sampled locus point and section of the space's family, both
     tensor values are pulled onto the locus through the tangential covector
     maps and compared.  Point-set loci have a zero pullback target, so the
-    check is vacuously true there.
+    check is vacuously true there.  The tensors are the space's
+    :func:`point_store` entries, which later checks over the locus reuse.
     """
     eng = space.engine
     out = Checks()
     if space.locus.kind == "point_set":
         return out.compat()
     sections = section_family(space)
+    store = point_store(space)
     tol = eng.config.tol("connections")
     for p in space.region_samples()[LOCUS]:
         fr = space.locus_frames(p.coords)
         p1 = fr.t1.T
         p2 = fr.t2.T
         for s in sections:
-            a1 = _primal(apply_block(nabla1, s.s1, eng)(p.coords))
-            a2 = _primal(apply_block(nabla2, s.s2, eng)(p.coords2))
-            lhs = p1 @ a1 @ p1.T
-            rhs = p2 @ a2 @ p2.T
+            lhs = p1 @ store.tensor(nabla1, s.s1, p.coords) @ p1.T
+            rhs = p2 @ store.tensor(nabla2, s.s2, p.coords2) @ p2.T
             res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
             out.check(res, tol, point=list(p.coords), residual=res,
                       pulled1=lhs.tolist(), pulled2=rhs.tolist())
@@ -405,18 +497,24 @@ class GluedTensorField:
         self.f2 = f2
 
     def at(self, point: GluedPoint) -> list:
-        """One float matrix per entry of ``point.sides``; over the locus the
-        pair must lie in the tensor square of the compatible subspace."""
-        matrices = [_primal((self.f1, self.f2)[w - 1](x)) for w, x in point.sides]
-        if len(matrices) == 2:
-            a1, a2 = matrices
-            res = joint_range_residual(compute_fibre(self.space, point), a1, a2)
-            scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
-            if res > self.space.engine.config.tol("tensor-membership") * scale:
-                raise IncompatiblePair(
-                    f"tensor pair escapes the compatible square at {point.coords} "
-                    f"(residual {res:.3e})")
-        return matrices
+        """One float matrix per entry of ``point.sides``, through
+        :func:`tensor_pair_gate`."""
+        return tensor_pair_gate(self.space, point,
+                                [_primal((self.f1, self.f2)[w - 1](x)) for w, x in point.sides])
+
+
+def tensor_pair_gate(space: GluedSpace, point: GluedPoint, matrices: list) -> list:
+    """``matrices``, one tensor value per side of ``point``; over the locus
+    the pair must lie in the tensor square of the compatible subspace."""
+    if len(matrices) == 2:
+        a1, a2 = matrices
+        res = joint_range_residual(compute_fibre(space, point), a1, a2)
+        scale = 1.0 + max(float(np.max(np.abs(a1))), float(np.max(np.abs(a2))))
+        if not res <= space.engine.config.tol("tensor-membership") * scale:
+            raise IncompatiblePair(
+                f"tensor pair escapes the compatible square at {point.coords} "
+                f"(residual {res:.3e})")
+    return matrices
 
 
 class GluedConnection:
@@ -542,15 +640,15 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     which makes the glued function well-defined there.
     """
     space = C.space
-    eng = space.engine
+    store = point_store(space)
     g1, g2 = C.metric.g1, C.metric.g2
     out = Checks()
     for s, t in pairs:
         k = GluedFunction(space, _gram_pair_field(g1, s.s1, t.s1),
                           _gram_pair_field(g2, s.s2, t.s2))
         for p in points:
-            sides = [_compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
-                                   (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x, eng)
+            sides = [store.compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
+                                        (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x)
                      for w, x in p.sides]
             res = max((float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides), key=nan_first)
             if len(sides) == 2:

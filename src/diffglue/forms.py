@@ -27,10 +27,11 @@ from .numerics import EPS_NUM, SVD_CUTOFF_REL, DiffEngine, _primal, nan_first
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockForm:
     """Covector field on a block: one callable ``x -> [dim components]`` in
-    the coordinate coframe, with generic arithmetic (dual-safe)."""
+    the coordinate coframe, with generic arithmetic (dual-safe).  Compared
+    and hashed by identity, as the point store keys on it."""
 
     block: EuclideanBlock
     field: Callable
@@ -297,7 +298,7 @@ def rho_pair_inverse(fibre: FibreModel, a, b, tol: float = EPS_NUM) -> FibreElem
         raise IncompatiblePair("rho_pair_inverse needs a locus fibre")
     comps, res = pair_residual(fibre, a, b)
     scale = 1.0 + float(np.max(np.abs(np.concatenate([np.atleast_1d(a), np.atleast_1d(b)]))))
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise IncompatiblePair(
             f"pair escapes the compatible subspace at {fibre.point.coords} "
             f"(residual {res:.3e})")
@@ -351,7 +352,7 @@ class GluedFunction:
     def validate(self):
         for p in self.space.region_samples()[LOCUS]:
             v1, v2 = self.side_values(p)
-            if abs(v1 - v2) > EPS_NUM * (1.0 + abs(v1) + abs(v2)):
+            if not abs(v1 - v2) <= EPS_NUM * (1.0 + abs(v1) + abs(v2)):
                 raise NotAFunctionOnGluedSpace(
                     f"h1({p.coords}) = {v1} but h2(f({p.coords})) = {v2}")
         return self

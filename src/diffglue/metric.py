@@ -37,9 +37,10 @@ from .numerics import EPS_NUM, PD_FLOOR_REL, _primal
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace, seam_mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMetric:
-    """Field of Gram matrices of the fibre metric on the coordinate coframe."""
+    """Field of Gram matrices of the fibre metric on the coordinate coframe
+    (compared and hashed by identity, as the point store keys on it)."""
 
     block: EuclideanBlock
     entries: tuple   # dim x dim nest of scalar fields

@@ -1,11 +1,15 @@
 """Differentiation engine and sampling plans.
 
 Every derivative taken anywhere in the library goes through
-:class:`DiffEngine`.  Its primitive is :meth:`DiffEngine.jacobian`, which
-differentiates a vector field ``x -> [m generic scalars]`` in one pass;
-:meth:`DiffEngine.gradient` is its one-output case.  Block covector fields
-and their dual-side counterparts are such vector fields, so each derived
-field is differentiated by one Jacobian call.  The engine offers two modes:
+:class:`DiffEngine`.  Its primitive is the *probe* of a vector field
+``x -> [m generic scalars]`` at a point: the field's outputs at the mode's
+probe inputs.  :meth:`DiffEngine.rows` reads the Jacobian off a probe,
+:meth:`DiffEngine.combine` builds the probe of a field computed from other
+fields' outputs without evaluating them again, and
+:meth:`DiffEngine.jacobian` and :meth:`DiffEngine.gradient` (its
+one-output case) are ``rows`` of a fresh probe.  Block covector fields and
+their dual-side counterparts are such vector fields, so each derived field
+is differentiated by one probe.  The engine offers two modes:
 
 * ``forward_dual`` -- forward-mode dual numbers, exact to machine precision
   for the polynomial and analytic built-ins (the default); one evaluation
@@ -161,8 +165,9 @@ def _primal(x):
 
     A scalar gives a Python float (the primal part of a dual) and a value
     over points (a float array, or a dual with one as its primal) a float
-    ndarray; a list or tuple nest of scalars gives a float ndarray of the
-    same shape (see :func:`_over_points` for nests of values over points).
+    ndarray; a list or tuple nest gives a float ndarray of the same shape,
+    with the point axis last if any entry runs over points (an entry that
+    does not is repeated over them, as in :func:`_over_points`).
     """
     if type(x) is float:    # the common case, e.g. pivots in invert_matrix_generic
         return x
@@ -175,12 +180,23 @@ def _primal(x):
     if isinstance(x, (list, tuple)):
         try:
             return np.array(x, dtype=float)
-        except TypeError:   # a dual entry: convert entry by entry
-            return _primal_entries(np.array(x, dtype=object)).astype(float)
+        except (TypeError, ValueError):   # dual entries, or entries over points beside floats
+            shape, leaves = _leaves(x)
+            values = [_primal(v) for v in leaves]
+            count = next((len(v) for v in values if isinstance(v, np.ndarray)), None)
+            if count is None:
+                return np.array(values, dtype=float).reshape(shape)
+            return _over_points(x, count)
     return float(x)
 
 
-_primal_entries = np.frompyfunc(_primal, 1, 1)
+def _leaves(x) -> tuple:
+    """Shape and row-major entries of a (uniform) list or tuple nest."""
+    shape, leaves = (), [x]
+    while isinstance(leaves[0], (list, tuple)):
+        shape += (len(leaves[0]),)
+        leaves = [v for nest in leaves for v in nest]
+    return shape, leaves
 
 
 # -- values over points ----------------------------------------------------
@@ -213,10 +229,7 @@ def _each_point(coords) -> list:
 def _over_points(x, count: int) -> np.ndarray:
     """Primal of a generic nest evaluated over ``count`` points, point axis
     last; an entry that stayed a plain float is repeated over the points."""
-    shape, leaves = (), [x]
-    while isinstance(leaves[0], (list, tuple)):
-        shape += (len(leaves[0]),)
-        leaves = [v for nest in leaves for v in nest]
+    shape, leaves = _leaves(x)
     out = np.empty((len(leaves), count))
     for i, v in enumerate(leaves):
         out[i] = _primal(v)
@@ -301,6 +314,37 @@ def _seeds(coords) -> list:
     n = len(coords)
     return [DualScalar(coords[i], tuple(1.0 if j == i else 0.0 for j in range(n)))
             for i in range(n)]
+
+
+def _probe(mapping, coords, within, step) -> tuple:
+    """:meth:`DiffEngine.probe` on seeded duals (``step`` None) or on the
+    central-difference stencil with step ``step``."""
+    n = len(coords)
+    if step is None:
+        return n, [mapping(_seeds(coords))], None
+    stencil = _stencil(coords, step)
+    if within is not None:
+        # domain predicates branch on floats, so the guard runs point by
+        # point (one point is its own, and its stencil the one evaluated)
+        for x in _each_point(coords):
+            for k, inputs in enumerate(stencil if x is coords else _stencil(x, step)):
+                if not within(inputs):
+                    raise OutsideDomain(
+                        f"fd stencil leaves the domain at {tuple(x)} (axis {k // 2})")
+    return n, [mapping(x) for x in stencil], step
+
+
+def _stencil(coords, h: float) -> list:
+    """The 2n central-difference inputs around ``coords``: x + h e_i, then
+    x - h e_i, axis by axis."""
+    out = []
+    for i in range(len(coords)):
+        up, down = list(coords), list(coords)
+        up[i] = up[i] + h
+        down[i] = down[i] - h
+        out.append(up)
+        out.append(down)
+    return out
 
 
 def invert_matrix_generic(rows):
@@ -480,55 +524,54 @@ class DiffEngine:
         self.config = config or DiffConfig()
 
     # -- derivatives ---------------------------------------------------
+    def probe(self, mapping: Callable, coords: Sequence, within: Callable | None = None) -> tuple:
+        """Outputs of the vector field ``mapping`` at the mode's probe inputs
+        around ``coords``, as the probe ``(dim, outputs, step)``: in dual mode
+        ``outputs[0]`` on the seeded duals and ``step`` None, in fd mode
+        ``outputs[2 i]`` and ``outputs[2 i + 1]`` at ``coords`` moved by
+        +step and -step along axis i.  ``within`` guards the stencil against
+        leaving the domain; it is checked at every point before ``mapping``
+        is evaluated.  (A plain tuple: probes are made per derivative taken.)
+        """
+        return _probe(mapping, coords, within,
+                      None if self.config.mode == "forward_dual" else self.config.fd_step)
+
+    @staticmethod
+    def combine(fn: Callable, *probes: tuple) -> tuple:
+        """Probe of ``x -> fn(a(x), b(x), ...)`` from the probes of a, b, ... at
+        one point: ``fn`` applied to their outputs input by input, which is the
+        arithmetic of evaluating that field at each probe input."""
+        dim, _, step = probes[0]
+        return dim, [fn(*outputs) for outputs in zip(*(p[1] for p in probes))], step
+
+    @staticmethod
+    def rows(probe: tuple) -> list:
+        """Jacobian rows J[j][i] = d output_j / d x_i of a probe, as a list of
+        lists: each dual output's partials (an output that stayed a float
+        gives a zero row), or the central differences of the stencil outputs."""
+        dim, outputs, step = probe
+        if step is None:
+            return [list(v.partials) if isinstance(v, DualScalar) else [0.0] * dim
+                    for v in outputs[0]]
+        width = 2.0 * step
+        ups_downs = iter(outputs)
+        # row j pairs output j of the up and down evaluations along every axis
+        return [[(a - b) / width for a, b in row]
+                for row in zip(*map(zip, ups_downs, ups_downs))]
+
+    def jacobian(self, mapping: Callable, coords: Sequence, within: Callable | None = None):
+        """Jacobian rows J[j][i] = d mapping_j / d x_i of a vector field
+        ``x -> [m generic scalars]``: :meth:`rows` of its :meth:`probe`."""
+        return self.rows(self.probe(mapping, coords, within))
+
     def gradient(self, field: Callable, coords: Sequence, within: Callable | None = None):
         """Gradient of a scalar field at ``coords``; returns a list.
 
         The one-output case of :meth:`jacobian`.  Entries are floats for
         float input and DualScalar for dual input (which happens when
-        engine calls nest).  ``within`` guards the finite-difference
-        stencil against leaving the domain.
+        engine calls nest).
         """
         return self.jacobian(lambda x: (field(x),), coords, within)[0]
-
-    def jacobian(self, mapping: Callable, coords: Sequence, within=None):
-        """Jacobian rows J[j][i] = d mapping_j / d x_i, as a list of lists.
-
-        ``mapping`` is a vector field ``x -> [m generic scalars]``.  In dual
-        mode it is evaluated once on seeded duals and each output's partials
-        are read off; an output that stayed a float gives a zero row.  In fd
-        mode it is evaluated twice per axis.
-        """
-        if self.config.mode != "forward_dual":
-            return self._jacobian_fd(mapping, coords, within)
-        return self._jacobian_dual(mapping, coords)
-
-    def _jacobian_dual(self, mapping, coords):
-        n = len(coords)
-        return [list(v.partials) if isinstance(v, DualScalar) else [0.0] * n
-                for v in mapping(_seeds(coords))]
-
-    def _jacobian_fd(self, mapping, coords, within):
-        h = self.config.fd_step
-        n = len(coords)
-        if within is not None:
-            # domain predicates branch on floats, so the guard runs point by point
-            for x in _each_point(coords):
-                for i in range(n):
-                    for s in (+h, -h):
-                        probe = list(x)
-                        probe[i] = probe[i] + s
-                        if not within(probe):
-                            raise OutsideDomain(
-                                f"fd stencil leaves the domain at {tuple(x)} (axis {i})")
-        stencils = []
-        for i in range(n):
-            up = list(coords)
-            dn = list(coords)
-            up[i] = up[i] + h
-            dn[i] = dn[i] - h
-            stencils.append(zip(mapping(up), mapping(dn)))
-        # row j pairs output j of the up and down evaluations along every axis
-        return [[(a - b) / (2.0 * h) for a, b in row] for row in zip(*stencils)]
 
     # -- cross-check ----------------------------------------------------
     def fd_cross_check(self, field, coords, within=None) -> CrossCheckReport:
@@ -548,8 +591,9 @@ class DiffEngine:
         mapping = field if vector else lambda x: (field(x),)
         points = _each_point(coords)
         value = _over_points(value if vector else (value,), len(points))
-        gd = _over_points(self._jacobian_dual(mapping, coords), len(points))
-        gf = _over_points(self._jacobian_fd(mapping, coords, within), len(points))
+        gd = _over_points(self.rows(_probe(mapping, coords, None, None)), len(points))
+        gf = _over_points(self.rows(_probe(mapping, coords, within, self.config.fd_step)),
+                          len(points))
         _, disc = _first_max(list(np.abs(gd - gf).swapaxes(0, 1)), key=nan_first)
         _, top = _first_max(list(np.abs(gd).swapaxes(0, 1)))
         _, scale = _first_max([1.0, np.abs(value), top])

@@ -246,3 +246,16 @@ def test_pairing_invert_singular_gram():
     G = dg.GluedMetric(space, g, g)
     with pytest.raises(dg.SingularGram):
         G.pairing_invert(dg.classify_point(space, 1, (0.0,)), [1.0])
+
+
+def test_gram_over_points_mixes_constant_and_varying_entries():
+    # plane_axis_gluing's Grams have constant off-diagonal entries beside
+    # varying diagonal ones: over points the constants repeat, point axis last
+    from diffglue.numerics import coordinate_arrays
+    from diffglue.scenario import build_context, fixture_path, load_scenario
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")))
+    for g, which in ((ctx.g1, 1), (ctx.g2, 2)):
+        points = ctx.space.block_grid(which)
+        over = g.gram(coordinate_arrays(points))
+        stacked = np.stack([g.gram(list(p)) for p in points], axis=-1)
+        assert over.shape == stacked.shape and over.tobytes() == stacked.tobytes()

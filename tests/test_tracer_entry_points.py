@@ -52,19 +52,25 @@ def test_install_then_uninstall_restores_patched_names():
 def test_traced_runs_pass(tmp_path, capsys):
     # the tracer wraps the Koszul closure and the oracle callable, and its
     # closure hook reads float points, so the construction-time and oracle
-    # passes over coordinate arrays must run beneath it unchanged
+    # passes over coordinate arrays must run beneath it unchanged; so must a
+    # full catalogue in both modes, the point store's probes included
     import ladder
     from diffglue.cli import main
     from diffglue.scenario import fixture_path
 
     rung = tmp_path / "ladder_d4.yaml"
     rung.write_text(ladder.ladder_yaml(4, 0))
+    runs = [(rung, "dual"), (fixture_path("plane_axis_gluing"), "dual"),
+            (fixture_path("halfline_curved"), "dual"), (fixture_path("halfline_curved"), "fd")]
     tracer = tracing.Tracer().install()
     try:
-        for path in (rung, fixture_path("plane_axis_gluing")):
-            assert main(["run", str(path), "--mode", "dual"]) == 0
+        for path, mode in runs:
+            assert main(["run", str(path), "--mode", mode]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert tracer.calls["connection.koszul_solve"] == 4
-    assert tracer.calls["connection.christoffel_closed_form"] == 4
+    assert tracer.calls["connection.koszul_solve"] == 8
+    assert tracer.calls["connection.christoffel_closed_form"] == 8
+    for name in ("numerics.gradient", "metric.gram", "fields.poly_eval", "suites.leibniz",
+                 "suites.metric-compat", "suites.levi-civita-inheritance"):
+        assert tracer.calls[name] > 0, name
