@@ -27,8 +27,8 @@ from .errors import IncompatibleConnections, IncompatiblePair, ValidationError
 from .fields import PolyField, random_poly
 from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction,
                     LambdaSection, assemble_section, compute_fibre,
-                    coordinate_form, pair_residual, rho_pair_inverse,
-                    zero_block_form)
+                    coordinate_form, pair_residual, require_inside, rho_pair_inverse,
+                    section_element, zero_block_form)
 from .metric import BlockMetric, GluedMetric
 from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
                        float_semantics, invert_matrix_generic, nan_first, point_count,
@@ -84,9 +84,14 @@ def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
 
     def field(x):
         tv = t(x)
-        return [_dot(tv, col) for col in zip(*tensor(x))]
+        return _contract(tv, tensor(x))
 
     return BlockForm(C.block, field)
+
+
+def _contract(tv, rows) -> list:
+    """Direction slot of a covariant tensor contracted against the dual values tv."""
+    return [_dot(tv, col) for col in zip(*rows)]
 
 
 # -- dual-side machinery -----------------------------------------------------
@@ -103,21 +108,23 @@ def action_block(t: Callable, h: Callable, engine: DiffEngine,
 def lie_bracket_dual_block(t: Callable, u: Callable, engine: DiffEngine,
                            block: EuclideanBlock) -> Callable:
     """Classical bracket of coefficient fields: [t,u]^b = t^a d_a u^b - u^a d_a t^b."""
-    d = block.dim
-
     def field(x):
         ju = engine.jacobian(u, x, within=block.contains)
         jt = engine.jacobian(t, x, within=block.contains)
-        tv, uv = t(x), u(x)
-        out = []
-        for b in range(d):
-            total = 0.0
-            for a in range(d):
-                total = total + tv[a] * ju[b][a] - uv[a] * jt[b][a]
-            out.append(total)
-        return out
+        return _bracket_values(t(x), u(x), jt, ju)
 
     return field
+
+
+def _bracket_values(tv, uv, jt, ju) -> list:
+    """[t,u]^b = t^a d_a u^b - u^a d_a t^b from the values and Jacobians at a point."""
+    out = []
+    for b in range(len(tv)):
+        total = 0.0
+        for a in range(len(tv)):
+            total = total + tv[a] * ju[b][a] - uv[a] * jt[b][a]
+        out.append(total)
+    return out
 
 
 def phi_apply_block(g: BlockMetric, s: BlockForm) -> Callable:
@@ -125,15 +132,20 @@ def phi_apply_block(g: BlockMetric, s: BlockForm) -> Callable:
 
     def field(x):
         sv = s(x)
-        return [_dot(row, sv) for row in g.gram_generic(x)]
+        return _image(g.gram_generic(x), sv)
 
     return field
+
+
+def _image(rows, v) -> list:
+    """Matrix rows applied to the vector v (generic)."""
+    return [_dot(row, v) for row in rows]
 
 
 def phi_invert_block(g: BlockMetric, t: Callable) -> BlockForm:
     def field(x):
         tv = t(x)
-        return [_dot(row, tv) for row in invert_matrix_generic(g.gram_generic(x))]
+        return _image(invert_matrix_generic(g.gram_generic(x)), tv)
 
     return BlockForm(g.block, field)
 
@@ -328,16 +340,20 @@ def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
 
 
 class PointStore:
-    """Values at float sample points that the compatibility checks and
-    leibniz share, each built once, when first asked for, and kept.
+    """Values at float sample points that the compatibility checks, the
+    torsion checks, bracket-split and leibniz share, each built once, when
+    first asked for, and kept.
 
     A value is keyed by the objects it depends on and the point: the
-    Christoffels of a block connection, a block metric's Gram and its probe,
-    a block field's probe and value, a field's covariant tensor under a
-    connection.  It is built in the generic arithmetic of the direct route
-    (``apply_block``, ``engine.gradient`` of ``_gram_pair_field``), so it
-    has the same bits.  A build that raises keeps nothing, so the error
-    recurs where the direct route raises.  Float results are read-only.
+    Christoffels of a block connection, a block metric's Gram, its probe and
+    its inverse, a block field's probe and value, a field's covariant tensor
+    under a connection, the pairing-map image of a field and its probe, the
+    bracket of two fields and their torsion.  It is built in the generic
+    arithmetic of the direct route (``apply_block``, ``engine.gradient`` of
+    ``_gram_pair_field``, ``lie_bracket_forms_block``, ``torsion_block``),
+    so it has the same bits.  A build that raises keeps nothing, so the
+    error recurs where the direct route raises.  Float results are
+    read-only.
     """
 
     def __init__(self, engine: DiffEngine):
@@ -373,7 +389,13 @@ class PointStore:
             _primal(self.value(s, x)) if s.block.contains(list(x)) else s.at(x)))
 
     def gram(self, g: BlockMetric, x) -> np.ndarray:
-        return self._once(("gram", g, x), lambda: _frozen(g.gram(list(x))))
+        return self._once(("gram", g, x),
+                          lambda: _frozen(_primal(self.value(g.gram_generic, x))))
+
+    def gram_inverse(self, g: BlockMetric, x) -> list:
+        """``invert_matrix_generic`` of the Gram at x."""
+        return self._once(("gram inverse", g, x),
+                          lambda: invert_matrix_generic(self.value(g.gram_generic, x)))
 
     def tensor(self, C: BlockConnection, s: BlockForm, x) -> np.ndarray:
         """Float value of ``apply_block(C, s, engine)`` at x."""
@@ -408,6 +430,41 @@ class PointStore:
 
         return self._once(("compat", C, g, s, t, x), build)
 
+    def phi(self, g: BlockMetric, s: BlockForm, x) -> list:
+        """Value of ``phi_apply_block(g, s)`` at x."""
+        return self._once(("phi", g, s, x),
+                          lambda: _image(self.value(g.gram_generic, x), self.value(s, x)))
+
+    def phi_probe(self, g: BlockMetric, s: BlockForm, x):
+        """Probe of ``phi_apply_block(g, s)`` at x, from the Gram and s probes."""
+        within = g.block.contains
+        return self._once(("phi probe", g, s, x), lambda: self.engine.combine(
+            _image, self.probe(g.gram_generic, x, within), self.probe(s, x, within)))
+
+    def bracket(self, g: BlockMetric, s: BlockForm, r: BlockForm, x) -> np.ndarray:
+        """``lie_bracket_forms_block(g, s, r, engine).at(x)``."""
+        def build():
+            require_inside(g.block, x)
+            rows = self.engine.rows
+            ju, jt = rows(self.phi_probe(g, r, x)), rows(self.phi_probe(g, s, x))
+            dual = _bracket_values(self.phi(g, s, x), self.phi(g, r, x), jt, ju)
+            return _frozen(_primal(_image(self.gram_inverse(g, x), dual)))
+
+        return self._once(("bracket", g, s, r, x), build)
+
+    def torsion(self, C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm,
+                x) -> np.ndarray:
+        """``torsion_block(C, g, s, r, engine).at(x)``: nabla_s r - nabla_r s
+        - [s,r] from the stored tensors and bracket."""
+        def build():
+            require_inside(C.block, x)
+            sr = _contract(self.phi(g, s, x), self.tensor(C, r, x))
+            rs = _contract(self.phi(g, r, x), self.tensor(C, s, x))
+            br = self.bracket(g, s, r, x)
+            return _frozen(_primal([a + -1.0 * b + -1.0 * c for a, b, c in zip(sr, rs, br)]))
+
+        return self._once(("torsion", C, g, s, r, x), build)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -431,10 +488,9 @@ def release_point_store(space: GluedSpace) -> None:
 
 def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
                                   pairs: Sequence, points: Sequence,
-                                  engine: DiffEngine, tol: float) -> CompatResult:
+                                  store: PointStore, tol: float) -> CompatResult:
     """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points; the pairs
-    share each field's values at a point through one PointStore."""
-    store = PointStore(engine)
+    share each field's values at a point through ``store``."""
     out = Checks()
     for s, t in pairs:
         for x in points:
@@ -480,9 +536,7 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
 
 def joint_range_residual(fibre, a1: np.ndarray, a2: np.ndarray) -> float:
     """Feasibility of (a1, a2) as block projections of a pair-fibre 2-tensor."""
-    b1 = fibre.block_basis(1).T
-    b2 = fibre.block_basis(2).T
-    system = np.vstack([np.kron(b1, b1), np.kron(b2, b2)])
+    system = fibre.tensor_system
     target = np.concatenate([a1.reshape(-1), a2.reshape(-1)])
     sol, *_ = np.linalg.lstsq(system, target, rcond=None)
     return float(np.max(np.abs(system @ sol - target)))
@@ -618,12 +672,18 @@ def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection) -> LambdaSec
 
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
                     tol: float) -> CompatResult:
-    """Sampled torsion bound over a spanning family of section pairs."""
+    """Sampled torsion bound over a spanning family of section pairs; the
+    block torsions are the space's :func:`point_store` entries."""
+    space = C.space
+    store = point_store(space)
+    nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
     for s, r in pairs:
-        field = torsion(C, s, r)
         for p in points:
-            val = field.at(p)
+            fibre = compute_fibre(space, p)
+            val = section_element(fibre, [store.torsion(nablas[w - 1], metrics[w - 1],
+                                                        (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1], x)
+                                          for w, x in p.sides], space.engine)
             res = float(np.max(np.abs(val.components))) if val.components.size else 0.0
             out.check(res, tol, point=list(p.coords), region=p.region,
                       torsion=val.components.tolist(), residual=res)

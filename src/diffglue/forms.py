@@ -16,6 +16,7 @@ the subspace are rejected.  Glued functions half-weight their side values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,8 +45,7 @@ class BlockForm:
         return out
 
     def at(self, coords) -> np.ndarray:
-        if not self.block.contains(list(coords)):
-            raise OutsideDomain(f"{tuple(coords)} outside {self.block.name}")
+        require_inside(self.block, coords)
         return _primal(self(coords))
 
     def __add__(self, other: "BlockForm") -> "BlockForm":
@@ -59,6 +59,12 @@ class BlockForm:
             return [hx * v for v in self(x)]
 
         return BlockForm(self.block, field)
+
+
+def require_inside(block: EuclideanBlock, coords) -> None:
+    """The domain check of a float value at a block point."""
+    if not block.contains(list(coords)):
+        raise OutsideDomain(f"{tuple(coords)} outside {block.name}")
 
 
 def zero_block_form(block: EuclideanBlock) -> BlockForm:
@@ -147,6 +153,15 @@ class FibreModel:
     def block_basis(self, which: int) -> np.ndarray:
         """Block-``which`` parts of the pair basis over a locus point."""
         return self.basis[:, : self.d1] if which == 1 else self.basis[:, self.d1:]
+
+    @functools.cached_property
+    def tensor_system(self) -> np.ndarray:
+        """Block projections of pair-fibre 2-tensors over a locus point: rows
+        ``kron(B1, B1)`` then ``kron(B2, B2)`` of the block bases ``Bw``,
+        built once per fibre for the tensor-membership checks."""
+        b1 = self.block_basis(1).T
+        b2 = self.block_basis(2).T
+        return np.vstack([np.kron(b1, b1), np.kron(b2, b2)])
 
     def part(self, which: int, components: np.ndarray) -> np.ndarray:
         """rho_which: block-``which`` covector carried by fibre coordinates."""
@@ -318,16 +333,20 @@ class LambdaSection:
 
     def at(self, point: GluedPoint) -> FibreElement:
         fibre = compute_fibre(self.space, point)
-        values = self.side_values(point)
-        if len(values) == 1:
-            return FibreElement(fibre, values[0])
-        # derived sections (brackets, covariant derivatives) carry the
-        # engine's derivative error into their locus values
-        return rho_pair_inverse(fibre, *values,
-                                tol=self.space.engine.config.tol("membership"))
+        return section_element(fibre, self.side_values(point), self.space.engine)
 
     def __add__(self, other: "LambdaSection") -> "LambdaSection":
         return LambdaSection(self.space, self.s1 + other.s1, self.s2 + other.s2)
+
+
+def section_element(fibre: FibreModel, values: list, engine: DiffEngine) -> FibreElement:
+    """The element of a section with block values ``values``, one per side
+    of the fibre's point: over the locus the pair, within the membership
+    bound, as derived sections (brackets, covariant derivatives) carry the
+    engine's derivative error into their locus values."""
+    if len(values) == 1:
+        return FibreElement(fibre, values[0])
+    return rho_pair_inverse(fibre, *values, tol=engine.config.tol("membership"))
 
 
 def assemble_section(space: GluedSpace, s1: BlockForm, s2: BlockForm) -> LambdaSection:

@@ -20,7 +20,7 @@ from . import connection as cx
 from .errors import DiffglueError, IncompatiblePair
 from .forms import (Checks, GluedFunction, assemble_section,
                     compute_fibre, coordinate_form, differential_glued,
-                    pair_residual, relation_matrix, rho_pair_inverse)
+                    pair_residual, relation_matrix, rho_pair_inverse, section_element)
 from .metric import canonical_pair_elements, check_metrics_compatible
 from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, PD_FLOOR_REL, coordinate_arrays,
                        float_semantics, nan_first)
@@ -203,18 +203,20 @@ def suite_koszul(ctx, out: Checks) -> None:
         fam = cx.block_form_family(g.block, rng, extra=2)
         pairs = list(zip(fam, fam[1:]))[:3]
         perturbed = cx.perturb_connection(solved, rng)
-        sym_ok = _block_symmetric(perturbed, g, pairs, pts, ctx, tol=spot_tol)
-        comp_ok = cx.check_metric_compatible_block(perturbed, g, pairs, pts,
-                                                   ctx.engine, tol=spot_tol)
+        store = cx.PointStore(ctx.engine)
+        sym_ok = _block_symmetric(perturbed, g, pairs, pts, store, tol=spot_tol)
+        comp_ok = cx.check_metric_compatible_block(perturbed, g, pairs, pts, store, tol=spot_tol)
         out.expect(not (sym_ok and comp_ok), block=which,
                    detail="perturbed connection still passes")
 
 
-def _block_symmetric(C, g, pairs, points, ctx, tol) -> bool:
+def _block_symmetric(C, g, pairs, points, store, tol) -> bool:
+    """Whether the torsion of C stays within ``tol`` on every pair at every
+    point; its values are ``store`` entries, which the gate's compatibility
+    check shares."""
     for s, r in pairs:
-        t_field = cx.torsion_block(C, g, s, r, ctx.engine)
         for x in points:
-            if not float(np.max(np.abs(t_field.at(x)))) <= tol:
+            if not float(np.max(np.abs(store.torsion(C, g, s, r, tuple(x))))) <= tol:
                 return False
     return True
 
@@ -289,9 +291,8 @@ def suite_bracket_split(ctx, out: Checks) -> None:
     probes = [(h, differential_glued(ctx.space, h))
               for h in cx.glued_function_family(ctx.space, rng)]
     for s, r in pairs:
-        formula = cx.lie_bracket_forms(G, s, r)
         for p in points:
-            res = _bracket_direct_residual(ctx, G, s, r, formula, p, probes)
+            res = _bracket_direct_residual(ctx, G, s, r, p, probes)
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
 
 
@@ -302,19 +303,26 @@ def _bracket_action(t, u, h, point) -> float:
     return seam_mean([a - b for a, b in zip(tu, ut)])
 
 
-def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
-    """Direct [Phi s, Phi r] via glued actions, compared with the formula;
-    ``probes`` pairs each glued probe function with its differential."""
+def _bracket_direct_residual(ctx, G, s, r, point, probes) -> float:
+    """Direct [Phi s, Phi r] via glued actions, compared with the case
+    formula's block brackets from the space's point store; ``probes`` pairs
+    each glued probe function with its differential."""
     space = ctx.space
+    store = cx.point_store(space)
+    metrics = (G.g1, G.g2)
     t = cx.phi_glued(G, s)
     u = cx.phi_glued(G, r)
+
+    def formula(w, x):
+        return store.bracket(metrics[w - 1], (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1], x)
+
     if point.region != LOCUS:
         # components against the coordinate frame via coordinate functions
         (w, x), = point.sides
         hs = [lambda xx, a=a: xx[a] for a in range(len(x))]
         direct = np.array([_bracket_action(t, u, GluedFunction(space, h, h), point)
                            for h in hs])
-        target = (ctx.g1, ctx.g2)[w - 1].gram(x) @ (formula.s1, formula.s2)[w - 1].at(x)
+        target = store.gram(metrics[w - 1], x) @ formula(w, x)
         return float(np.max(np.abs(direct - target)))
     # locus: recover the dual functional on the compatible fibre from the
     # half-weighted bracket action on probe functions
@@ -333,7 +341,7 @@ def _bracket_direct_residual(ctx, G, s, r, formula, point, probes) -> float:
     b = np.asarray(vals)
     phi_direct, *_ = np.linalg.lstsq(A, b, rcond=None)
     lsq_res = float(np.max(np.abs(A @ phi_direct - b)))
-    e = formula.at(point)
+    e = section_element(fibre, [formula(w, x) for w, x in point.sides], ctx.engine)
     phi_formula = G.gram_at(point, fibre) @ e.components
     return max(float(np.max(np.abs(phi_direct - phi_formula))), lsq_res)
 
@@ -361,16 +369,18 @@ def suite_torsion_split(ctx, out: Checks) -> str:
     space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
+    store = cx.point_store(space)
+    nablas, metrics = (C.nabla1, C.nabla2), (ctx.g1, ctx.g2)
     pairs = _section_pairs(ctx, count=3)
     samples = space.region_samples()
     half_gap = 0.0
     for s, r in pairs:
         glued_t = cx.torsion(C, s, r)
-        t1 = cx.torsion_block(C.nabla1, ctx.g1, s.s1, r.s1, ctx.engine)
-        t2 = cx.torsion_block(C.nabla2, ctx.g2, s.s2, r.s2, ctx.engine)
         for p in samples[BLOCK1][:4] + samples[BLOCK2][:4] + samples[LOCUS]:
+            # the glued torsion's own route against the stored block torsions
             value = glued_t.at(p)
-            parts = [(t1, t2)[w - 1].at(x) for w, x in p.sides]
+            parts = [store.torsion(nablas[w - 1], metrics[w - 1], (s.s1, s.s2)[w - 1],
+                                   (r.s1, r.s2)[w - 1], x) for w, x in p.sides]
             expect = parts[0]
             if len(parts) == 2:
                 fibre = compute_fibre(space, p)
@@ -404,9 +414,10 @@ def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
         fam = cx.block_form_family(g.block, rng, extra=2)
         pairs = list(zip(fam, fam[1:]))[:3]
         pts = space.block_grid(which)[:6]
-        out.expect(_block_symmetric(nb, g, pairs, pts, ctx, tol), samples=0,
+        store = cx.PointStore(ctx.engine)
+        out.expect(_block_symmetric(nb, g, pairs, pts, store, tol), samples=0,
                    block=which, detail="factor not symmetric")
-        comp = cx.check_metric_compatible_block(nb, g, pairs, pts, ctx.engine, tol)
+        comp = cx.check_metric_compatible_block(nb, g, pairs, pts, store, tol)
         out.expect(bool(comp), samples=0, block=which, detail="factor not compatible",
                    witness=comp.witness)
     # the Koszul factors, not the scenario's connections (they may differ)

@@ -212,7 +212,7 @@ def test_flat_identity_compatible(engine):
     C = dg.zero_connection(b)
     pairs = [(coordinate_form(b, 0), coordinate_form(b, 0))]
     res = cx.check_metric_compatible_block(C, g, pairs, [(0.5,), (-0.7,)],
-                                           engine, tol=1e-10)
+                                           cx.PointStore(engine), tol=1e-10)
     assert res
 
 
@@ -222,7 +222,8 @@ def test_flat_curved_incompatible(engine):
     g = dg.BlockMetric(b, ((lambda x: 1.0 + x[0] ** 2,),))
     C = dg.zero_connection(b)
     pairs = [(coordinate_form(b, 0), coordinate_form(b, 0))]
-    res = cx.check_metric_compatible_block(C, g, pairs, [(1.0,)], engine, tol=1e-10)
+    res = cx.check_metric_compatible_block(C, g, pairs, [(1.0,)], cx.PointStore(engine),
+                                           tol=1e-10)
     assert not res
     assert res.witness["lhs"] == pytest.approx([2.0])
     assert res.witness["rhs"] == pytest.approx([0.0])
@@ -234,7 +235,7 @@ def test_koszul_output_compatible(engine):
     C = cx.koszul_solve(g, engine)
     pairs = [(coordinate_form(b, 0), dg.BlockForm(b, lambda x: [x[0]]))]
     res = cx.check_metric_compatible_block(C, g, pairs, [(0.5,), (-1.2,)],
-                                           engine, tol=1e-9)
+                                           cx.PointStore(engine), tol=1e-9)
     assert res
 
 
@@ -513,5 +514,6 @@ def test_perturbed_koszul_breaks_uniqueness(engine):
     rng = np.random.default_rng(11)
     P = cx.perturb_connection(C, rng)
     pairs = [(coordinate_form(b, 0), dg.BlockForm(b, lambda x: [x[0]]))]
-    res = cx.check_metric_compatible_block(P, g, pairs, [(0.5,)], engine, tol=1e-4)
+    res = cx.check_metric_compatible_block(P, g, pairs, [(0.5,)], cx.PointStore(engine),
+                                           tol=1e-4)
     assert not res

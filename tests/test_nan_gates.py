@@ -55,8 +55,9 @@ def test_block_symmetry_gate_rejects_a_nan_connection(ctx):
     pairs = list(zip(fam, fam[1:]))[:3]
     points = ctx.space.block_grid(1)[:4]
     assert _block_symmetric(ctx.koszul(1), ctx.g1, pairs, points,
-                            ctx, tol=1e-6)
-    assert not _block_symmetric(nan_connection, ctx.g1, pairs, points, ctx, tol=1e-6)
+                            cx.PointStore(ctx.engine), tol=1e-6)
+    assert not _block_symmetric(nan_connection, ctx.g1, pairs, points,
+                                cx.PointStore(ctx.engine), tol=1e-6)
 
 
 def test_koszul_seed_bracket_assertion_rejects_nan(monkeypatch, ctx):

@@ -2,8 +2,9 @@
 
 A probe is a field's outputs at the mode's probe inputs; ``rows`` of a probe
 must be the Jacobian the engine computed before probes existed, and every
-value the point store builds must equal the direct route (``apply_block``
-and ``engine.gradient`` of ``_gram_pair_field``) bit for bit.
+value the point store builds must equal the direct route (``apply_block``,
+``engine.gradient`` of ``_gram_pair_field``, ``lie_bracket_forms_block`` and
+``torsion_block``) bit for bit.
 """
 
 import os
@@ -183,8 +184,52 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
     reused = [key for key in tensors if key[1] in locus]
     # metric-compat asks for locus tensors, and the gate built every one of them
     assert reused and set(reused) <= gated
+    # the torsion path reads torsions and brackets from the store, and the
+    # gate and metric-compat already probed every section it reads
+    probed = set(counter.calls)
+    reads = Counter()
+    for entry in ("torsion", "bracket"):
+        def read(*args, entry=entry, build=getattr(store, entry)):
+            reads[entry] += 1
+            return build(*args)
+
+        monkeypatch.setattr(store, entry, read)
+    for name, entry in (("symmetry", "torsion"), ("torsion-split", "torsion"),
+                        ("bracket-split", "bracket")):
+        reads.clear()
+        assert SUITES[name](ctx).passed, name
+        assert reads[entry], name
+        assert set(counter.calls) == probed, name
     assert SUITES["levi-civita-inheritance"](ctx).passed
     assert counter.calls and set(counter.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("mode", MODES)
+def test_torsion_and_bracket_entries_equal_the_direct_route(name, mode, tmp_path):
+    ctx = scenario_context(name, mode, tmp_path)
+    eng = ctx.engine
+    C = ctx.glued_connection()
+    store = cx.PointStore(eng)
+    rng = np.random.default_rng(1)
+    # the scenario's connections, and perturbed ones whose Christoffels are not memoized
+    nablas = ((C.nabla1, C.nabla2),
+              (cx.perturb_connection(C.nabla1, rng), cx.perturb_connection(C.nabla2, rng)))
+    metrics = (ctx.g1, ctx.g2)
+    checked = 0
+    for s, r in _section_pairs(ctx, count=3):
+        for p in _points(ctx, per_region=3):
+            for w, x in p.sides:
+                g, sw, rw = metrics[w - 1], (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1]
+                for a, b in ((sw, rw), (rw, sw)):
+                    assert bits(store.bracket(g, a, b, x)) \
+                        == bits(cx.lie_bracket_forms_block(g, a, b, eng).at(x))
+                    for pair in nablas:
+                        nabla = pair[w - 1]
+                        assert bits(store.torsion(nabla, g, a, b, x)) \
+                            == bits(cx.torsion_block(nabla, g, a, b, eng).at(x))
+                checked += 1
+    assert checked > 10
 
 
 def raising_section(ctx, bad):
@@ -237,5 +282,6 @@ def test_fd_stencil_leaving_the_domain_raises_as_before():
     pairs = list(zip(forms, forms[1:]))
     C = cx.koszul_solve(g, engine)
     with pytest.raises(OutsideDomain) as err:
-        cx.check_metric_compatible_block(C, g, pairs, [(-0.5,), (-4e-6,), (-1.0,)], engine, 1e-6)
+        cx.check_metric_compatible_block(C, g, pairs, [(-0.5,), (-4e-6,), (-1.0,)],
+                                         cx.PointStore(engine), 1e-6)
     assert str(err.value) == "fd stencil leaves the domain at (-4e-06,) (axis 0)"
