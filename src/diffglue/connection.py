@@ -18,6 +18,7 @@ a linear feasibility check run at evaluation time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,9 +31,9 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     coordinate_form, pair_residual, require_inside, rho_pair_inverse,
                     section_element, zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
+from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, DualScalar, coordinate_arrays,
                        float_semantics, invert_matrix_generic, nan_first, point_count,
-                       _dot, _over_points, _primal)
+                       _at_point, _dot, _over_points, _primal)
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
@@ -354,28 +355,91 @@ class PointStore:
     so it has the same bits.  A build that raises keeps nothing, so the
     error recurs where the direct route raises.  Float results are
     read-only.
+
+    :meth:`batch` hands the store the points of one block side: the probe,
+    value, ``at``, Gram, tensor and ``compat_sides`` entries missing there
+    are built by the same build function, run once over the missing points'
+    coordinate arrays (which gives each point the bits of its own build),
+    and kept under the per-point keys.  ``batches``, ``batched_points`` and
+    ``point_builds`` count, per entry kind, the passes over points, the
+    points they built and the entries built at one point.
     """
 
     def __init__(self, engine: DiffEngine):
         self.engine = engine
         self._memo = {}
+        self.batches = Counter()
+        self.batched_points = Counter()
+        self.point_builds = Counter()
 
-    def _once(self, key, build: Callable):
-        value = self._memo.get(key)
+    def batch(self, entry: Callable, *args, points: Sequence) -> None:
+        """Build ``entry(*args, x)`` at each of the float ``points`` where it
+        is missing, in one pass over those points.  A pass that raises keeps
+        nothing: each entry is then built at its point when first asked for
+        there, so an error names the point that causes it."""
+        try:
+            with float_semantics():
+                entry(*args, _Points(points))
+        except OVER_POINTS_ERRORS:
+            pass
+
+    def _entry(self, key: tuple, x, build: Callable):
+        """Entry ``key`` at the point x, ``build(x)`` if missing.  At the
+        points of a :class:`_Points` x, the list of the entry's stored values
+        there, the missing ones built by one ``build`` over them (a single
+        one at its point)."""
+        table = self._memo.get(key)
+        if table is None:
+            table = self._memo[key] = {}
+        value = table.get(x)
         if value is None:   # no value built is None
-            value = self._memo[key] = build()
+            if type(x) is _Points:
+                return self._entries(key, table, x, build)
+            value = table[x] = build(x)
+            self.point_builds[key[0]] += 1
+        elif type(value) is _Slice:
+            return value.at_point()
         return value
 
+    def _entries(self, key: tuple, table: dict, points: "_Points", build: Callable) -> list:
+        missing = [x for x in points.keys if x not in table]
+        if len(missing) > 1:
+            table.update(zip(missing, build(
+                points if len(missing) == len(points.keys) else _Points(missing))))
+            self.batches[key[0]] += 1
+            self.batched_points[key[0]] += len(missing)
+        get = table.get
+        return [v if (v := get(x)) is not None else self._entry(key, x, build)
+                for x in points.keys]
+
     def gamma(self, C: BlockConnection, x):
-        return self._once(("gamma", C, x), lambda: C.christoffel(list(x)))
+        """Christoffels of C at x; at the points of a :class:`_Points`, each
+        point's stacked, point axis last."""
+        if type(x) is _Points:
+            return np.ascontiguousarray(np.array([self.gamma(C, p) for p in x.keys],
+                                                 dtype=float).transpose(1, 2, 3, 0))
+        return self._entry(("gamma", C), x, lambda x: C.christoffel(list(x)))
+
+    def _generic(self, key: tuple, x, build: Callable):
+        """:meth:`_entry` of a generic value; over points, the value over
+        them, gathered from the passes that built them if there were several
+        (then kept as one pass, so the next gather over them is free)."""
+        value = self._entry(key, x, build)
+        if type(x) is not _Points:
+            return value
+        batch = _gathered(value)
+        if type(value[0]) is not _Slice or batch is not value[0].batch:
+            self._memo[key].update((p, _Slice(batch, k)) for k, p in enumerate(x.keys))
+        return batch.value
 
     def probe(self, field: Callable, x, within: Callable):
         """``engine.probe`` of ``field`` (scalar or vector valued) at x."""
-        return self._once(("probe", field, x), lambda: self.engine.probe(field, x, within))
+        return self._generic(("probe", field), x, lambda x: _slices(
+            x, self.engine.probe(field, _coords(x), within)))
 
     def value(self, field: Callable, x):
         """``field(x)``, generic as the field returns it."""
-        return self._once(("value", field, x), lambda: field(x))
+        return self._generic(("value", field), x, lambda x: _slices(x, field(_coords(x))))
 
     def gradient(self, h: Callable, x, within: Callable) -> np.ndarray:
         """Float value of ``engine.gradient(h, x, within)`` for a scalar field h."""
@@ -385,23 +449,26 @@ class PointStore:
     def at(self, s: BlockForm, x) -> np.ndarray:
         """``s.at(x)``: the float value at a point of the block (elsewhere
         ``s.at`` raises)."""
-        return self._once(("at", s, x), lambda: _frozen(
-            _primal(self.value(s, x)) if s.block.contains(list(x)) else s.at(x)))
+        def build(x):
+            for p in x.keys if type(x) is _Points else (x,):
+                require_inside(s.block, p)
+            return _arrays(x, self.value(s, x))
+
+        return self._entry(("at", s), x, build)
 
     def gram(self, g: BlockMetric, x) -> np.ndarray:
-        return self._once(("gram", g, x),
-                          lambda: _frozen(_primal(self.value(g.gram_generic, x))))
+        return self._entry(("gram", g), x, lambda x: _arrays(x, self.value(g.gram_generic, x)))
 
     def gram_inverse(self, g: BlockMetric, x) -> list:
         """``invert_matrix_generic`` of the Gram at x."""
-        return self._once(("gram inverse", g, x),
-                          lambda: invert_matrix_generic(self.value(g.gram_generic, x)))
+        return self._entry(("gram inverse", g), x,
+                           lambda x: invert_matrix_generic(self.value(g.gram_generic, x)))
 
     def tensor(self, C: BlockConnection, s: BlockForm, x) -> np.ndarray:
         """Float value of ``apply_block(C, s, engine)`` at x."""
-        return self._once(("tensor", C, s, x), lambda: _frozen(_primal(_covariant_rows(
+        return self._entry(("tensor", C, s), x, lambda x: _arrays(x, _covariant_rows(
             self.gamma(C, x), self.value(s, x),
-            self.engine.rows(self.probe(s, x, C.block.contains))))))
+            self.engine.rows(self.probe(s, x, C.block.contains)))))
 
     def scaled_tensor(self, C: BlockConnection, h: Callable, s: BlockForm, x) -> np.ndarray:
         """Float value of ``apply_block(C, s.scaled(h), engine)`` at x, from
@@ -416,54 +483,185 @@ class PointStore:
 
     def compat_sides(self, C: BlockConnection, g: BlockMetric, s: BlockForm, t: BlockForm,
                      x) -> tuple:
-        """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at x."""
-        def build():
+        """d(g(s,t)) and g(nabla s, t) + g(s, nabla t) at x; the right side
+        is a float matrix product at each point."""
+        def build(x):
             within = g.block.contains
             probes = (self.probe(g.gram_generic, x, within), self.probe(s, x, within),
                       self.probe(t, x, within))
-            lhs = self.engine.rows(self.engine.combine(
-                lambda gram, sv, tv: (_pair_value(gram, sv, tv),), *probes))[0]
-            gram = self.gram(g, x)
-            rhs = self.tensor(C, s, x) @ gram @ self.at(t, x) \
-                + self.tensor(C, t, x) @ gram @ self.at(s, x)
-            return _frozen(_primal(lhs)), _frozen(rhs)
+            lhs = _arrays(x, self.engine.rows(self.engine.combine(
+                lambda gram, sv, tv: (_pair_value(gram, sv, tv),), *probes))[0])
+            parts = (lhs, self.gram(g, x), self.tensor(C, s, x), self.at(t, x),
+                     self.tensor(C, t, x), self.at(s, x))
 
-        return self._once(("compat", C, g, s, t, x), build)
+            def sides(lhs, gram, ts, at_t, tt, at_s):
+                return lhs, _frozen(ts @ gram @ at_t + tt @ gram @ at_s)
+
+            return [sides(*v) for v in zip(*parts)] if type(x) is _Points else sides(*parts)
+
+        return self._entry(("compat", C, g, s, t), x, build)
 
     def phi(self, g: BlockMetric, s: BlockForm, x) -> list:
         """Value of ``phi_apply_block(g, s)`` at x."""
-        return self._once(("phi", g, s, x),
-                          lambda: _image(self.value(g.gram_generic, x), self.value(s, x)))
+        return self._entry(("phi", g, s), x,
+                           lambda x: _image(self.value(g.gram_generic, x), self.value(s, x)))
 
     def phi_probe(self, g: BlockMetric, s: BlockForm, x):
         """Probe of ``phi_apply_block(g, s)`` at x, from the Gram and s probes."""
         within = g.block.contains
-        return self._once(("phi probe", g, s, x), lambda: self.engine.combine(
+        return self._entry(("phi probe", g, s), x, lambda x: self.engine.combine(
             _image, self.probe(g.gram_generic, x, within), self.probe(s, x, within)))
 
     def bracket(self, g: BlockMetric, s: BlockForm, r: BlockForm, x) -> np.ndarray:
         """``lie_bracket_forms_block(g, s, r, engine).at(x)``."""
-        def build():
+        def build(x):
             require_inside(g.block, x)
             rows = self.engine.rows
             ju, jt = rows(self.phi_probe(g, r, x)), rows(self.phi_probe(g, s, x))
             dual = _bracket_values(self.phi(g, s, x), self.phi(g, r, x), jt, ju)
             return _frozen(_primal(_image(self.gram_inverse(g, x), dual)))
 
-        return self._once(("bracket", g, s, r, x), build)
+        return self._entry(("bracket", g, s, r), x, build)
 
     def torsion(self, C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm,
                 x) -> np.ndarray:
         """``torsion_block(C, g, s, r, engine).at(x)``: nabla_s r - nabla_r s
         - [s,r] from the stored tensors and bracket."""
-        def build():
+        def build(x):
             require_inside(C.block, x)
             sr = _contract(self.phi(g, s, x), self.tensor(C, r, x))
             rs = _contract(self.phi(g, r, x), self.tensor(C, s, x))
             br = self.bracket(g, s, r, x)
             return _frozen(_primal([a + -1.0 * b + -1.0 * c for a, b, c in zip(sr, rs, br)]))
 
-        return self._once(("torsion", C, g, s, r, x), build)
+        return self._entry(("torsion", C, g, s, r), x, build)
+
+
+class _Points:
+    """Float points of one block side, handed to an entry's build in one
+    piece: their coordinate tuples (the store's keys) and their coordinate
+    arrays."""
+
+    __slots__ = ("keys", "_coords")
+
+    def __init__(self, keys: Sequence):
+        self.keys, self._coords = list(dict.fromkeys(keys)), None
+
+    @property
+    def coords(self) -> list:
+        if self._coords is None:
+            self._coords = coordinate_arrays(self.keys)
+        return self._coords
+
+
+class _Batch:
+    """A generic value built over ``count`` points, and (made when first
+    gathered) its template and float leaves as the rows of one matrix."""
+
+    __slots__ = ("value", "count", "_flat")
+
+    def __init__(self, value, count: int):
+        self.value, self.count, self._flat = value, count, None
+
+    def flat(self) -> tuple:
+        if self._flat is None:
+            rows = []
+            template = _template(self.value, rows)
+            matrix = np.empty((len(rows), self.count))
+            for i, row in enumerate(rows):
+                matrix[i] = row
+            self._flat = template, matrix
+        return self._flat
+
+
+class _Slice:
+    """Point ``k`` of a :class:`_Batch`; the store reads it as that point's
+    own nest (``_at_point``, made when first asked for at the point)."""
+
+    __slots__ = ("batch", "k", "_value")
+
+    def __init__(self, batch: _Batch, k: int):
+        self.batch, self.k, self._value = batch, k, None
+
+    def at_point(self):
+        if self._value is None:
+            self._value = _at_point(self.batch.value, self.k)
+        return self._value
+
+
+def _coords(x):
+    return x.coords if type(x) is _Points else x
+
+
+def _slices(x, value):
+    """A generic value built at x: itself at a point, one slice per point over points."""
+    if type(x) is not _Points:
+        return value
+    batch = _Batch(value, len(x.keys))
+    return [_Slice(batch, k) for k in range(batch.count)]
+
+
+def _gathered(values: list) -> _Batch:
+    """The pass over points of per-point generic values: the pass that built
+    them all, in order, or else a new one gathered from the passes and
+    single builds that made them."""
+    first = values[0]
+    if type(first) is _Slice and first.batch.count == len(values) and all(
+            type(v) is _Slice and v.batch is first.batch and v.k == k
+            for k, v in enumerate(values)):
+        return first.batch
+    template, columns, batch = None, [], None
+    for v in values:
+        if type(v) is _Slice:
+            if v.batch is not batch:
+                batch = v.batch
+                t, matrix = batch.flat()
+            columns.append(matrix[:, v.k])
+        else:
+            rows = []
+            t = _template(v, rows)
+            columns.append(np.array(rows, dtype=float))
+        if template is None:
+            template = t
+        elif t is not template and t != template:
+            raise ValueError("per-point values of an entry differ in structure")
+    return _Batch(_rebuild(template, np.array(columns).T.copy()), len(values))
+
+
+def _template(value, rows: list):
+    """Structure of a generic nest: lists for lists and tuples, ("dual",
+    value, partials) for a dual, ("const", v) for a leaf that is not a
+    number (a probe's dimension, a dual probe's step), and for each float or
+    float array the index of the row appended to ``rows``."""
+    if isinstance(value, (list, tuple)):
+        return [_template(v, rows) for v in value]
+    if isinstance(value, DualScalar):
+        return ("dual", _template(value.value, rows), [_template(p, rows) for p in value.partials])
+    if isinstance(value, (float, np.ndarray)):
+        rows.append(value)
+        return len(rows) - 1
+    return ("const", value)
+
+
+def _rebuild(template, rows: np.ndarray):
+    """The nest of ``template`` with its leaves read from ``rows``."""
+    if type(template) is list:
+        return [_rebuild(t, rows) for t in template]
+    if type(template) is int:
+        return rows[template]
+    if template[0] == "dual":
+        return DualScalar(_rebuild(template[1], rows), [_rebuild(p, rows) for p in template[2]])
+    return template[1]
+
+
+def _arrays(x, value):
+    """A float entry built at x: a read-only array at a point; over points,
+    one read-only C-contiguous array per point."""
+    if type(x) is not _Points:
+        return _frozen(_primal(value))
+    n = len(x.keys)
+    over = _over_points(value, n)
+    return list(_frozen(over.reshape(-1, n).T.copy().reshape((n,) + over.shape[:-1])))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -484,6 +682,12 @@ def release_point_store(space: GluedSpace) -> None:
     sections refer to it), so it lingers until the cyclic collector runs; a
     run releases its store when its suites are done instead."""
     space.__dict__.pop("_point_store", None)
+
+
+def block_sides(points: Sequence[GluedPoint]) -> tuple:
+    """The block-1 and the block-2 coordinates of the sides of ``points``, in
+    their order: what the checks over the points hand the point store."""
+    return tuple([x for p in points for w, x in p.sides if w == side] for side in (1, 2))
 
 
 def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
@@ -518,7 +722,12 @@ def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
     sections = section_family(space)
     store = point_store(space)
     tol = eng.config.tol("connections")
-    for p in space.region_samples()[LOCUS]:
+    samples = space.region_samples()[LOCUS]
+    xs1, xs2 = block_sides(samples)
+    for s in sections:
+        store.batch(store.tensor, nabla1, s.s1, points=xs1)
+        store.batch(store.tensor, nabla2, s.s2, points=xs2)
+    for p in samples:
         fr = space.locus_frames(p.coords)
         p1 = fr.t1.T
         p2 = fr.t2.T
@@ -701,13 +910,20 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     """
     space = C.space
     store = point_store(space)
-    g1, g2 = C.metric.g1, C.metric.g2
+    nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
+    xs = block_sides(points)
+    # each section's tensors first: their pass over the points the gate left
+    # builds the probes there, which each pair's pass then gathers once
+    for s in dict.fromkeys(s for pair in pairs for s in pair):
+        for w in (1, 2):
+            store.batch(store.tensor, nablas[w - 1], (s.s1, s.s2)[w - 1], points=xs[w - 1])
     for s, t in pairs:
-        k = GluedFunction(space, _gram_pair_field(g1, s.s1, t.s1),
-                          _gram_pair_field(g2, s.s2, t.s2))
+        for w in (1, 2):
+            store.batch(store.compat_sides, nablas[w - 1], metrics[w - 1], (s.s1, s.s2)[w - 1],
+                        (t.s1, t.s2)[w - 1], points=xs[w - 1])
         for p in points:
-            sides = [store.compat_sides((C.nabla1, C.nabla2)[w - 1], (g1, g2)[w - 1],
+            sides = [store.compat_sides(nablas[w - 1], metrics[w - 1],
                                         (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x)
                      for w, x in p.sides]
             res = max((float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides), key=nan_first)
@@ -717,7 +933,10 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                 # mixing section pairs for which no glued function exists;
                 # the identity is vacuous at fibre level for those and only
                 # the block (pair level) identities apply.
-                v1, v2 = k.side_values(p)
+                v1, v2 = (_primal(_pair_value(store.value(metrics[w - 1].gram_generic, x),
+                                              store.value((s.s1, s.s2)[w - 1], x),
+                                              store.value((t.s1, t.s2)[w - 1], x)))
+                          for w, x in p.sides)
                 collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
                 if space.locus.kind != "point_set":
                     res = max(res, collapse, key=nan_first)

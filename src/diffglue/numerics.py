@@ -318,7 +318,9 @@ def _seeds(coords) -> list:
 
 def _probe(mapping, coords, within, step) -> tuple:
     """:meth:`DiffEngine.probe` on seeded duals (``step`` None) or on the
-    central-difference stencil with step ``step``."""
+    central-difference stencil with step ``step``.  Over points, the stencil
+    inputs of every point are evaluated in one pass over their concatenated
+    coordinate arrays."""
     n = len(coords)
     if step is None:
         return n, [mapping(_seeds(coords))], None
@@ -331,7 +333,19 @@ def _probe(mapping, coords, within, step) -> tuple:
                 if not within(inputs):
                     raise OutsideDomain(
                         f"fd stencil leaves the domain at {tuple(x)} (axis {k // 2})")
-    return n, [mapping(x) for x in stencil], step
+    count = point_count(coords)
+    if count is None:
+        return n, [mapping(x) for x in stencil], step
+    outputs = mapping([np.concatenate(axis) for axis in zip(*stencil)])
+    return n, [_run(outputs, k * count, (k + 1) * count) for k in range(len(stencil))], step
+
+
+def _run(x, start: int, stop: int):
+    """Points ``start:stop`` of a generic nest over points (a value that
+    does not depend on the point stays as it is)."""
+    if isinstance(x, (list, tuple)):
+        return [_run(v, start, stop) for v in x]
+    return x[start:stop] if isinstance(x, np.ndarray) else x
 
 
 def _stencil(coords, h: float) -> list:

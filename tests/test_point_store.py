@@ -4,7 +4,8 @@ A probe is a field's outputs at the mode's probe inputs; ``rows`` of a probe
 must be the Jacobian the engine computed before probes existed, and every
 value the point store builds must equal the direct route (``apply_block``,
 ``engine.gradient`` of ``_gram_pair_field``, ``lie_bracket_forms_block`` and
-``torsion_block``) bit for bit.
+``torsion_block``) bit for bit, whether it was built at its point or in a
+pass over the points of a block side.
 """
 
 import os
@@ -22,7 +23,7 @@ from diffglue.errors import OutsideDomain, ValidationError
 from diffglue.fields import PolyField
 from diffglue.forms import BlockForm
 from diffglue.metric import BlockMetric
-from diffglue.numerics import DiffConfig, DiffEngine, DualScalar, _primal, _seeds
+from diffglue.numerics import DiffConfig, DiffEngine, DualScalar, _each_point, _primal, _seeds
 from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.space import EuclideanBlock
 from diffglue.suites import SUITES, _points, _section_pairs
@@ -34,6 +35,8 @@ import ladder  # noqa: E402
 MODES = ("forward_dual", "central_fd")
 SCENARIOS = ("cross_flat", "cross_mixed_grams", "halfline_curved", "plane_axis_gluing",
              "ladder_d1", "ladder_d2", "ladder_d3")
+# the entry kinds the store builds in passes over points
+BATCHED = ("probe", "value", "at", "gram", "tensor", "compat")
 
 
 def bits(v):
@@ -115,15 +118,47 @@ def scenario_context(name, mode, tmp_path):
     return build_context(load_scenario(path), mode=mode, prime_koszul=True)
 
 
+def side_points(ctx, w, rng):
+    """Every sample point's side-w coordinates, shuffled."""
+    xs = [x for p in _points(ctx) for v, x in p.sides if v == w]
+    return [xs[k] for k in rng.permutation(len(xs))]
+
+
+def batch_entries(ctx, store, nablas, pairs, rng):
+    """Hand ``store`` the shuffled points of each block side: first every
+    other point for the sections' tensors, then all of them for the
+    compatibility entries of each pair, so the second pass overlaps points
+    the first already holds.  Asserts that no pass fell back."""
+    for s, t in pairs:
+        for w in (1, 2):
+            xs = side_points(ctx, w, rng)
+            sw, tw = (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1]
+            store.batch(store.tensor, nablas[w - 1], sw, points=xs[::2])
+            store.batch(store.compat_sides, nablas[w - 1], (ctx.g1, ctx.g2)[w - 1], sw, tw,
+                        points=xs)
+    assert store.batches["compat"] and not any(store.point_builds[k] for k in BATCHED)
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
 def test_store_values_equal_the_direct_route(name, mode, tmp_path):
-    ctx = scenario_context(name, mode, tmp_path)
+    check_store_values(scenario_context(name, mode, tmp_path), batched=False)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("mode", MODES)
+def test_store_values_built_over_points_equal_the_direct_route(name, mode, tmp_path):
+    check_store_values(scenario_context(name, mode, tmp_path), batched=True)
+
+
+def check_store_values(ctx, batched):
     space, eng = ctx.space, ctx.engine
     C = ctx.glued_connection()
     store = cx.PointStore(eng)
     nablas, metrics = (C.nabla1, C.nabla2), (ctx.g1, ctx.g2)
     functions = cx.glued_function_family(space, np.random.default_rng(0))
+    if batched:
+        batch_entries(ctx, store, nablas, _section_pairs(ctx), np.random.default_rng(2))
     checked = 0
     for s, t in _section_pairs(ctx):
         for p in _points(ctx, per_region=4):
@@ -138,6 +173,13 @@ def test_store_values_equal_the_direct_route(name, mode, tmp_path):
                     + _primal(cx.apply_block(nabla, tw, eng)(x)) @ gram @ sw.at(x)
                 assert bits(lhs) == bits(direct_lhs)
                 assert bits(rhs) == bits(direct_rhs)
+                assert bits(store.tensor(nabla, sw, x)) \
+                    == bits(_primal(cx.apply_block(nabla, sw, eng)(x)))
+                assert bits(store.at(sw, x)) == bits(sw.at(x))
+                assert bits(store.gram(g, x)) == bits(gram)
+                assert bits(store.value(sw, x)) == bits(sw(x))
+                assert bits(store.probe(sw, x, g.block.contains)[1]) \
+                    == bits(eng.probe(sw, x, g.block.contains)[1])
                 for h in functions[:3]:
                     hw = (h.h1, h.h2)[w - 1]
                     assert bits(store.scaled_tensor(nabla, hw, sw, x)) \
@@ -156,7 +198,8 @@ class ProbeCounter:
 
         def counted(engine, mapping, coords, within=None):
             if isinstance(mapping, BlockForm) and sys._getframe(1).f_code.co_name != "jacobian":
-                self.calls[(mapping, tuple(coords))] += 1
+                for x in _each_point(coords):   # each point of a probe over points
+                    self.calls[(mapping, tuple(x))] += 1
             return probe(engine, mapping, coords, within)
 
         monkeypatch.setattr(DiffEngine, "probe", counted)
@@ -176,7 +219,7 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
     tensor = store.tensor
 
     def recorded(C, s, x):
-        tensors.append((s, tuple(x)))
+        tensors.extend((s, p) for p in (x.keys if isinstance(x, cx._Points) else (x,)))
         return tensor(C, s, x)
 
     monkeypatch.setattr(store, "tensor", recorded)
@@ -202,12 +245,23 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
         assert set(counter.calls) == probed, name
     assert SUITES["levi-civita-inheritance"](ctx).passed
     assert counter.calls and set(counter.calls.values()) == {1}
+    assert store.batches["probe"]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
 def test_torsion_and_bracket_entries_equal_the_direct_route(name, mode, tmp_path):
-    ctx = scenario_context(name, mode, tmp_path)
+    check_torsion_and_bracket(scenario_context(name, mode, tmp_path), batched=False)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("mode", MODES)
+def test_torsion_and_bracket_from_entries_built_over_points_equal_the_direct_route(
+        name, mode, tmp_path):
+    check_torsion_and_bracket(scenario_context(name, mode, tmp_path), batched=True)
+
+
+def check_torsion_and_bracket(ctx, batched):
     eng = ctx.engine
     C = ctx.glued_connection()
     store = cx.PointStore(eng)
@@ -217,6 +271,9 @@ def test_torsion_and_bracket_entries_equal_the_direct_route(name, mode, tmp_path
               (cx.perturb_connection(C.nabla1, rng), cx.perturb_connection(C.nabla2, rng)))
     metrics = (ctx.g1, ctx.g2)
     checked = 0
+    if batched:
+        for pair in nablas:
+            batch_entries(ctx, store, pair, _section_pairs(ctx, count=3), rng)
     for s, r in _section_pairs(ctx, count=3):
         for p in _points(ctx, per_region=3):
             for w, x in p.sides:
@@ -230,6 +287,62 @@ def test_torsion_and_bracket_entries_equal_the_direct_route(name, mode, tmp_path
                             == bits(cx.torsion_block(nabla, g, a, b, eng).at(x))
                 checked += 1
     assert checked > 10
+
+
+@pytest.mark.parametrize("name", SCENARIOS[:4] + ("ladder_d1", "ladder_d2", "ladder_d3",
+                                                  "ladder_d4"))
+@pytest.mark.parametrize("mode", MODES)
+def test_the_gate_and_metric_compat_build_their_entries_over_points(name, mode, tmp_path):
+    if name.startswith("ladder_"):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(ladder.ladder_yaml(int(name[-1]), 0))
+    else:
+        path = fixture_path(name)
+    ctx = build_context(load_scenario(path), mode=mode, prime_koszul=True)
+    store = cx.point_store(ctx.space)
+    ctx.glued_connection()
+    assert SUITES["metric-compat"](ctx).passed
+    assert store.batches["compat"] and store.batches["tensor"]
+    assert {k: store.point_builds[k] for k in BATCHED} == dict.fromkeys(BATCHED, 0)
+    assert sum(store.batched_points.values()) > sum(store.batches.values())
+
+
+def replace_section(ctx, index, field):
+    """Section family with section ``index``'s block-1 field replaced by
+    ``field(x, original)``."""
+    family = list(cx.section_family(ctx.space))
+    s = family[index]
+    family[index] = cx.LambdaSection(ctx.space, BlockForm(s.s1.block,
+                                                          lambda x: field(x, s.s1)), s.s2)
+    ctx.space._section_family = tuple(family)
+    return family[index]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_section_that_branches_on_its_coordinates_is_built_point_by_point(mode):
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")), mode=mode,
+                        prime_koszul=True)
+    eng = ctx.engine
+    # a coordinate array has no truth value, so no pass over points can evaluate it
+    s = replace_section(ctx, 2, lambda x, s1: s1(x) if x[0] > -100.0 else s1(x))
+    store = cx.point_store(ctx.space)
+    C = ctx.glued_connection()
+    assert SUITES["metric-compat"](ctx).passed
+    assert store.point_builds["tensor"] and store.point_builds["compat"]
+    assert store.batches["tensor"] and store.batches["compat"]
+    sections = cx.section_family(ctx.space)
+    checked = 0
+    for p in _points(ctx, per_region=4):
+        for w, x in p.sides:
+            if w == 1:
+                assert bits(store.tensor(C.nabla1, s.s1, x)) \
+                    == bits(_primal(cx.apply_block(C.nabla1, s.s1, eng)(x)))
+                lhs, rhs = store.compat_sides(C.nabla1, ctx.g1, sections[1].s1, s.s1, x)
+                assert bits(lhs) == bits(_primal(eng.gradient(
+                    cx._gram_pair_field(ctx.g1, sections[1].s1, s.s1), list(x),
+                    within=ctx.g1.block.contains)))
+                checked += 1
+    assert checked >= 8
 
 
 def raising_section(ctx, bad):
