@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from .connection import release_point_store
 from .errors import DiffglueError, ParseError, ValidationError
 from .scenario import SUITE_CATALOGUE, build_context, load_scenario
 from .space import classify_point
@@ -72,7 +71,6 @@ def run_command(args) -> int:
                           "detail": str(exc)}
         for name in selected:
             results.append(SUITES[name](ctx))
-        release_point_store(ctx.space)
     wall = time.time() - t0
 
     seed = args.seed if args.seed is not None else scenario.plan.seed
@@ -149,7 +147,7 @@ def inspect_command(args) -> int:
         return 2
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffglue",
         description="Glued-space calculus verification runner")
@@ -170,8 +168,14 @@ def main(argv=None) -> int:
     insp.add_argument("--point", required=True,
                       help="point spec, e.g. locus:0.0 or block1:0.5,1.0")
     insp.set_defaults(func=inspect_command)
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _parser()   # built once: a parser is a web of cross-references
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -31,9 +31,9 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     coordinate_form, pair_residual, require_inside, rho_pair_inverse,
                     section_element, zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, DualScalar, coordinate_arrays,
+from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
                        float_semantics, invert_matrix_generic, nan_first, point_count,
-                       _at_point, _dot, _over_points, _primal)
+                       _at_point, _dot, _over_points, _primal, _stack_points)
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
@@ -555,23 +555,12 @@ class _Points:
 
 
 class _Batch:
-    """A generic value built over ``count`` points, and (made when first
-    gathered) its template and float leaves as the rows of one matrix."""
+    """A generic value built over ``count`` points."""
 
-    __slots__ = ("value", "count", "_flat")
+    __slots__ = ("value", "count")
 
     def __init__(self, value, count: int):
-        self.value, self.count, self._flat = value, count, None
-
-    def flat(self) -> tuple:
-        if self._flat is None:
-            rows = []
-            template = _template(self.value, rows)
-            matrix = np.empty((len(rows), self.count))
-            for i, row in enumerate(rows):
-                matrix[i] = row
-            self._flat = template, matrix
-        return self._flat
+        self.value, self.count = value, count
 
 
 class _Slice:
@@ -603,55 +592,14 @@ def _slices(x, value):
 
 def _gathered(values: list) -> _Batch:
     """The pass over points of per-point generic values: the pass that built
-    them all, in order, or else a new one gathered from the passes and
-    single builds that made them."""
+    them all, in order, or else a new one stacked from their nests."""
     first = values[0]
     if type(first) is _Slice and first.batch.count == len(values) and all(
             type(v) is _Slice and v.batch is first.batch and v.k == k
             for k, v in enumerate(values)):
         return first.batch
-    template, columns, batch = None, [], None
-    for v in values:
-        if type(v) is _Slice:
-            if v.batch is not batch:
-                batch = v.batch
-                t, matrix = batch.flat()
-            columns.append(matrix[:, v.k])
-        else:
-            rows = []
-            t = _template(v, rows)
-            columns.append(np.array(rows, dtype=float))
-        if template is None:
-            template = t
-        elif t is not template and t != template:
-            raise ValueError("per-point values of an entry differ in structure")
-    return _Batch(_rebuild(template, np.array(columns).T.copy()), len(values))
-
-
-def _template(value, rows: list):
-    """Structure of a generic nest: lists for lists and tuples, ("dual",
-    value, partials) for a dual, ("const", v) for a leaf that is not a
-    number (a probe's dimension, a dual probe's step), and for each float or
-    float array the index of the row appended to ``rows``."""
-    if isinstance(value, (list, tuple)):
-        return [_template(v, rows) for v in value]
-    if isinstance(value, DualScalar):
-        return ("dual", _template(value.value, rows), [_template(p, rows) for p in value.partials])
-    if isinstance(value, (float, np.ndarray)):
-        rows.append(value)
-        return len(rows) - 1
-    return ("const", value)
-
-
-def _rebuild(template, rows: np.ndarray):
-    """The nest of ``template`` with its leaves read from ``rows``."""
-    if type(template) is list:
-        return [_rebuild(t, rows) for t in template]
-    if type(template) is int:
-        return rows[template]
-    if template[0] == "dual":
-        return DualScalar(_rebuild(template[1], rows), [_rebuild(p, rows) for p in template[2]])
-    return template[1]
+    return _Batch(_stack_points([v.at_point() if type(v) is _Slice else v for v in values]),
+                  len(values))
 
 
 def _arrays(x, value):
@@ -667,21 +615,6 @@ def _arrays(x, value):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def point_store(space: GluedSpace) -> PointStore:
-    """The space's point store, memoized on it like its fibres: the checks
-    and suites of one run over the space share it."""
-    if "_point_store" not in space.__dict__:
-        space._point_store = PointStore(space.engine)
-    return space._point_store
-
-
-def release_point_store(space: GluedSpace) -> None:
-    """Drop the space's point store.  A space sits in reference cycles (its
-    sections refer to it), so it lingers until the cyclic collector runs; a
-    run releases its store when its suites are done instead."""
-    space.__dict__.pop("_point_store", None)
 
 
 def block_sides(points: Sequence[GluedPoint]) -> tuple:
@@ -706,21 +639,20 @@ def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
 
 
 def check_connections_compatible(space: GluedSpace, nabla1: BlockConnection,
-                                 nabla2: BlockConnection) -> CompatResult:
+                                 nabla2: BlockConnection, sections: Sequence,
+                                 store: PointStore) -> CompatResult:
     """Locus pullback agreement of the two connection tensors.
 
-    For each sampled locus point and section of the space's family, both
-    tensor values are pulled onto the locus through the tangential covector
-    maps and compared.  Point-set loci have a zero pullback target, so the
-    check is vacuously true there.  The tensors are the space's
-    :func:`point_store` entries, which later checks over the locus reuse.
+    For each sampled locus point and section of ``sections`` (the space's
+    :func:`section_family`), both tensor values are pulled onto the locus
+    through the tangential covector maps and compared.  Point-set loci have
+    a zero pullback target, so the check is vacuously true there.  The
+    tensors are ``store`` entries, which later checks over the locus reuse.
     """
     eng = space.engine
     out = Checks()
     if space.locus.kind == "point_set":
         return out.compat()
-    sections = section_family(space)
-    store = point_store(space)
     tol = eng.config.tol("connections")
     samples = space.region_samples()[LOCUS]
     xs1, xs2 = block_sides(samples)
@@ -781,14 +713,16 @@ def tensor_pair_gate(space: GluedSpace, point: GluedPoint, matrices: list) -> li
 
 
 class GluedConnection:
-    """Pair of compatible block connections with the three-case evaluation."""
+    """Pair of compatible block connections with the three-case evaluation;
+    the checks over it read block values from its point ``store``."""
 
     def __init__(self, space: GluedSpace, metric: GluedMetric,
-                 nabla1: BlockConnection, nabla2: BlockConnection):
+                 nabla1: BlockConnection, nabla2: BlockConnection, store: PointStore):
         self.space = space
         self.metric = metric
         self.nabla1 = nabla1
         self.nabla2 = nabla2
+        self.store = store
 
     def apply(self, s: LambdaSection) -> GluedTensorField:
         eng = self.space.engine
@@ -797,13 +731,15 @@ class GluedConnection:
                                 apply_block(self.nabla2, s.s2, eng))
 
 
-def glue_connections(space: GluedSpace, metric: GluedMetric,
-                     nabla1: BlockConnection, nabla2: BlockConnection) -> GluedConnection:
-    """Gate the pair through both compatibility checks and assemble."""
-    result = check_connections_compatible(space, nabla1, nabla2)
+def glue_connections(space: GluedSpace, metric: GluedMetric, nabla1: BlockConnection,
+                     nabla2: BlockConnection, sections: Sequence,
+                     store: PointStore) -> GluedConnection:
+    """Gate the pair on ``sections`` (see :func:`check_connections_compatible`)
+    and assemble it with ``store``."""
+    result = check_connections_compatible(space, nabla1, nabla2, sections, store)
     if not result:
         raise IncompatibleConnections(f"connections incompatible: {result.witness}")
-    return GluedConnection(space, metric, nabla1, nabla2)
+    return GluedConnection(space, metric, nabla1, nabla2, store)
 
 
 # -- glued dual sections and the operator calculus -----------------------------
@@ -882,9 +818,8 @@ def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection) -> LambdaSec
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
                     tol: float) -> CompatResult:
     """Sampled torsion bound over a spanning family of section pairs; the
-    block torsions are the space's :func:`point_store` entries."""
-    space = C.space
-    store = point_store(space)
+    block torsions are entries of C's point store."""
+    space, store = C.space, C.store
     nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
     for s, r in pairs:
@@ -908,8 +843,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     g(s,t) must also agree (the collapse property of compatible metrics),
     which makes the glued function well-defined there.
     """
-    space = C.space
-    store = point_store(space)
+    space, store = C.space, C.store
     nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
     xs = block_sides(points)
@@ -940,7 +874,7 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                 collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
                 if space.locus.kind != "point_set":
                     res = max(res, collapse, key=nan_first)
-                if collapse <= 1e-6:
+                if collapse <= space.engine.config.tol("glued-function"):
                     # well-posed glued function: its split differentials
                     # must form a compatible pair over the locus fibre
                     (dk1, _), (dk2, _) = sides
@@ -959,9 +893,11 @@ def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     Jacobian (every gluing map carries one), so outer derivatives of s2 see
     no inner finite-difference noise and no matrix is inverted per call.
     """
+    f = space.f
+
     def field(z):
-        rows = space.f.inverse_jacobian(list(z))
-        w = s1(space.f.inverse(list(z)))
+        rows = f.inverse_jacobian(list(z))
+        w = s1(f.inverse(list(z)))
         return [_dot(col, w) for col in zip(*rows)]
 
     return BlockForm(space.block2, field)
@@ -1001,13 +937,11 @@ def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator,
 
 
 def section_family(space: GluedSpace) -> tuple:
-    """The seeded compatible sections of the space, drawn from ``plan.seed`` and
-    assembled once (memoized on the space, like fibres); the connection gate
-    and every suite that quantifies over sections read them."""
-    if "_section_family" not in space.__dict__:
-        raw = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
-        space._section_family = tuple(assemble_section(space, s1, s2) for s1, s2 in raw)
-    return space._section_family
+    """The seeded compatible sections of the space, drawn from ``plan.seed``
+    and assembled: what the connection gate and every suite that quantifies
+    over sections read (a run builds them once, on its scenario context)."""
+    raw = compatible_section_pairs(space, np.random.default_rng(space.plan.seed))
+    return tuple(assemble_section(space, s1, s2) for s1, s2 in raw)
 
 
 def _image_residual_fields(space: GluedSpace) -> list:

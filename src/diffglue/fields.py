@@ -9,6 +9,7 @@ scalars]`` under the same rule.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +61,5 @@ class PolyField:
 
 def random_poly(rng: np.random.Generator, dim: int) -> PolyField:
     """Dense random polynomial of total degree <= 2 with coefficients in [-1, 1]."""
-    coeffs = {}
-    def rec(prefix, remaining):
-        if len(prefix) == dim:
-            coeffs[tuple(prefix)] = rng.uniform(-1.0, 1.0)
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-    rec([], 2)
-    return PolyField(dim, coeffs)
+    return PolyField(dim, {exps: rng.uniform(-1.0, 1.0)
+                           for exps in product(range(3), repeat=dim) if sum(exps) <= 2})

@@ -55,6 +55,8 @@ TOLERANCES = {
     "connections": (EPS_NUM * 100, 10.0 * 1e-6),    # block connections on the locus
     "membership": (EPS_NUM, 1e-6),     # derived section values in the fibre
     "tensor-membership": (1e-6, 1e-6),  # tensor pair in the compatible square
+    "glued-function": (1e-6, 1e-6),    # metric-compat: g(s,t) collapses, relative
+    "probe-fibre": (1e-7, 1e-7),       # bracket-split: probe differential in the fibre
 }
 
 
@@ -466,13 +468,15 @@ def _at_point(x, k: int):
 
 def _stack_points(nests: list):
     """Nest over points from one generic nest per point (the inverse of
-    :func:`_at_point`); a float among duals becomes a constant dual."""
+    :func:`_at_point`, tuples becoming lists); a float among duals becomes a
+    constant dual, and a leaf that is not a number (a probe's dimension or
+    step) is the first nest's."""
     first = nests[0]
-    if isinstance(first, list):
+    if isinstance(first, (list, tuple)):
         return [_stack_points([v[i] for v in nests]) for i in range(len(first))]
     duals = [v for v in nests if isinstance(v, DualScalar)]
     if not duals:
-        return np.array(nests, dtype=float)
+        return np.array(nests, dtype=float) if isinstance(first, float) else first
     return DualScalar(
         _stack_points([v.value if isinstance(v, DualScalar) else v for v in nests]),
         [_stack_points([v.partials[i] if isinstance(v, DualScalar) else 0.0 for v in nests])

@@ -20,8 +20,8 @@ import yaml
 from .errors import NotADiffeomorphism, ParseError, ValidationError
 from .fields import PolyField
 from .metric import BlockMetric, glue_metrics
-from .connection import (BlockConnection, glue_connections, koszul_solve,
-                         zero_connection)
+from .connection import (BlockConnection, PointStore, glue_connections, koszul_solve,
+                         section_family, zero_connection)
 from .numerics import DiffConfig, DiffEngine, DualScalar, SamplePlan, _primal
 from .space import (LOCUS, EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
                     OpenSubdomainLocus, PointSetLocus, SubmanifoldLocus,
@@ -231,8 +231,10 @@ class Scenario:
 @dataclass
 class ScenarioContext:
     """Built objects of a scenario.  Each derived object (a block's Koszul
-    factor, the glued metric, the glued connection of a connection pair) is
-    built once; ``nabla1``/``nabla2`` are the Koszul factors unless set.
+    factor, the glued metric, the section family, the point store, the glued
+    connection of a connection pair) is built once and held here, not on the
+    space, so a run's objects are freed with its context;
+    ``nabla1``/``nabla2`` are the Koszul factors unless set.
     ``prime_koszul`` is set for a suite run, which asks a Koszul factor for
     every sample point, and left unset for a point query."""
 
@@ -273,6 +275,16 @@ class ScenarioContext:
     def nabla2(self) -> BlockConnection:
         return self.koszul(2) if self.n2_spec is None else self.n2_spec
 
+    @property
+    def sections(self) -> tuple:
+        """The space's seeded section family (:func:`section_family`)."""
+        return self._once("sections", lambda: section_family(self.space))
+
+    @property
+    def store(self) -> PointStore:
+        """The point store that the gate and the suites of a run share."""
+        return self._once("store", lambda: PointStore(self.engine))
+
     def glued_metric(self):
         return self._once("metric", lambda: glue_metrics(self.space, self.g1, self.g2))
 
@@ -280,7 +292,7 @@ class ScenarioContext:
         """Glued connection of a gated block pair, the scenario's by default."""
         pair = (nabla1 or self.nabla1, nabla2 or self.nabla2)
         return self._once(("glued", *pair), lambda: glue_connections(
-            self.space, self.glued_metric(), *pair))
+            self.space, self.glued_metric(), *pair, self.sections, self.store))
 
 
 @contextmanager

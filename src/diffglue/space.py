@@ -17,7 +17,8 @@ Where checks evaluate is decided here too: :meth:`GluedSpace.region_samples`
 classifies the block grids and the sampled locus points once per space, and
 every sampled check and post-construction locus loop reads those points.
 The plan's seed does not move them; it drives the random families, whose
-sections (:func:`~diffglue.connection.section_family`) are built once per space.
+sections (:func:`~diffglue.connection.section_family`) a run builds once and
+keeps on its scenario context, not on the space.
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ def suite(name: str):
 
 
 def _section_pairs(ctx, count: int = 6) -> list:
-    """The first ``count`` consecutive pairs of the space's section family."""
-    family = cx.section_family(ctx.space)
+    """The first ``count`` consecutive pairs of the run's section family."""
+    family = ctx.sections
     return list(zip(family, family[1:]))[:count]
 
 
@@ -236,15 +236,15 @@ def _block_symmetric(C, g, pairs, points, store, tol) -> bool:
 def suite_leibniz(ctx, out: Checks) -> None:
     """Leibniz rule for the glued connection over the spanning family."""
     space = ctx.space
-    store = cx.point_store(space)
+    store = ctx.store
     C = ctx.glued_connection()
     nablas, blocks = (C.nabla1, C.nabla2), (space.block1, space.block2)
     tol = ctx.engine.config.tol("suite")
     rng = np.random.default_rng(ctx.space.plan.seed + 2)
-    sections = cx.section_family(space)[:8]
+    sections = ctx.sections[:8]
     functions = cx.glued_function_family(space, rng)
     points = _points(ctx, per_region=4)
-    # nabla s, s and dh at each point side come from the space's store, and
+    # nabla s, s and dh at each point side come from the run's store, and
     # each nabla(h s) from the stored probes of h and s: no field is probed twice
     applied = [[cx.tensor_pair_gate(space, p, [store.tensor(nablas[w - 1], (s.s1, s.s2)[w - 1], x)
                                                for w, x in p.sides]) for p in points]
@@ -316,10 +316,10 @@ def _bracket_action(t, u, h, point) -> float:
 
 def _bracket_direct_residual(ctx, G, s, r, point, probes) -> float:
     """Direct [Phi s, Phi r] via glued actions, compared with the case
-    formula's block brackets from the space's point store; ``probes`` pairs
+    formula's block brackets from the run's point store; ``probes`` pairs
     each glued probe function with its differential."""
     space = ctx.space
-    store = cx.point_store(space)
+    store = ctx.store
     metrics = (G.g1, G.g2)
     t = cx.phi_glued(G, s)
     u = cx.phi_glued(G, r)
@@ -341,7 +341,7 @@ def _bracket_direct_residual(ctx, G, s, r, point, probes) -> float:
     rows, vals = [], []
     for h, dh in probes:
         comps, res = pair_residual(fibre, *dh.side_values(point))
-        if res > 1e-7 * (1.0 + float(np.max(np.abs(comps)))):
+        if res > ctx.engine.config.tol("probe-fibre") * (1.0 + float(np.max(np.abs(comps)))):
             continue
         measured = _bracket_action(t, u, h, point)
         rows.append(comps)
@@ -380,7 +380,7 @@ def suite_torsion_split(ctx, out: Checks) -> str:
     space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
-    store = cx.point_store(space)
+    store = ctx.store
     nablas, metrics = (C.nabla1, C.nabla2), (ctx.g1, ctx.g2)
     pairs = _section_pairs(ctx, count=3)
     samples = space.region_samples()

@@ -20,6 +20,11 @@ def identity_map():
                         lambda z: np.eye(len(z)).tolist())
 
 
+def run_data(space):
+    """The section family and a fresh point store, as a run hands the gate."""
+    return cx.section_family(space), cx.PointStore(space.engine)
+
+
 @pytest.fixture
 def engine():
     return dg.DiffEngine(dg.DiffConfig())
@@ -56,7 +61,7 @@ def flat_setup(space):
                             else np.eye(space.block2.dim).tolist())
     G = dg.glue_metrics(space, g1, g2)
     C = dg.glue_connections(space, G, dg.zero_connection(space.block1),
-                            dg.zero_connection(space.block2))
+                            dg.zero_connection(space.block2), *run_data(space))
     return G, C
 
 
@@ -65,25 +70,25 @@ def flat_setup(space):
 def test_cross_any_connections_compatible(cross):
     n1 = dg.BlockConnection(cross.block1, lambda x: [[[x[0] + 2.0]]])
     n2 = dg.zero_connection(cross.block2)
-    assert dg.check_connections_compatible(cross, n1, n2)
+    assert dg.check_connections_compatible(cross, n1, n2, *run_data(cross))
 
 
 def test_halfline_equal_connections_compatible(halfline):
     n1 = dg.BlockConnection(halfline.block1, lambda x: [[[1.0]]])
     n2 = dg.BlockConnection(halfline.block2, lambda x: [[[1.0]]])
-    assert dg.check_connections_compatible(halfline, n1, n2)
+    assert dg.check_connections_compatible(halfline, n1, n2, *run_data(halfline))
 
 
 def test_halfline_flat_vs_gamma_incompatible(halfline):
     n1 = dg.zero_connection(halfline.block1)
     n2 = dg.BlockConnection(halfline.block2, lambda x: [[[1.0]]])
-    res = dg.check_connections_compatible(halfline, n1, n2)
+    res = dg.check_connections_compatible(halfline, n1, n2, *run_data(halfline))
     assert not res and res.witness is not None
     g1 = dg.constant_metric(halfline.block1, [[1.0]])
     g2 = dg.constant_metric(halfline.block2, [[1.0]])
     G = dg.glue_metrics(halfline, g1, g2)
     with pytest.raises(dg.IncompatibleConnections):
-        dg.glue_connections(halfline, G, n1, n2)
+        dg.glue_connections(halfline, G, n1, n2, *run_data(halfline))
 
 
 # -- the three-case operator -------------------------------------------------------
@@ -190,7 +195,7 @@ def test_covariant_split_two_paths(cross, halfline, plane_axis, engine):
         G = dg.glue_metrics(space, g1, g2)
         n1 = dg.koszul_solve(g1, engine)
         n2 = dg.koszul_solve(g2, engine)
-        C = dg.glue_connections(space, G, n1, n2)
+        C = dg.glue_connections(space, G, n1, n2, *run_data(space))
         s1 = coordinate_form(space.block1, 0)
         r1 = dg.BlockForm(space.block1,
                           lambda x, d=space.block1.dim: [x[0] if i == 0 else 1.0
@@ -268,7 +273,7 @@ def asymmetric_plane_setup(plane_axis):
     gamma[0][1][0] = 1.0
     n1 = dg.BlockConnection(plane_axis.block1, lambda x: gamma.tolist())
     n2 = dg.BlockConnection(plane_axis.block2, lambda x: gamma.tolist())
-    C = dg.glue_connections(plane_axis, G, n1, n2)
+    C = dg.glue_connections(plane_axis, G, n1, n2, *run_data(plane_axis))
     return G, C, g1, g2
 
 
@@ -325,7 +330,8 @@ def test_metric_compatible_glued_fails_on_a_nan_second_side(halfline, engine):
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g, g2)
     nan = dg.BlockConnection(halfline.block2, lambda x: [[[float("nan")]]])
-    C = cx.GluedConnection(halfline, G, dg.koszul_solve(g, engine), nan)
+    C = cx.GluedConnection(halfline, G, dg.koszul_solve(g, engine), nan,
+                           cx.PointStore(halfline.engine))
     family = cx.section_family(halfline)
     r = cx.check_metric_compatible_glued(C, list(zip(family, family[1:]))[:6],
                                          halfline.region_samples()["locus"], 1e-10)
@@ -339,7 +345,7 @@ def test_torsion_antisymmetry(halfline, engine):
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g1, g2)
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
-                            dg.koszul_solve(g2, engine))
+                            dg.koszul_solve(g2, engine), *run_data(halfline))
     s1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
     r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
@@ -370,7 +376,7 @@ def test_glued_leibniz_all_regions(halfline, engine):
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g1, g2)
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
-                            dg.koszul_solve(g2, engine))
+                            dg.koszul_solve(g2, engine), *run_data(halfline))
     s1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0]])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2 - 2.0,
@@ -394,7 +400,7 @@ def test_glued_connection_end_to_end_levi_civita(halfline, engine):
     g2 = dg.BlockMetric(halfline.block2, ((lambda x: 1.0 + x[0] ** 2,),))
     G = dg.glue_metrics(halfline, g1, g2)
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
-                            dg.koszul_solve(g2, engine))
+                            dg.koszul_solve(g2, engine), *run_data(halfline))
     rng = np.random.default_rng(9)
     raw = cx.compatible_section_pairs(halfline, rng, extra=2)
     sections = [dg.assemble_section(halfline, a, b) for a, b in raw[:4]]

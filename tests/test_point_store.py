@@ -210,7 +210,7 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
     ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")), mode=mode,
                         prime_koszul=True)
     counter = ProbeCounter(monkeypatch)
-    store = cx.point_store(ctx.space)
+    store = ctx.store
     locus = {x for p in ctx.space.region_samples()["locus"] for _, x in p.sides}
     ctx.glued_connection()          # the gate: every section at every locus side
     gated = set(counter.calls)
@@ -299,7 +299,7 @@ def test_the_gate_and_metric_compat_build_their_entries_over_points(name, mode, 
     else:
         path = fixture_path(name)
     ctx = build_context(load_scenario(path), mode=mode, prime_koszul=True)
-    store = cx.point_store(ctx.space)
+    store = ctx.store
     ctx.glued_connection()
     assert SUITES["metric-compat"](ctx).passed
     assert store.batches["compat"] and store.batches["tensor"]
@@ -310,11 +310,11 @@ def test_the_gate_and_metric_compat_build_their_entries_over_points(name, mode, 
 def replace_section(ctx, index, field):
     """Section family with section ``index``'s block-1 field replaced by
     ``field(x, original)``."""
-    family = list(cx.section_family(ctx.space))
+    family = list(ctx.sections)
     s = family[index]
     family[index] = cx.LambdaSection(ctx.space, BlockForm(s.s1.block,
                                                           lambda x: field(x, s.s1)), s.s2)
-    ctx.space._section_family = tuple(family)
+    ctx._memo["sections"] = tuple(family)
     return family[index]
 
 
@@ -325,12 +325,12 @@ def test_a_section_that_branches_on_its_coordinates_is_built_point_by_point(mode
     eng = ctx.engine
     # a coordinate array has no truth value, so no pass over points can evaluate it
     s = replace_section(ctx, 2, lambda x, s1: s1(x) if x[0] > -100.0 else s1(x))
-    store = cx.point_store(ctx.space)
+    store = ctx.store
     C = ctx.glued_connection()
     assert SUITES["metric-compat"](ctx).passed
     assert store.point_builds["tensor"] and store.point_builds["compat"]
     assert store.batches["tensor"] and store.batches["compat"]
-    sections = cx.section_family(ctx.space)
+    sections = ctx.sections
     checked = 0
     for p in _points(ctx, per_region=4):
         for w, x in p.sides:
@@ -347,7 +347,7 @@ def test_a_section_that_branches_on_its_coordinates_is_built_point_by_point(mode
 
 def raising_section(ctx, bad):
     """Section family with section 2's block-1 field raising at the points ``bad``."""
-    family = list(cx.section_family(ctx.space))
+    family = list(ctx.sections)
     s = family[2]
 
     def field(x):
@@ -357,7 +357,7 @@ def raising_section(ctx, bad):
         return s.s1(x)
 
     family[2] = cx.LambdaSection(ctx.space, BlockForm(s.s1.block, field), s.s2)
-    ctx.space._section_family = tuple(family)
+    ctx._memo["sections"] = tuple(family)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -142,7 +142,7 @@ def test_seed_override_reaches_suites():
         ctx = build_context(scenario, seed=seed)
         point = ctx.space.region_samples()["locus"][0]
         values.append([s.at(point).components.tolist()
-                       for s in cx.section_family(ctx.space)])
+                       for s in ctx.sections])
     assert values[0] != values[1]
 
 
@@ -408,7 +408,7 @@ def test_leibniz_fails_on_a_nan_connection_off_the_locus():
     n2 = ctx.koszul(2)
     nan = diffglue.BlockConnection(ctx.space.block2, lambda x: (
         [[[float("nan")]]] if x[0] >= 0.0 else n2.christoffel(x)))
-    C = cx.GluedConnection(ctx.space, ctx.glued_metric(), ctx.koszul(1), nan)
+    C = cx.GluedConnection(ctx.space, ctx.glued_metric(), ctx.koszul(1), nan, ctx.store)
     ctx.glued_connection = lambda *pair: C
     r = SUITES["leibniz"](ctx)
     assert not r.passed
