@@ -22,10 +22,8 @@ from .forms import (BlockForm, FibreElement, FibreModel, GluedFunction,
 from .metric import (BlockMetric, GluedMetric, check_metrics_compatible,
                      constant_metric, eval_block_metric, glue_metrics)
 from .connection import (BlockConnection, DualSection, GluedConnection, action,
-                         apply_block, check_connections_compatible,
-                         christoffel_closed_form, covariant_derivative,
-                         glue_connections, koszul_solve, lie_bracket_forms,
-                         torsion, zero_connection)
+                         check_connections_compatible, christoffel_closed_form,
+                         glue_connections, koszul_solve, zero_connection)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,6 +6,9 @@ first index the direction-form slot.  The Levi-Civita solver assembles the
 Koszul right-hand side in the coordinate dual frame (whose brackets vanish,
 asserted numerically) and solves the dual Gram system; an independent
 closed-form Christoffel oracle built on the dual-side Gram cross-checks it.
+At float sample points the covariant tensor, the pairing map, the bracket
+and the torsion are entries of one :class:`PointStore`; a complex-step
+oracle that takes no DiffEngine derivative checks them.
 
 Over a glued space every operator follows the seam rule of
 :attr:`~diffglue.space.GluedPoint.sides`: block values off the locus, and
@@ -28,12 +31,13 @@ from .errors import IncompatibleConnections, IncompatiblePair, ValidationError
 from .fields import PolyField, random_poly
 from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction,
                     LambdaSection, assemble_section, compute_fibre,
-                    coordinate_form, pair_residual, require_inside, rho_pair_inverse,
+                    coordinate_form, pair_residual, require_inside,
                     section_element, zero_block_form)
 from .metric import BlockMetric, GluedMetric
 from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
                        float_semantics, invert_matrix_generic, nan_first, point_count,
-                       _at_point, _dot, _over_points, _primal, _stack_points)
+                       _at_point, _dot, _each_point, _leaves, _over_points, _primal,
+                       _stack_points)
 from .space import LOCUS, EuclideanBlock, GluedPoint, GluedSpace
 
 MEMO_POINTS = 4096   # float points a Koszul closure remembers before it starts over
@@ -57,12 +61,6 @@ def zero_connection(block: EuclideanBlock) -> BlockConnection:
     return BlockConnection(block, lambda x: zero)
 
 
-def apply_block(C: BlockConnection, s: BlockForm, engine: DiffEngine) -> Callable:
-    """Tensor field x -> rows[i][j] = d_i s_j - Gamma^k_{ij} s_k (generic)."""
-    return lambda x: _covariant_rows(C.christoffel(list(x)), s(x),
-                                     engine.jacobian(s, x, within=C.block.contains))
-
-
 def _covariant_rows(gam, sval, jac) -> list:
     """rows[i][j] = jac[j][i] - Gamma^k_{ij} s_k from Gamma, s and its Jacobian at a point."""
     d = len(sval)
@@ -76,18 +74,6 @@ def _covariant_rows(gam, sval, jac) -> list:
             row.append(total)
         rows.append(row)
     return rows
-
-
-def covariant_block(C: BlockConnection, t: Callable, s: BlockForm,
-                    engine: DiffEngine) -> BlockForm:
-    """Contraction of apply_block in the direction slot against the dual field t."""
-    tensor = apply_block(C, s, engine)
-
-    def field(x):
-        tv = t(x)
-        return _contract(tv, tensor(x))
-
-    return BlockForm(C.block, field)
 
 
 def _contract(tv, rows) -> list:
@@ -141,32 +127,6 @@ def phi_apply_block(g: BlockMetric, s: BlockForm) -> Callable:
 def _image(rows, v) -> list:
     """Matrix rows applied to the vector v (generic)."""
     return [_dot(row, v) for row in rows]
-
-
-def phi_invert_block(g: BlockMetric, t: Callable) -> BlockForm:
-    def field(x):
-        tv = t(x)
-        return _image(invert_matrix_generic(g.gram_generic(x)), tv)
-
-    return BlockForm(g.block, field)
-
-
-def lie_bracket_forms_block(g: BlockMetric, s: BlockForm, r: BlockForm,
-                            engine: DiffEngine) -> BlockForm:
-    """Pairing-conjugated bracket of covector fields."""
-    bracket = lie_bracket_dual_block(phi_apply_block(g, s), phi_apply_block(g, r),
-                                     engine, g.block)
-    return phi_invert_block(g, bracket)
-
-
-def torsion_block(C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm,
-                  engine: DiffEngine) -> BlockForm:
-    """T(s,r) = nabla_s r - nabla_r s - [s,r], all through the pairing map."""
-    cov_sr = covariant_block(C, phi_apply_block(g, s), r, engine)
-    cov_rs = covariant_block(C, phi_apply_block(g, r), s, engine)
-    br = lie_bracket_forms_block(g, s, r, engine)
-    minus_one = lambda x: -1.0
-    return cov_sr + cov_rs.scaled(minus_one) + br.scaled(minus_one)
 
 
 def covariant_dual_block(C: BlockConnection, t: Callable, u: Callable,
@@ -270,44 +230,109 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
 
     Gamma^k_{ij} = 1/2 sum_l G_dual^{-1}[k,l] (d_i Gd[j,l] + d_j Gd[i,l]
     - d_l Gd[i,j]) with the dual-Gram derivatives taken analytically through
-    the inverse: dGd = -Gd (dGram) Gd.  Float-only; this is the independent
-    cross-check route for koszul_solve.  The returned field takes one point,
-    giving a (d, d, d) array, or coordinate arrays over points, giving one
-    such array per point: the Gram and its Jacobian are evaluated once over
-    the points, and the algebra above runs on each point's matrices.
+    the inverse: dGd = -Gd (dGram) Gd, and dGram by :func:`complex_step`.
+    Float-only; this is the independent cross-check route for koszul_solve,
+    so it takes no derivative through ``engine`` (which it does not use).
+    The returned field takes one point, giving a (d, d, d) array, or
+    coordinate arrays over points, giving one such array per point: the
+    Gram and its Jacobian are evaluated once over the points, and the
+    algebra above runs over all of them.
     """
-    block = g.block
-    d = block.dim
-
-    def gram_flat(x):
-        return [v for row in g.gram_generic(x) for v in row]
-
-    def at_point(gram, jac):
-        gd = np.linalg.inv(gram)
-        # dgram[a, i, j] = d_a Gram[i, j]
-        dgram = jac.T.reshape(d, d, d)
-        dgd = np.empty((d, d, d))
-        for a in range(d):
-            dgd[a] = -gd @ dgram[a] @ gd
-        gamma = np.empty((d, d, d))
-        for i in range(d):
-            for j in range(d):
-                rhs = np.array([dgd[i][j, l] + dgd[j][i, l] - dgd[l][i, j]
-                                for l in range(d)])
-                gamma[:, i, j] = 0.5 * (gram @ rhs)
-        return gamma
-
     def christoffel(x):
-        count = point_count(x)
         with float_semantics():
-            grams = _over_points(g.gram_generic(x), count or 1)
-            jacs = _over_points(engine.jacobian(gram_flat, x, within=block.contains), count or 1)
-        # one C-ordered matrix per point, as a single point's evaluation gives
-        out = [at_point(gram, jac) for gram, jac in
-               zip(np.moveaxis(grams, -1, 0).copy(), np.moveaxis(jacs, -1, 0).copy())]
-        return out[0] if count is None else np.array(out)
+            gram, jac = complex_step(g.gram_generic, x)
+        gd = np.linalg.inv(gram)
+        # dgd[a, i, j] = d_a Gd[i, j] = -(Gd (d_a Gram) Gd)[i, j]
+        dgd = -np.einsum("...ij,...jka,...kl->...ail", gd, jac, gd)
+        # rhs[l, i, j] = d_i Gd[j, l] + d_j Gd[i, l] - d_l Gd[i, j]
+        rhs = np.einsum("...ijl->...lij", dgd) + np.einsum("...jil->...lij", dgd) - dgd
+        return 0.5 * np.einsum("...kl,...lij->...kij", gram, rhs)
 
     return christoffel
+
+
+# -- complex-step oracle ---------------------------------------------------------
+#
+# An oracle for the point store's covariant derivative, bracket and torsion
+# that shares no code path with it: no DiffEngine, no store helper, numpy
+# algebra on complex-step values and derivatives.
+
+CS_STEP = 1e-20
+
+
+class _Step(complex):
+    """A coordinate moved by a complex step.  As the complex-step method
+    prescribes, it compares by its real part and its abs is the analytic
+    one, so a field that branches on its coordinates takes the float
+    point's branch, as on a dual.  Arithmetic gives plain complex values."""
+
+    def __lt__(self, other):
+        return self.real < other
+
+    def __le__(self, other):
+        return self.real <= other
+
+    def __gt__(self, other):
+        return self.real > other
+
+    def __ge__(self, other):
+        return self.real >= other
+
+    def __abs__(self):
+        return complex(self) if self.real >= 0 else -self
+
+
+def complex_step(field: Callable, x) -> tuple:
+    """Value and Jacobian (derivative axis last) of a block field at the float
+    point x, from its values at x + ih e_a: Re and Im / h (Martins, Sturdza
+    and Alonso, ACM TOMS 29(3), 2003), which subtract nothing, so lose
+    nothing to cancellation.  Over coordinate arrays both get a leading
+    point axis.  A field that cannot take complex values (one that compares
+    a value computed from its coordinates, say) raises ValidationError."""
+    count = point_count(x)
+    steps = []
+    for a in range(len(x)):
+        z = list(x)
+        z[a] = _Step(z[a], CS_STEP) if count is None else z[a] + 1j * CS_STEP
+        try:
+            shape, leaves = _leaves(field(z))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"complex-step oracle: a field does not take complex "
+                                  f"coordinates at {_each_point(x)[0]}: {exc}") from exc
+        steps.append(leaves)
+    lead = () if count is None else (count,)
+    out = np.empty((len(x), len(steps[0])) + lead, dtype=complex)   # [axis, output, point]
+    for a, leaves in enumerate(steps):
+        for k, v in enumerate(leaves):
+            out[a, k] = v
+    out = out.T.reshape(lead + shape + (len(x),))
+    return out[..., 0].real, out.imag / CS_STEP
+
+
+def _oracle_tensor(gamma: np.ndarray, s: BlockForm, x) -> tuple:
+    """s at x, its Jacobian ds[j, i] = d_i s_j and its covariant tensor
+    ds^T - Gamma s, with (Gamma s)[i, j] = Gamma[k, i, j] s_k."""
+    sv, ds = complex_step(s, x)
+    return sv, ds, ds.T - gamma.transpose(1, 2, 0) @ sv
+
+
+def oracle_covariant(C: BlockConnection, g: BlockMetric, sdir: BlockForm, s: BlockForm,
+                     x) -> np.ndarray:
+    """nabla s along phi(sdir) = Gram sdir at the float point x."""
+    return g.gram(x) @ sdir.at(x) @ _oracle_tensor(C.gamma(x), s, x)[2]
+
+
+def oracle_torsion(C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm,
+                   x) -> np.ndarray:
+    """T(s,r) = nabla_s r - nabla_r s - [s,r] at the float point x, with
+    [s,r] = Gram^-1 [phi s, phi r] by a linear solve."""
+    gram, dgram = complex_step(g.gram_generic, x)
+    gamma = C.gamma(x)
+    (sv, ds, ts), (rv, dr, tr) = _oracle_tensor(gamma, s, x), _oracle_tensor(gamma, r, x)
+    # d_a (Gram v)_b = d_a Gram[b, c] v_c + Gram[b, c] d_a v_c
+    dps, dpr = (dgram.transpose(0, 2, 1) @ v + gram @ dv for v, dv in ((sv, ds), (rv, dr)))
+    ps, pr = gram @ sv, gram @ rv
+    return ps @ tr - pr @ ts - np.linalg.solve(gram, dpr @ ps - dps @ pr)
 
 
 def perturb_connection(C: BlockConnection, rng: np.random.Generator) -> BlockConnection:
@@ -335,26 +360,20 @@ def _pair_value(gram, sv, tv):
     return total
 
 
-def _gram_pair_field(g: BlockMetric, s: BlockForm, t: BlockForm) -> Callable:
-    """Scalar field x -> g(s, t)(x) = s_i Gram_ij t_j, dual-safe."""
-    return lambda x: _pair_value(g.gram_generic(x), s(x), t(x))
-
-
 class PointStore:
-    """Values at float sample points that the compatibility checks, the
-    torsion checks, bracket-split and leibniz share, each built once, when
-    first asked for, and kept.
+    """The one evaluator at float sample points: values that the
+    compatibility checks, the torsion checks, the split suites, leibniz and
+    bracket-split share, each built once, when first asked for, and kept.
 
     A value is keyed by the objects it depends on and the point: the
     Christoffels of a block connection, a block metric's Gram, its probe and
     its inverse, a block field's probe and value, a field's covariant tensor
     under a connection, the pairing-map image of a field and its probe, the
-    bracket of two fields and their torsion.  It is built in the generic
-    arithmetic of the direct route (``apply_block``, ``engine.gradient`` of
-    ``_gram_pair_field``, ``lie_bracket_forms_block``, ``torsion_block``),
-    so it has the same bits.  A build that raises keeps nothing, so the
-    error recurs where the direct route raises.  Float results are
-    read-only.
+    bracket of two fields and their torsion.  It is built in the engine's
+    generic arithmetic, the same at a point as over points.  A build that
+    raises keeps nothing, so the error recurs at the point that causes it.
+    Float results are read-only.  The complex-step oracle
+    (:func:`oracle_covariant`, :func:`oracle_torsion`) checks it.
 
     :meth:`batch` hands the store the points of one block side: the probe,
     value, ``at``, Gram, tensor and ``compat_sides`` entries missing there
@@ -465,14 +484,15 @@ class PointStore:
                            lambda x: invert_matrix_generic(self.value(g.gram_generic, x)))
 
     def tensor(self, C: BlockConnection, s: BlockForm, x) -> np.ndarray:
-        """Float value of ``apply_block(C, s, engine)`` at x."""
+        """Covariant tensor rows[i][j] = d_i s_j - Gamma^k_{ij} s_k of s under C
+        at x, from the stored Christoffels and the probe and value of s."""
         return self._entry(("tensor", C, s), x, lambda x: _arrays(x, _covariant_rows(
             self.gamma(C, x), self.value(s, x),
             self.engine.rows(self.probe(s, x, C.block.contains)))))
 
     def scaled_tensor(self, C: BlockConnection, h: Callable, s: BlockForm, x) -> np.ndarray:
-        """Float value of ``apply_block(C, s.scaled(h), engine)`` at x, from
-        the probes of h and s (not kept: each product is asked for once)."""
+        """Covariant tensor of the product h * s under C at x, from the
+        probes of h and s (not kept: each product is asked for once)."""
         gam = self.gamma(C, x)
         hx = self.value(h, x)
         sval = [hx * v for v in self.value(s, x)]
@@ -502,18 +522,18 @@ class PointStore:
         return self._entry(("compat", C, g, s, t), x, build)
 
     def phi(self, g: BlockMetric, s: BlockForm, x) -> list:
-        """Value of ``phi_apply_block(g, s)`` at x."""
+        """Pairing-map image phi(g, s) = Gram @ s at x."""
         return self._entry(("phi", g, s), x,
                            lambda x: _image(self.value(g.gram_generic, x), self.value(s, x)))
 
     def phi_probe(self, g: BlockMetric, s: BlockForm, x):
-        """Probe of ``phi_apply_block(g, s)`` at x, from the Gram and s probes."""
+        """Probe of phi(g, s) at x, from the Gram and s probes."""
         within = g.block.contains
         return self._entry(("phi probe", g, s), x, lambda x: self.engine.combine(
             _image, self.probe(g.gram_generic, x, within), self.probe(s, x, within)))
 
     def bracket(self, g: BlockMetric, s: BlockForm, r: BlockForm, x) -> np.ndarray:
-        """``lie_bracket_forms_block(g, s, r, engine).at(x)``."""
+        """Pairing-conjugated bracket [s,r] = Gram^-1 [phi s, phi r] at x."""
         def build(x):
             require_inside(g.block, x)
             rows = self.engine.rows
@@ -525,14 +545,14 @@ class PointStore:
 
     def torsion(self, C: BlockConnection, g: BlockMetric, s: BlockForm, r: BlockForm,
                 x) -> np.ndarray:
-        """``torsion_block(C, g, s, r, engine).at(x)``: nabla_s r - nabla_r s
-        - [s,r] from the stored tensors and bracket."""
+        """Torsion T(s,r) = nabla_s r - nabla_r s - [s,r] at x, from the
+        stored tensors and bracket."""
         def build(x):
             require_inside(C.block, x)
             sr = _contract(self.phi(g, s, x), self.tensor(C, r, x))
             rs = _contract(self.phi(g, r, x), self.tensor(C, s, x))
             br = self.bracket(g, s, r, x)
-            return _frozen(_primal([a + -1.0 * b + -1.0 * c for a, b, c in zip(sr, rs, br)]))
+            return _frozen(_primal(sr) - _primal(rs) - br)
 
         return self._entry(("torsion", C, g, s, r), x, build)
 
@@ -683,21 +703,6 @@ def joint_range_residual(fibre, a1: np.ndarray, a2: np.ndarray) -> float:
     return float(np.max(np.abs(system @ sol - target)))
 
 
-class GluedTensorField:
-    """Section of the tensor square over the glued space, via block splits."""
-
-    def __init__(self, space: GluedSpace, f1: Callable, f2: Callable):
-        self.space = space
-        self.f1 = f1
-        self.f2 = f2
-
-    def at(self, point: GluedPoint) -> list:
-        """One float matrix per entry of ``point.sides``, through
-        :func:`tensor_pair_gate`."""
-        return tensor_pair_gate(self.space, point,
-                                [_primal((self.f1, self.f2)[w - 1](x)) for w, x in point.sides])
-
-
 def tensor_pair_gate(space: GluedSpace, point: GluedPoint, matrices: list) -> list:
     """``matrices``, one tensor value per side of ``point``; over the locus
     the pair must lie in the tensor square of the compatible subspace."""
@@ -713,8 +718,10 @@ def tensor_pair_gate(space: GluedSpace, point: GluedPoint, matrices: list) -> li
 
 
 class GluedConnection:
-    """Pair of compatible block connections with the three-case evaluation;
-    the checks over it read block values from its point ``store``."""
+    """Pair of compatible block connections with the three-case evaluation.
+    Its glued values at a sample point are read from its point ``store``:
+    :meth:`tensor_pair`, :meth:`covariant` and :meth:`torsion` are the one
+    evaluator of each, and the checks over it read the store too."""
 
     def __init__(self, space: GluedSpace, metric: GluedMetric,
                  nabla1: BlockConnection, nabla2: BlockConnection, store: PointStore):
@@ -724,11 +731,44 @@ class GluedConnection:
         self.nabla2 = nabla2
         self.store = store
 
-    def apply(self, s: LambdaSection) -> GluedTensorField:
-        eng = self.space.engine
-        return GluedTensorField(self.space,
-                                apply_block(self.nabla1, s.s1, eng),
-                                apply_block(self.nabla2, s.s2, eng))
+    def block_args(self, w: int, *sections: LambdaSection) -> tuple:
+        """Block w's connection and metric, then each section's block-w field."""
+        return ((self.nabla1, self.nabla2)[w - 1], (self.metric.g1, self.metric.g2)[w - 1],
+                *((s.s1, s.s2)[w - 1] for s in sections))
+
+    def tensor_pair(self, s: LambdaSection, point: GluedPoint) -> list:
+        """nabla s at ``point``: the stored tensor of each side, through
+        :func:`tensor_pair_gate`."""
+        tensors = []
+        for w, x in point.sides:
+            nabla, _, sw = self.block_args(w, s)
+            tensors.append(self.store.tensor(nabla, sw, x))
+        return tensor_pair_gate(self.space, point, tensors)
+
+    def covariant(self, sdir: LambdaSection, s: LambdaSection,
+                  point: GluedPoint) -> FibreElement:
+        """nabla s along phi(sdir) at ``point``: each side's stored phi(sdir)
+        applied to the gated tensor pair, as a section value."""
+        values = []
+        for (w, x), m in zip(point.sides, self.tensor_pair(s, point)):
+            _, g, dw = self.block_args(w, sdir)
+            values.append(_primal(self.store.phi(g, dw, x)) @ m)
+        return section_element(compute_fibre(self.space, point), values, self.space.engine)
+
+    def torsion(self, s: LambdaSection, r: LambdaSection, point: GluedPoint) -> FibreElement:
+        """T(s,r) at ``point``: the stored block torsions, as a section value."""
+        return section_element(compute_fibre(self.space, point),
+                               [self.store.torsion(*self.block_args(w, s, r), x)
+                                for w, x in point.sides], self.space.engine)
+
+
+def oracle_element(C: GluedConnection, point: GluedPoint, oracle: Callable,
+                   *sections: LambdaSection) -> FibreElement:
+    """The section value at ``point`` of ``oracle``'s block values
+    (:func:`oracle_covariant`, :func:`oracle_torsion`), one per side."""
+    return section_element(compute_fibre(C.space, point),
+                           [oracle(*C.block_args(w, *sections), x) for w, x in point.sides],
+                           C.space.engine)
 
 
 def glue_connections(space: GluedSpace, metric: GluedMetric, nabla1: BlockConnection,
@@ -772,62 +812,14 @@ def action(t: DualSection, h: GluedFunction) -> GluedFunction:
                          action_block(t.t2, h.h2, eng, space.block2))
 
 
-def lie_bracket_forms(G: GluedMetric, s: LambdaSection, r: LambdaSection) -> LambdaSection:
-    """Pairing-conjugated bracket, by the three-case splitting."""
-    eng = G.space.engine
-    return LambdaSection(G.space,
-                         lie_bracket_forms_block(G.g1, s.s1, r.s1, eng),
-                         lie_bracket_forms_block(G.g2, s.s2, r.s2, eng))
-
-
-def covariant_derivative(C: GluedConnection, t: DualSection,
-                         s: LambdaSection) -> LambdaSection:
-    """Covariant derivative along a dual section, by the case formula."""
-    eng = C.space.engine
-    return LambdaSection(C.space,
-                         covariant_block(C.nabla1, t.t1, s.s1, eng),
-                         covariant_block(C.nabla2, t.t2, s.s2, eng))
-
-
-def covariant_via_tensor(C: GluedConnection, t: DualSection, s: LambdaSection,
-                         point: GluedPoint) -> FibreElement:
-    """Direct-contraction route: evaluate the glued tensor, then contract.
-
-    Runs through the glued apply (including the pair-membership gate) and
-    contracts the direction slot against the dual components, instead of
-    assembling block covariant derivatives.  Must agree with
-    covariant_derivative at every point.
-    """
-    matrices = C.apply(s).at(point)
-    fibre = compute_fibre(C.space, point)
-    values = [_primal((t.t1, t.t2)[w - 1](list(x))) @ m
-              for (w, x), m in zip(point.sides, matrices)]
-    if len(values) == 1:
-        return FibreElement(fibre, values[0])
-    return rho_pair_inverse(fibre, *values, tol=C.space.engine.config.tol("membership"))
-
-
-def torsion(C: GluedConnection, s: LambdaSection, r: LambdaSection) -> LambdaSection:
-    """T(s,r) = nabla_s r - nabla_r s - [s,r]: the pair of block torsions."""
-    G, eng = C.metric, C.space.engine
-    return LambdaSection(C.space,
-                         torsion_block(C.nabla1, G.g1, s.s1, r.s1, eng),
-                         torsion_block(C.nabla2, G.g2, s.s2, r.s2, eng))
-
-
 def check_symmetric(C: GluedConnection, pairs: Sequence, points: Sequence[GluedPoint],
                     tol: float) -> CompatResult:
     """Sampled torsion bound over a spanning family of section pairs; the
     block torsions are entries of C's point store."""
-    space, store = C.space, C.store
-    nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
     for s, r in pairs:
         for p in points:
-            fibre = compute_fibre(space, p)
-            val = section_element(fibre, [store.torsion(nablas[w - 1], metrics[w - 1],
-                                                        (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1], x)
-                                          for w, x in p.sides], space.engine)
+            val = C.torsion(s, r, p)
             res = float(np.max(np.abs(val.components))) if val.components.size else 0.0
             out.check(res, tol, point=list(p.coords), region=p.region,
                       torsion=val.components.tolist(), residual=res)
@@ -844,22 +836,19 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
     which makes the glued function well-defined there.
     """
     space, store = C.space, C.store
-    nablas, metrics = (C.nabla1, C.nabla2), (C.metric.g1, C.metric.g2)
     out = Checks()
     xs = block_sides(points)
     # each section's tensors first: their pass over the points the gate left
     # builds the probes there, which each pair's pass then gathers once
     for s in dict.fromkeys(s for pair in pairs for s in pair):
         for w in (1, 2):
-            store.batch(store.tensor, nablas[w - 1], (s.s1, s.s2)[w - 1], points=xs[w - 1])
+            nabla, _, sw = C.block_args(w, s)
+            store.batch(store.tensor, nabla, sw, points=xs[w - 1])
     for s, t in pairs:
         for w in (1, 2):
-            store.batch(store.compat_sides, nablas[w - 1], metrics[w - 1], (s.s1, s.s2)[w - 1],
-                        (t.s1, t.s2)[w - 1], points=xs[w - 1])
+            store.batch(store.compat_sides, *C.block_args(w, s, t), points=xs[w - 1])
         for p in points:
-            sides = [store.compat_sides(nablas[w - 1], metrics[w - 1],
-                                        (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1], x)
-                     for w, x in p.sides]
+            sides = [store.compat_sides(*C.block_args(w, s, t), x) for w, x in p.sides]
             res = max((float(np.max(np.abs(lhs - rhs))) for lhs, rhs in sides), key=nan_first)
             if len(sides) == 2:
                 # collapse: the split values of g(s,t) agree over the locus,
@@ -867,10 +856,12 @@ def check_metric_compatible_glued(C: GluedConnection, pairs: Sequence,
                 # mixing section pairs for which no glued function exists;
                 # the identity is vacuous at fibre level for those and only
                 # the block (pair level) identities apply.
-                v1, v2 = (_primal(_pair_value(store.value(metrics[w - 1].gram_generic, x),
-                                              store.value((s.s1, s.s2)[w - 1], x),
-                                              store.value((t.s1, t.s2)[w - 1], x)))
-                          for w, x in p.sides)
+                values = []
+                for w, x in p.sides:
+                    _, g, sw, tw = C.block_args(w, s, t)
+                    values.append(_primal(_pair_value(store.value(g.gram_generic, x),
+                                                      store.value(sw, x), store.value(tw, x))))
+                v1, v2 = values
                 collapse = abs(v1 - v2) / (1.0 + abs(v1) + abs(v2))
                 if space.locus.kind != "point_set":
                     res = max(res, collapse, key=nan_first)

@@ -52,14 +52,6 @@ class BlockForm:
         return BlockForm(self.block,
                          lambda x: [a + b for a, b in zip(self(x), other(x))])
 
-    def scaled(self, h: Callable) -> "BlockForm":
-        """Product h * form for a scalar field h."""
-        def field(x):
-            hx = h(x)
-            return [hx * v for v in self(x)]
-
-        return BlockForm(self.block, field)
-
 
 def require_inside(block: EuclideanBlock, coords) -> None:
     """The domain check of a float value at a block point."""

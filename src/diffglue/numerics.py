@@ -28,6 +28,7 @@ through :meth:`DiffConfig.tol` in the engine's mode.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -295,6 +296,12 @@ def _unary(x, f, df):
 
 
 def exp(x):
+    """e^x of a generic value; a complex value (complex-step oracles) takes
+    cmath's exp, or numpy's over points."""
+    if isinstance(x, complex):
+        return cmath.exp(x)
+    if isinstance(x, np.ndarray) and np.iscomplexobj(x):
+        return np.exp(x)
     return _unary(x, math.exp, lambda v: exp(v))
 
 

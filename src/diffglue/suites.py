@@ -246,9 +246,7 @@ def suite_leibniz(ctx, out: Checks) -> None:
     points = _points(ctx, per_region=4)
     # nabla s, s and dh at each point side come from the run's store, and
     # each nabla(h s) from the stored probes of h and s: no field is probed twice
-    applied = [[cx.tensor_pair_gate(space, p, [store.tensor(nablas[w - 1], (s.s1, s.s2)[w - 1], x)
-                                               for w, x in p.sides]) for p in points]
-               for s in sections]
+    applied = [[C.tensor_pair(s, p) for p in points] for s in sections]
     s_values = [[[store.at((s.s1, s.s2)[w - 1], x) for w, x in p.sides] for p in points]
                 for s in sections]
     for h in functions:
@@ -266,9 +264,9 @@ def suite_leibniz(ctx, out: Checks) -> None:
                     res = max(res, float(np.max(np.abs(lm - expect))), key=nan_first)
                 out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     # additivity control
-    add_lhs = C.apply(sections[0] + sections[1])
+    added = sections[0] + sections[1]
     for p, add_s, add_r in zip(points[:6], applied[0], applied[1]):
-        for a, b, c in zip(add_lhs.at(p), add_s, add_r):
+        for a, b, c in zip(C.tensor_pair(added, p), add_s, add_r):
             res = float(np.max(np.abs(a - b - c)))
             out.check(res, tol, point=list(p.coords), additivity=res)
 
@@ -359,51 +357,42 @@ def _bracket_direct_residual(ctx, G, s, r, point, probes) -> float:
 
 @suite("covderiv-split")
 def suite_covderiv_split(ctx, out: Checks) -> None:
-    """Covariant derivative: direct tensor contraction equals the case formula."""
+    """Covariant derivative along phi(s_dir): the point store's glued value,
+    through the gated tensor pair, equals the complex-step oracle's."""
     C = ctx.glued_connection()
-    G = ctx.glued_metric()
     tol = ctx.engine.config.tol("split")
     pairs = _section_pairs(ctx, count=4)
     points = _points(ctx, per_region=4)
     for sdir, s in pairs:
-        t = cx.phi_glued(G, sdir)
-        lemma = cx.covariant_derivative(C, t, s)
         for p in points:
-            direct = cx.covariant_via_tensor(C, t, s, p)
-            res = float(np.max(np.abs(direct.components - lemma.at(p).components)))
+            value = C.covariant(sdir, s, p)
+            oracle = cx.oracle_element(C, p, cx.oracle_covariant, sdir, s)
+            res = float(np.max(np.abs(value.components - oracle.components)))
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
 
 
 @suite("torsion-split")
 def suite_torsion_split(ctx, out: Checks) -> str:
-    """Torsion splitting over the locus: unweighted block pair, not half."""
+    """Torsion splitting over the locus: the unweighted block pair, not half,
+    of the point store's torsions equals the complex-step oracle's."""
     space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
-    store = ctx.store
-    nablas, metrics = (C.nabla1, C.nabla2), (ctx.g1, ctx.g2)
     pairs = _section_pairs(ctx, count=3)
     samples = space.region_samples()
     half_gap = 0.0
     for s, r in pairs:
-        glued_t = cx.torsion(C, s, r)
         for p in samples[BLOCK1][:4] + samples[BLOCK2][:4] + samples[LOCUS]:
-            # the glued torsion's own route against the stored block torsions
-            value = glued_t.at(p)
-            parts = [store.torsion(nablas[w - 1], metrics[w - 1], (s.s1, s.s2)[w - 1],
-                                   (r.s1, r.s2)[w - 1], x) for w, x in p.sides]
-            expect = parts[0]
-            if len(parts) == 2:
-                fibre = compute_fibre(space, p)
-                a, b = parts
-                expect = rho_pair_inverse(fibre, a, b).components
-                if float(np.max(np.abs(value.components))) > 10 * tol:
-                    try:
-                        halved = rho_pair_inverse(fibre, 0.5 * a, 0.5 * b)
-                        half_gap = max(half_gap, float(np.max(np.abs(
-                            value.components - halved.components))))
-                    except IncompatiblePair:
-                        half_gap = float("inf")
+            value = C.torsion(s, r, p)
+            expect = cx.oracle_element(C, p, cx.oracle_torsion, s, r).components
+            if p.region == LOCUS and float(np.max(np.abs(value.components))) > 10 * tol:
+                a, b = (C.store.torsion(*C.block_args(w, s, r), x) for w, x in p.sides)
+                try:
+                    halved = rho_pair_inverse(value.fibre, 0.5 * a, 0.5 * b)
+                    half_gap = max(half_gap, float(np.max(np.abs(
+                        value.components - halved.components))))
+                except IncompatiblePair:
+                    half_gap = float("inf")
             res = float(np.max(np.abs(value.components - expect)))
             out.check(res, tol, point=list(p.coords), region=p.region, residual=res)
     return ("definition matches the unweighted splitting"

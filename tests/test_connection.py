@@ -32,14 +32,13 @@ def engine():
     return dg.DiffEngine(dg.DiffConfig())
 
 
-# -- apply -----------------------------------------------------------------
+# -- covariant tensor ---------------------------------------------------------
 
 def test_apply_flat_line(engine):
     b = line()
     C = dg.zero_connection(b)
     s = dg.BlockForm(b, lambda x: [x[0]])
-    tensor = dg.apply_block(C, s, engine)
-    assert _primal(tensor((0.7,))) == pytest.approx(np.array([[1.0]]))
+    assert cx.PointStore(engine).tensor(C, s, (0.7,)) == pytest.approx(np.array([[1.0]]))
 
 
 def test_apply_gamma_term(engine):
@@ -47,8 +46,7 @@ def test_apply_gamma_term(engine):
     b = line()
     C = dg.BlockConnection(b, lambda x: [[[1.0]]])
     s = coordinate_form(b, 0)
-    tensor = dg.apply_block(C, s, engine)
-    assert _primal(tensor((0.3,))) == pytest.approx(np.array([[-1.0]]))
+    assert cx.PointStore(engine).tensor(C, s, (0.3,)) == pytest.approx(np.array([[-1.0]]))
 
 
 def test_apply_leibniz_random(engine):
@@ -57,12 +55,11 @@ def test_apply_leibniz_random(engine):
     C = dg.BlockConnection(b, lambda x: [[[x[0] ** 2]]])
     h = lambda x: 1.0 + 2.0 * x[0]
     s = dg.BlockForm(b, lambda x: [x[0] ** 2 - 1.0])
-    hs = s.scaled(h)
     dh = dg.differential_block(b, h, engine)
+    store = cx.PointStore(engine)
     for x in ((0.4,), (-1.1,)):
-        lhs = _primal(dg.apply_block(C, hs, engine)(x))
-        rhs = np.outer(dh.at(x), s.at(x)) + h(list(x)) * \
-            _primal(dg.apply_block(C, s, engine)(x))
+        lhs = store.scaled_tensor(C, h, s, x)
+        rhs = np.outer(dh.at(x), s.at(x)) + h(list(x)) * store.tensor(C, s, x)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -133,30 +130,29 @@ def test_bracket_forms_identity_gram(engine):
     g = dg.constant_metric(b, [[1.0]])
     s = dg.BlockForm(b, lambda x: [x[0]])
     r = coordinate_form(b, 0)
-    br = cx.lie_bracket_forms_block(g, s, r, engine)
-    assert br.at((0.4,)) == pytest.approx([-1.0])
-    zero = cx.lie_bracket_forms_block(g, s, s, engine)
-    assert zero.at((0.4,)) == pytest.approx([0.0])
+    store = cx.PointStore(engine)
+    assert store.bracket(g, s, r, (0.4,)) == pytest.approx([-1.0])
+    assert store.bracket(g, s, s, (0.4,)) == pytest.approx([0.0])
 
 
 # -- covariant derivative --------------------------------------------------------
+#
+# nabla_t s is the direction slot of the covariant tensor contracted against t.
 
 def test_covariant_flat(engine):
     b = line()
     C = dg.zero_connection(b)
-    t = lambda x: [1.0]
+    t = [1.0]
     s = dg.BlockForm(b, lambda x: [x[0]])
-    out = cx.covariant_block(C, t, s, engine)
-    assert out.at((2.0,)) == pytest.approx([1.0])
+    assert t @ cx.PointStore(engine).tensor(C, s, (2.0,)) == pytest.approx([1.0])
 
 
 def test_covariant_zero_direction(engine):
     b = line()
     C = dg.BlockConnection(b, lambda x: [[[3.0]]])
-    t = lambda x: [0.0]
+    t = [0.0]
     s = dg.BlockForm(b, lambda x: [x[0] ** 3])
-    out = cx.covariant_block(C, t, s, engine)
-    assert out.at((1.1,)) == pytest.approx([0.0])
+    assert t @ cx.PointStore(engine).tensor(C, s, (1.1,)) == pytest.approx([0.0])
 
 
 # -- torsion ------------------------------------------------------------------------
@@ -167,8 +163,7 @@ def test_torsion_flat_vanishes(engine):
     C = dg.zero_connection(b)
     s = coordinate_form(b, 0)
     r = dg.BlockForm(b, lambda x: [x[0] ** 2])
-    t = cx.torsion_block(C, g, s, r, engine)
-    assert t.at((0.8,)) == pytest.approx([0.0], abs=1e-12)
+    assert cx.PointStore(engine).torsion(C, g, s, r, (0.8,)) == pytest.approx([0.0], abs=1e-12)
 
 
 def test_torsion_one_dimensional_always_zero(engine):
@@ -181,7 +176,7 @@ def test_torsion_one_dimensional_always_zero(engine):
         c1, c2 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
         s = dg.BlockForm(b, lambda x, c=c1: [c[0] + c[1] * x[0] + c[2] * x[0] ** 2])
         r = dg.BlockForm(b, lambda x, c=c2: [c[0] + c[1] * x[0] + c[3] * x[0] ** 3])
-        val = cx.torsion_block(C, g, s, r, engine).at((0.6,))
+        val = cx.PointStore(engine).torsion(C, g, s, r, (0.6,))
         assert val == pytest.approx([0.0], abs=1e-10)
         dualval = cx.torsion_dual_block(C, lambda x, c=c1: [c[0] + c[1] * x[0]],
                                         lambda x, c=c2: [c[0] + c[1] * x[0]],

@@ -183,7 +183,7 @@ def test_forms_compatible_halfline(halfline):
     dx1 = coordinate_form(halfline.block1, 0)
     dx2 = coordinate_form(halfline.block2, 0)
     dg.assemble_section(halfline, dx1, dx2)
-    doubled = dx2.scaled(lambda x: 2.0)
+    doubled = dg.BlockForm(halfline.block2, lambda x: [2.0 * v for v in dx2(x)])
     with pytest.raises(dg.IncompatibleSections, match="locus point"):
         dg.assemble_section(halfline, dx1, doubled)
 
@@ -195,7 +195,8 @@ def test_forms_compatible_plane_axis(plane_axis):
     # dy pulls back to 0 along the axis; dx pulls back to dt
     with pytest.raises(dg.IncompatibleSections):
         dg.assemble_section(plane_axis, dy1, dx2)
-    dg.assemble_section(plane_axis, dy1, dy2.scaled(lambda x: 0.0))
+    dg.assemble_section(plane_axis, dy1,
+                        dg.BlockForm(plane_axis.block2, lambda x: [0.0 * v for v in dy2(x)]))
 
 
 # -- fibres ---------------------------------------------------------------------

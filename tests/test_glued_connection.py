@@ -5,7 +5,7 @@ import pytest
 
 import diffglue as dg
 from diffglue import connection as cx
-from diffglue.forms import coordinate_form
+from diffglue.forms import coordinate_form, section_element
 from diffglue.numerics import _primal
 from diffglue.space import seam_mean
 
@@ -101,11 +101,11 @@ def test_apply_glued_cross_flat(cross):
                             dg.BlockForm(cross.block1, lambda x: [x[0]]),
                             dg.BlockForm(cross.block2, lambda z: [z[0]]))
     p0 = dg.classify_point(cross, 1, (0.0,))
-    m1, m2 = C.apply(s).at(p0)
+    m1, m2 = C.tensor_pair(s, p0)
     assert m1 == pytest.approx(np.array([[1.0]]))
     assert m2 == pytest.approx(np.array([[1.0]]))
     p = dg.classify_point(cross, 1, (0.7,))
-    m1, = C.apply(s).at(p)
+    m1, = C.tensor_pair(s, p)
     assert m1 == pytest.approx(np.array([[1.0]]))
 
 
@@ -114,12 +114,11 @@ def test_restriction_law(halfline, engine):
     G, C = flat_setup(halfline)
     s1 = dg.BlockForm(halfline.block1, lambda x: [x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
-    field = C.apply(s)
-    block_tensor = dg.apply_block(C.nabla1, s.s1, engine)
+    block = cx.PointStore(engine)
     for c in ((-1.0,), (0.5,)):
         p = dg.classify_point(halfline, 1, c)
-        m1 = field.at(p)[0]
-        assert m1 == pytest.approx(_primal(block_tensor(c)))
+        m1 = C.tensor_pair(s, p)[0]
+        assert m1 == pytest.approx(block.tensor(C.nabla1, s.s1, c))
 
 
 def test_locus_value_in_compatible_square(halfline):
@@ -127,7 +126,7 @@ def test_locus_value_in_compatible_square(halfline):
     s1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     p = dg.classify_point(halfline, 1, (-1.0,))
-    m1, m2 = C.apply(s).at(p)
+    m1, m2 = C.tensor_pair(s, p)
     assert cx.joint_range_residual(dg.compute_fibre(halfline, p), m1, m2) < 1e-9
 
 
@@ -181,7 +180,7 @@ def test_action_agrees_with_glued_metric_pairing(halfline):
         assert val.value(p) == pytest.approx(G.eval(p, s.at(p), dh.at(p)), abs=1e-10)
 
 
-# -- covariant derivative: lemma vs direct contraction ---------------------------------
+# -- covariant derivative: point store vs complex-step oracle ------------------------
 
 def test_covariant_split_two_paths(cross, halfline, plane_axis, engine):
     for space in (cross, halfline, plane_axis):
@@ -202,30 +201,37 @@ def test_covariant_split_two_paths(cross, halfline, plane_axis, engine):
                                                          for i in range(d)])
         s = dg.assemble_section(space, s1, cx.pushforward_form(space, s1))
         r = dg.assemble_section(space, r1, cx.pushforward_form(space, r1))
-        t = cx.phi_glued(G, s)
-        lemma = cx.covariant_derivative(C, t, r)
         for region, pts in space.region_samples().items():
             for p in pts[:3]:
-                direct = cx.covariant_via_tensor(C, t, r, p)
-                assert direct.components == pytest.approx(
-                    lemma.at(p).components, abs=1e-9), (space.block1.name, region)
+                oracle = cx.oracle_element(C, p, cx.oracle_covariant, s, r)
+                assert C.covariant(s, r, p).components == pytest.approx(
+                    oracle.components, abs=1e-9), (space.block1.name, region)
 
 
 def test_covariant_flat_lemma_formula(cross):
     # cross with flat factors: locus value is the pair of block derivatives
+    # (with identity Grams the direction phi(sdir) is sdir = (1, 1))
     G, C = flat_setup(cross)
     s = dg.assemble_section(cross,
                             dg.BlockForm(cross.block1, lambda x: [x[0]]),
                             dg.BlockForm(cross.block2, lambda z: [2.0 * z[0]]))
-    t = cx.DualSection(cross, lambda x: [1.0], lambda z: [1.0])
-    out = cx.covariant_derivative(C, t, s)
+    sdir = dg.assemble_section(cross, dg.BlockForm(cross.block1, lambda x: [1.0]),
+                               dg.BlockForm(cross.block2, lambda z: [1.0]))
     p0 = dg.classify_point(cross, 1, (0.0,))
-    e = out.at(p0)
+    e = C.covariant(sdir, s, p0)
     assert dg.rho1(e) == pytest.approx([1.0])
     assert dg.rho2(e) == pytest.approx([2.0])
 
 
 # -- bracket splitting -------------------------------------------------------------------
+
+def glued_bracket(G, s, r, p):
+    """[s,r] at p by the case formula: the stored block brackets as a section value."""
+    store = cx.PointStore(G.space.engine)
+    values = [store.bracket((G.g1, G.g2)[w - 1], (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1], x)
+              for w, x in p.sides]
+    return section_element(dg.compute_fibre(G.space, p), values, G.space.engine)
+
 
 def test_bracket_splitting_three_cases(cross):
     # constant sections with identity Grams commute in every region
@@ -234,13 +240,12 @@ def test_bracket_splitting_three_cases(cross):
     one2 = dg.BlockForm(cross.block2, lambda z: [1.0])
     two2 = dg.BlockForm(cross.block2, lambda z: [2.0])
     s = dg.assemble_section(cross, one1, one2)
-    r = dg.assemble_section(cross, one1.scaled(lambda x: 3.0), two2)
-    br = cx.lie_bracket_forms(G, s, r)
+    r = dg.assemble_section(cross, dg.BlockForm(cross.block1, lambda x: [3.0]), two2)
     for c, which in (((0.5,), 1), ((0.0,), 1)):
         p = dg.classify_point(cross, which, c)
-        assert np.max(np.abs(br.at(p).components)) < 1e-12
+        assert np.max(np.abs(glued_bracket(G, s, r, p).components)) < 1e-12
     p2 = dg.classify_point(cross, 2, (1.0,))
-    assert np.max(np.abs(br.at(p2).components)) < 1e-12
+    assert np.max(np.abs(glued_bracket(G, s, r, p2).components)) < 1e-12
 
 
 def test_bracket_splitting_matches_blocks(halfline, engine):
@@ -251,10 +256,9 @@ def test_bracket_splitting_matches_blocks(halfline, engine):
     r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 - x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
-    br = cx.lie_bracket_forms(G, s, r)
-    block_br = cx.lie_bracket_forms_block(g1, s.s1, r.s1, engine)
     p = dg.classify_point(halfline, 1, (-1.0,))
-    assert dg.rho1(br.at(p)) == pytest.approx(block_br.at((-1.0,)), abs=1e-10)
+    block_br = cx.PointStore(engine).bracket(g1, s.s1, r.s1, (-1.0,))
+    assert dg.rho1(glued_bracket(G, s, r, p)) == pytest.approx(block_br, abs=1e-10)
 
 
 # -- torsion splitting --------------------------------------------------------------------
@@ -279,21 +283,20 @@ def asymmetric_plane_setup(plane_axis):
 
 def test_torsion_split_unweighted_not_half(plane_axis, engine):
     # the definitional glued torsion equals the pair of factor torsions
-    # with no extra factor; the half-weighted variant misses by 2
+    # (here the complex-step oracle's) with no extra factor; the
+    # half-weighted variant misses by 2
     G, C, g1, g2 = asymmetric_plane_setup(plane_axis)
     s1 = dg.BlockForm(plane_axis.block1, lambda x: [1.0, 0.0])
     r1 = dg.BlockForm(plane_axis.block1, lambda x: [0.0, 1.0])
     s = dg.assemble_section(plane_axis, s1, cx.pushforward_form(plane_axis, s1))
     r = dg.assemble_section(plane_axis, r1, cx.pushforward_form(plane_axis, r1))
-    glued_t = cx.torsion(C, s, r)
-    t1 = cx.torsion_block(C.nabla1, g1, s.s1, r.s1, engine)
-    t2 = cx.torsion_block(C.nabla2, g2, s.s2, r.s2, engine)
     p = dg.classify_point(plane_axis, 1, (0.3, 0.0))
     fib = dg.compute_fibre(plane_axis, p)
-    a, b = t1.at(p.coords), t2.at(p.coords2)
+    a = cx.oracle_torsion(C.nabla1, g1, s.s1, r.s1, p.coords)
+    b = cx.oracle_torsion(C.nabla2, g2, s.s2, r.s2, p.coords2)
     assert np.max(np.abs(a)) > 0.1  # genuinely torsionful
     unweighted = dg.rho_pair_inverse(fib, a, b)
-    value = glued_t.at(p)
+    value = C.torsion(s, r, p)
     assert value.components == pytest.approx(unweighted.components, abs=1e-9)
     halved = dg.rho_pair_inverse(fib, 0.5 * a, 0.5 * b)
     gap = np.max(np.abs(value.components - halved.components))
@@ -350,12 +353,10 @@ def test_torsion_antisymmetry(halfline, engine):
     r1 = dg.BlockForm(halfline.block1, lambda x: [1.0 + x[0] ** 2])
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
-    t_sr = cx.torsion(C, s, r)
-    t_rs = cx.torsion(C, r, s)
     for c in ((-1.0,), (0.5,)):
         p = dg.classify_point(halfline, 1, c)
-        assert t_sr.at(p).components == pytest.approx(-t_rs.at(p).components,
-                                                      abs=1e-10)
+        assert C.torsion(s, r, p).components == pytest.approx(-C.torsion(r, s, p).components,
+                                                              abs=1e-10)
 
 
 def test_torsion_values_records_points(halfline):
@@ -365,7 +366,7 @@ def test_torsion_values_records_points(halfline):
     r1 = dg.BlockForm(halfline.block1, lambda x: [x[0]])
     r = dg.assemble_section(halfline, r1, cx.pushforward_form(halfline, r1))
     pts = [dg.classify_point(halfline, 1, (-1.0,))]
-    value = dg.torsion(C, s, r).at(pts[0])
+    value = C.torsion(s, r, pts[0])
     assert np.max(np.abs(value.components)) < 1e-10
 
 
@@ -381,13 +382,12 @@ def test_glued_leibniz_all_regions(halfline, engine):
     s = dg.assemble_section(halfline, s1, cx.pushforward_form(halfline, s1))
     h = dg.GluedFunction(halfline, lambda x: x[0] ** 2 - 2.0,
                          lambda z: z[0] ** 2 - 2.0)
-    hs = dg.LambdaSection(halfline, s.s1.scaled(h.h1), s.s2.scaled(h.h2))
+    product = lambda hw, sw: dg.BlockForm(sw.block, lambda x: [hw(x) * v for v in sw(x)])
+    hs = dg.LambdaSection(halfline, product(h.h1, s.s1), product(h.h2, s.s2))
     dh = dg.differential_glued(halfline, h)
-    lhs_field = C.apply(hs)
-    rhs_field = C.apply(s)
     for region, pts in halfline.region_samples().items():
         for p in pts[:3]:
-            for (w, x), lm, rm in zip(p.sides, lhs_field.at(p), rhs_field.at(p)):
+            for (w, x), lm, rm in zip(p.sides, C.tensor_pair(hs, p), C.tensor_pair(s, p)):
                 ds, sw, hw = (dh.s1, dh.s2)[w - 1], (s.s1, s.s2)[w - 1], (h.h1, h.h2)[w - 1]
                 expect = np.outer(ds.at(x), sw.at(x)) + hw(list(x)) * rm
                 assert lm == pytest.approx(expect, abs=1e-10)

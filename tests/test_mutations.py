@@ -2,10 +2,11 @@
 
 Each mutant is a one-token change to the source of one function of
 ``diffglue.connection``, compiled and monkeypatched in for one test.  The
-full catalogue then runs on the fixtures that must kill it, and the test
-pins exactly which suites fail there, each with a witness.  Each test
-prints its row of the kill matrix (``pytest -s`` shows them); the control
-row runs the unmutated code.
+full catalogue then runs on each fixture, in each mode its row names, and
+the test pins exactly which suites fail on each fixture, each with a
+witness; an empty set on a fixture records an equivalent mutant there.
+Each test prints its row of the kill matrix (``pytest -s`` shows them); the
+control row runs the unmutated code.
 """
 
 import inspect
@@ -18,16 +19,23 @@ from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.suites import SUITES
 
 FIXTURES = ("halfline_curved", "plane_axis_gluing")
+MODES = ("dual", "fd")
 TORSION = {"symmetry", "torsion-split", "levi-civita-inheritance"}
+COMPAT = {"metric-compat", "levi-civita-inheritance"}
 
-# name: (owner, function, text, replacement, suites killing it on each of FIXTURES)
+# name: (owner, function, text, replacement, modes, suites killing it on each of FIXTURES)
 MUTANTS = {
-    "control": (None, None, None, None, set()),
-    "bracket sign in torsion_block": (
-        cx, "torsion_block", "br.scaled(minus_one)", "br", {"torsion-split"}),
+    "control": (None, None, None, None, MODES, (set(), set())),
     "bracket sign in PointStore.bracket": (
-        cx.PointStore, "bracket", "_frozen(_primal(", "_frozen(-_primal(",
-        TORSION | {"bracket-split"}),
+        cx.PointStore, "bracket", "_frozen(_primal(", "_frozen(-_primal(", MODES,
+        (TORSION | {"bracket-split"},) * 2),
+    "Gamma sign in _covariant_rows": (
+        cx, "_covariant_rows", "total = total - gam", "total = total + gam", ("dual",),
+        (COMPAT | {"covderiv-split"}, COMPAT | TORSION | {"covderiv-split"})),
+    # a dim-1 tensor has one entry, so the swap is equivalent on halfline_curved
+    "slot swap in _covariant_rows": (
+        cx, "_covariant_rows", "total = jac[j][i]", "total = jac[i][j]", ("dual",),
+        (set(), COMPAT | TORSION | {"leibniz", "covderiv-split"})),
 }
 
 
@@ -40,14 +48,14 @@ def mutate(monkeypatch, owner, name, text, replacement):
     monkeypatch.setattr(owner, name, namespace[name])
 
 
-@pytest.mark.parametrize("mode", ("dual", "fd"))
-@pytest.mark.parametrize("mutant", list(MUTANTS))
+@pytest.mark.parametrize("mutant,mode", [(mutant, mode) for mutant, row in MUTANTS.items()
+                                         for mode in row[4]])
 def test_the_suites_that_kill_each_mutant(monkeypatch, mutant, mode):
-    owner, name, text, replacement, killers = MUTANTS[mutant]
+    owner, name, text, replacement, _, killed = MUTANTS[mutant]
     if owner is not None:
         mutate(monkeypatch, owner, name, text, replacement)
     row = []
-    for fixture in FIXTURES:
+    for fixture, killers in zip(FIXTURES, killed):
         ctx = build_context(load_scenario(fixture_path(fixture)),
                             mode={"dual": "forward_dual", "fd": "central_fd"}[mode],
                             prime_koszul=True)

@@ -35,10 +35,9 @@ def test_rho_pair_inverse_rejects_a_nan_pair(ctx):
 
 
 def test_tensor_membership_gate_rejects_a_nan_pair(ctx):
-    nan_tensor = cx.GluedTensorField(ctx.space, lambda x: [[NAN, 0.0], [0.0, 0.0]],
-                                     lambda x: [[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(IncompatiblePair):
-        nan_tensor.at(locus_point(ctx))
+        cx.tensor_pair_gate(ctx.space, locus_point(ctx),
+                            [np.array([[NAN, 0.0], [0.0, 0.0]]), np.zeros((2, 2))])
 
 
 def test_glued_function_validation_rejects_nan_values(ctx):

@@ -1,11 +1,12 @@
 """The engine's probe primitive and the per-run point store.
 
 A probe is a field's outputs at the mode's probe inputs; ``rows`` of a probe
-must be the Jacobian the engine computed before probes existed, and every
-value the point store builds must equal the direct route (``apply_block``,
-``engine.gradient`` of ``_gram_pair_field``, ``lie_bracket_forms_block`` and
-``torsion_block``) bit for bit, whether it was built at its point or in a
-pass over the points of a block side.
+must be the Jacobian the engine computed before probes existed.  Every entry
+the point store builds in a pass over the points of a block side must equal
+the entry a fresh store builds at its point, bit for bit; d(g(s,t)) must
+equal ``engine.gradient`` of the scalar field g(s,t) bit for bit, and the
+covariant tensors, brackets and torsions must agree with the complex-step
+oracle within the ``split`` bound, scaled by the size of the value.
 """
 
 import os
@@ -24,7 +25,7 @@ from diffglue.fields import PolyField
 from diffglue.forms import BlockForm
 from diffglue.metric import BlockMetric
 from diffglue.numerics import DiffConfig, DiffEngine, DualScalar, _each_point, _primal, _seeds
-from diffglue.scenario import build_context, fixture_path, load_scenario
+from diffglue.scenario import build_context, fixture_path, load_scenario, parse_map
 from diffglue.space import EuclideanBlock
 from diffglue.suites import SUITES, _points, _section_pairs
 
@@ -139,16 +140,45 @@ def batch_entries(ctx, store, nablas, pairs, rng):
     assert store.batches["compat"] and not any(store.point_builds[k] for k in BATCHED)
 
 
+def oracle_tensor(C, s, x):
+    """The complex-step oracle's covariant tensor of s under C at x."""
+    return cx._oracle_tensor(C.gamma(x), s, x)[2]
+
+
+def pair_field(g, s, t):
+    """The scalar field g(s, t) = s_i Gram_ij t_j, dual-safe."""
+    return lambda x: cx._pair_value(g.gram_generic(x), s(x), t(x))
+
+
+def product(h, s):
+    """The block form h * s."""
+    return BlockForm(s.block, lambda x: [h(x) * v for v in s(x)])
+
+
+def assert_close(value, oracle, tol):
+    """``value`` within ``tol`` of ``oracle``, scaled by the oracle's size."""
+    assert float(np.max(np.abs(value - oracle))) <= tol * (1.0 + float(np.max(np.abs(oracle))))
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
-def test_store_values_equal_the_direct_route(name, mode, tmp_path):
+def test_store_values_equal_the_oracle(name, mode, tmp_path):
     check_store_values(scenario_context(name, mode, tmp_path), batched=False)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
-def test_store_values_built_over_points_equal_the_direct_route(name, mode, tmp_path):
+def test_store_values_built_over_points_equal_values_built_point_by_point(name, mode, tmp_path):
     check_store_values(scenario_context(name, mode, tmp_path), batched=True)
+
+
+def store_values(store, nabla, g, sw, tw, hs, x):
+    """The compatibility, tensor, ``at``, Gram, value, probe and Leibniz
+    entries of ``store`` for the fields at x."""
+    return [store.compat_sides(nabla, g, sw, tw, x), store.tensor(nabla, sw, x),
+            store.at(sw, x), store.gram(g, x), store.value(sw, x),
+            store.probe(sw, x, g.block.contains)[1]] + [
+        store.scaled_tensor(nabla, hw, sw, x) for hw in hs]
 
 
 def check_store_values(ctx, batched):
@@ -157,6 +187,7 @@ def check_store_values(ctx, batched):
     store = cx.PointStore(eng)
     nablas, metrics = (C.nabla1, C.nabla2), (ctx.g1, ctx.g2)
     functions = cx.glued_function_family(space, np.random.default_rng(0))
+    tol = eng.config.tol("split")
     if batched:
         batch_entries(ctx, store, nablas, _section_pairs(ctx), np.random.default_rng(2))
     checked = 0
@@ -165,32 +196,33 @@ def check_store_values(ctx, batched):
             for w, x in p.sides:
                 nabla, g = nablas[w - 1], metrics[w - 1]
                 sw, tw = (s.s1, s.s2)[w - 1], (t.s1, t.s2)[w - 1]
-                lhs, rhs = store.compat_sides(nabla, g, sw, tw, x)
-                direct_lhs = _primal(eng.gradient(cx._gram_pair_field(g, sw, tw), list(x),
-                                                  within=g.block.contains))
-                gram = g.gram(list(x))
-                direct_rhs = _primal(cx.apply_block(nabla, sw, eng)(x)) @ gram @ tw.at(x) \
-                    + _primal(cx.apply_block(nabla, tw, eng)(x)) @ gram @ sw.at(x)
-                assert bits(lhs) == bits(direct_lhs)
-                assert bits(rhs) == bits(direct_rhs)
-                assert bits(store.tensor(nabla, sw, x)) \
-                    == bits(_primal(cx.apply_block(nabla, sw, eng)(x)))
-                assert bits(store.at(sw, x)) == bits(sw.at(x))
-                assert bits(store.gram(g, x)) == bits(gram)
-                assert bits(store.value(sw, x)) == bits(sw(x))
-                assert bits(store.probe(sw, x, g.block.contains)[1]) \
-                    == bits(eng.probe(sw, x, g.block.contains)[1])
-                for h in functions[:3]:
-                    hw = (h.h1, h.h2)[w - 1]
-                    assert bits(store.scaled_tensor(nabla, hw, sw, x)) \
-                        == bits(_primal(cx.apply_block(nabla, sw.scaled(hw), eng)(x)))
+                hs = [(h.h1, h.h2)[w - 1] for h in functions[:3]]
+                values = store_values(store, nabla, g, sw, tw, hs, x)
+                if batched:
+                    assert bits(values) == bits(store_values(cx.PointStore(eng), nabla, g, sw,
+                                                             tw, hs, x))
+                    checked += 1
+                    continue
+                (lhs, rhs), tensor, at, gram, value, outputs, *scaled = values
+                assert bits(lhs) == bits(_primal(eng.gradient(pair_field(g, sw, tw),
+                                                              list(x), within=g.block.contains)))
+                assert bits(at) == bits(sw.at(x))
+                assert bits(gram) == bits(g.gram(list(x)))
+                assert bits(value) == bits(sw(x))
+                assert bits(outputs) == bits(eng.probe(sw, x, g.block.contains)[1])
+                ts, tt = oracle_tensor(nabla, sw, x), oracle_tensor(nabla, tw, x)
+                assert_close(tensor, ts, tol)
+                assert_close(rhs, ts @ gram @ tw.at(x) + tt @ gram @ sw.at(x), tol)
+                for hw, st in zip(hs, scaled):
+                    assert_close(st, oracle_tensor(nabla, product(hw, sw), x), tol)
                 checked += 1
     assert checked > 20
 
 
 class ProbeCounter:
     """Counts engine probes of block sections that a point store makes; a
-    probe made inside ``jacobian`` comes from a direct route instead."""
+    probe made inside ``jacobian`` comes from another route (bracket-split's
+    nested actions)."""
 
     def __init__(self, monkeypatch):
         self.calls = Counter()
@@ -227,18 +259,19 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
     reused = [key for key in tensors if key[1] in locus]
     # metric-compat asks for locus tensors, and the gate built every one of them
     assert reused and set(reused) <= gated
-    # the torsion path reads torsions and brackets from the store, and the
-    # gate and metric-compat already probed every section it reads
+    # the torsion path and covderiv-split read torsions, brackets and
+    # pairing-map images from the store, and the gate and metric-compat
+    # already probed every section they read
     probed = set(counter.calls)
     reads = Counter()
-    for entry in ("torsion", "bracket"):
+    for entry in ("torsion", "bracket", "phi"):
         def read(*args, entry=entry, build=getattr(store, entry)):
             reads[entry] += 1
             return build(*args)
 
         monkeypatch.setattr(store, entry, read)
     for name, entry in (("symmetry", "torsion"), ("torsion-split", "torsion"),
-                        ("bracket-split", "bracket")):
+                        ("bracket-split", "bracket"), ("covderiv-split", "phi")):
         reads.clear()
         assert SUITES[name](ctx).passed, name
         assert reads[entry], name
@@ -250,13 +283,13 @@ def test_each_section_is_probed_once_per_point(monkeypatch, mode):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
-def test_torsion_and_bracket_entries_equal_the_direct_route(name, mode, tmp_path):
+def test_torsion_and_bracket_entries_equal_the_oracle(name, mode, tmp_path):
     check_torsion_and_bracket(scenario_context(name, mode, tmp_path), batched=False)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 @pytest.mark.parametrize("mode", MODES)
-def test_torsion_and_bracket_from_entries_built_over_points_equal_the_direct_route(
+def test_torsion_and_bracket_from_entries_built_over_points_equal_entries_built_point_by_point(
         name, mode, tmp_path):
     check_torsion_and_bracket(scenario_context(name, mode, tmp_path), batched=True)
 
@@ -270,6 +303,7 @@ def check_torsion_and_bracket(ctx, batched):
     nablas = ((C.nabla1, C.nabla2),
               (cx.perturb_connection(C.nabla1, rng), cx.perturb_connection(C.nabla2, rng)))
     metrics = (ctx.g1, ctx.g2)
+    tol = eng.config.tol("split")
     checked = 0
     if batched:
         for pair in nablas:
@@ -279,12 +313,21 @@ def check_torsion_and_bracket(ctx, batched):
             for w, x in p.sides:
                 g, sw, rw = metrics[w - 1], (s.s1, s.s2)[w - 1], (r.s1, r.s2)[w - 1]
                 for a, b in ((sw, rw), (rw, sw)):
-                    assert bits(store.bracket(g, a, b, x)) \
-                        == bits(cx.lie_bracket_forms_block(g, a, b, eng).at(x))
+                    single = cx.PointStore(eng)
+                    if batched:
+                        assert bits(store.bracket(g, a, b, x)) == bits(single.bracket(g, a, b, x))
                     for pair in nablas:
                         nabla = pair[w - 1]
-                        assert bits(store.torsion(nabla, g, a, b, x)) \
-                            == bits(cx.torsion_block(nabla, g, a, b, eng).at(x))
+                        if batched:
+                            assert bits(store.torsion(nabla, g, a, b, x)) \
+                                == bits(single.torsion(nabla, g, a, b, x))
+                            continue
+                        torsion = cx.oracle_torsion(nabla, g, a, b, x)
+                        assert_close(store.torsion(nabla, g, a, b, x), torsion, tol)
+                        # [a,b] = nabla_a b - nabla_b a - T(a,b), for any connection
+                        assert_close(store.bracket(g, a, b, x),
+                                     cx.oracle_covariant(nabla, g, a, b, x)
+                                     - cx.oracle_covariant(nabla, g, b, a, x) - torsion, tol)
                 checked += 1
     assert checked > 10
 
@@ -336,10 +379,10 @@ def test_a_section_that_branches_on_its_coordinates_is_built_point_by_point(mode
         for w, x in p.sides:
             if w == 1:
                 assert bits(store.tensor(C.nabla1, s.s1, x)) \
-                    == bits(_primal(cx.apply_block(C.nabla1, s.s1, eng)(x)))
+                    == bits(cx.PointStore(eng).tensor(C.nabla1, s.s1, x))
                 lhs, rhs = store.compat_sides(C.nabla1, ctx.g1, sections[1].s1, s.s1, x)
                 assert bits(lhs) == bits(_primal(eng.gradient(
-                    cx._gram_pair_field(ctx.g1, sections[1].s1, s.s1), list(x),
+                    pair_field(ctx.g1, sections[1].s1, s.s1), list(x),
                     within=ctx.g1.block.contains)))
                 checked += 1
     assert checked >= 8
@@ -385,6 +428,32 @@ def test_a_section_that_raises_on_the_locus_fails_the_gate(mode):
     result = SUITES["metric-compat"](ctx)
     assert result.witnesses == [{"error": "ValidationError",
                                  "detail": f"section undefined at {locus[1].coords}"}]
+
+
+@pytest.mark.parametrize("suite", ("covderiv-split", "torsion-split"))
+def test_a_field_the_oracle_cannot_evaluate_fails_the_split_suite(suite):
+    # a section that branches on a coordinate takes the branch of the float
+    # point; one that compares a value computed from its coordinates has no
+    # complex-step derivative, and the split suite fails with a witness
+    # instead of passing unchecked
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")), prime_koszul=True)
+    replace_section(ctx, 1, lambda x, s1: s1(x) if x[0] > -100.0 else s1(x))
+    assert SUITES[suite](ctx).passed
+    ctx = build_context(load_scenario(fixture_path("plane_axis_gluing")), prime_koszul=True)
+    replace_section(ctx, 1, lambda x, s1: s1(x) if 2.0 * x[0] > -100.0 else s1(x))
+    result = SUITES[suite](ctx)
+    assert not result.passed
+    assert [w["error"] for w in result.witnesses] == ["ValidationError"]
+    assert "complex-step oracle" in result.witnesses[0]["detail"]
+
+
+def test_the_cubic_inverse_jacobian_has_no_complex_step_derivative():
+    # the cubic map's J_{f^-1} converts z to a float to test for z = 0
+    cubic = parse_map({"kind": "cubic"}, 1, 1, "map")
+    with pytest.raises(ValidationError, match="complex"):
+        cx.complex_step(lambda z: cubic.inverse_jacobian(z)[0], [0.5])
+    value, jac = cx.complex_step(cubic.inverse, [8.0])
+    assert value == pytest.approx([2.0]) and jac == pytest.approx(np.array([[1.0 / 12.0]]))
 
 
 def test_fd_stencil_leaving_the_domain_raises_as_before():
