@@ -2,10 +2,12 @@
 
 A block connection is a Christoffel coefficient field Gamma[k][i][j] acting
 on covector sections by (nabla s)_{ij} = d_i s_j - Gamma^k_{ij} s_k, with the
-first index the direction-form slot.  The Levi-Civita solver assembles the
-Koszul right-hand side in the coordinate dual frame (whose brackets vanish,
-asserted numerically) and solves the dual Gram system; an independent
-closed-form Christoffel oracle built on the dual-side Gram cross-checks it.
+first index the direction-form slot.  The Levi-Civita solver evaluates the
+Koszul formula in the coordinate dual frame (whose brackets vanish, asserted
+numerically) from the engine's derivative of the Gram and one float inverse
+of it, the dual-side Gram; a closed-form Christoffel oracle that shares no
+code path with it (complex step, numpy's inverse, the classical form)
+cross-checks it.
 At float sample points the covariant tensor, the pairing map, the bracket
 and the torsion are entries of one :class:`PointStore`; a complex-step
 oracle that takes no DiffEngine derivative checks them.
@@ -21,6 +23,7 @@ a linear feasibility check run at evaluation time.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -157,10 +160,14 @@ def torsion_dual_block(C: BlockConnection, t: Callable, u: Callable,
 def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> BlockConnection:
     """Unique symmetric metric-compatible connection, by the Koszul identity.
 
-    Evaluates the Koszul right-hand side on the coordinate dual frame (the
-    three bracket terms vanish for coordinate frames; asserted numerically
-    at the block seeds) and solves the dual Gram system for the Christoffel
-    coefficients.
+    Evaluates the Koszul formula on the coordinate dual frame (the three
+    bracket terms vanish for coordinate frames; asserted numerically at the
+    block seeds) in the dual-side Gram Gd = Gram^-1, whose derivative is
+    -Gd R_c Gd with R_c = d_c Gram: one engine Jacobian of the flattened
+    Gram, one Gauss-Jordan inverse of the Gram (raising SingularGram) and
+    a generic contraction, for a <= b and mirrored, serve a float point, a
+    pass over coordinate arrays and a dual input alike.
+    :func:`christoffel_closed_form` checks it by another route.
 
     The closure keeps its value at each float point (at most MEMO_POINTS, then
     it starts over) as an immutable tuple nest, exactly: Gamma at a point
@@ -182,21 +189,27 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> B
             if not np.max(np.abs(_over_points(br(seeds), len(block.seed_points)))) <= EPS_NUM:
                 raise ValidationError("coordinate-frame bracket failed to vanish")
 
-    def dual_gram(x):
-        """Dual-side Gram, flattened row-major: entry (b, c) at b * d + c."""
-        return [v for row in invert_matrix_generic(g.gram_generic(x)) for v in row]
+    def flat_gram(x):
+        """Gram, flattened row-major: entry (i, j) at i * d + j."""
+        return [v for row in g.gram_generic(x) for v in row]
 
     def solve(x):
-        # dgs[b * d + c][a] = d_a of dual Gram entry (b, c)
-        dgs = engine.jacobian(dual_gram, x, within=block.contains)
+        # jac[i * d + j][c] = R_c[i][j] = d_c Gram[i][j]; gd = Gram^-1 is the dual-side Gram
+        jac = engine.jacobian(flat_gram, x, within=block.contains)
         gram = g.gram_generic(x)
+        gd = invert_matrix_generic(gram)
+        gd_cols = list(zip(*gd))
+        # p[c][a][b] = (Gd R_c)[a][b]: column b of R_c is flat[b::d]
+        cols = [[flat[b::d] for b in range(d)] for flat in zip(*jac)]
+        p = [[[_dot(row, col) for col in cols_c] for row in gd] for cols_c in cols]
+        # Gamma^k_ab = 1/2 sum_c Gram[k][c] (Gd R_c Gd)[a][b] - 1/2 (p[a][b][k] + p[b][a][k])
         gamma = [[[0.0] * d for _ in range(d)] for _ in range(d)]
         for a in range(d):
-            for b in range(d):
-                rhs = [dgs[b * d + c][a] + dgs[c * d + a][b] - dgs[a * d + b][c]
-                       for c in range(d)]
+            for b in range(a, d):
+                q = [_dot(p[c][a], gd_cols[b]) for c in range(d)]   # (Gd R_c Gd)[a][b]
                 for k in range(d):
-                    gamma[k][a][b] = 0.5 * _dot(gram[k], rhs)
+                    gamma[k][a][b] = gamma[k][b][a] = \
+                        0.5 * (_dot(gram[k], q) - p[a][b][k] - p[b][a][k])
         return gamma
 
     memo = {}
@@ -260,26 +273,37 @@ def christoffel_closed_form(g: BlockMetric, engine: DiffEngine) -> Callable:
 CS_STEP = 1e-20
 
 
-class _Step(complex):
-    """A coordinate moved by a complex step.  As the complex-step method
-    prescribes, it compares by its real part and its abs is the analytic
-    one, so a field that branches on its coordinates takes the float
-    point's branch, as on a dual.  Arithmetic gives plain complex values."""
+class _Stepped(complex):
+    """A value computed from a coordinate moved by a complex step, or (with
+    ``coordinate`` set) the moved coordinate.  As the complex-step method
+    prescribes, abs is the analytic one, -v or v by the sign of the real
+    part, and arithmetic keeps the type (numpy scalars defer to it), so no
+    abs drops the step.  A moved coordinate compares by its real part, so a
+    field that branches on its coordinates takes the float point's branch,
+    as on a dual; a computed value does not compare, as a complex does not."""
 
-    def __lt__(self, other):
-        return self.real < other
-
-    def __le__(self, other):
-        return self.real <= other
-
-    def __gt__(self, other):
-        return self.real > other
-
-    def __ge__(self, other):
-        return self.real >= other
+    __array_ufunc__ = None
+    coordinate = False
 
     def __abs__(self):
-        return complex(self) if self.real >= 0 else -self
+        return -self if self.real < 0 else +self
+
+
+for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "pow",
+              "rpow", "neg", "pos"):
+    setattr(_Stepped, f"__{_name}__", lambda self, *other, op=getattr(complex, f"__{_name}__"):
+            v if (v := op(self, *other)) is NotImplemented else _Stepped(v))
+for _name in ("lt", "le", "gt", "ge"):
+    setattr(_Stepped, f"__{_name}__", lambda self, other, op=getattr(operator, _name):
+            op(self.real, other) if self.coordinate else NotImplemented)
+
+
+class _SteppedArray(np.ndarray):
+    """Coordinate arrays moved by a complex step, and what numpy computes
+    from them: abs is the analytic one at each point."""
+
+    def __abs__(self):
+        return np.where(self.real < 0, -self, self).view(_SteppedArray)
 
 
 def complex_step(field: Callable, x) -> tuple:
@@ -293,7 +317,11 @@ def complex_step(field: Callable, x) -> tuple:
     steps = []
     for a in range(len(x)):
         z = list(x)
-        z[a] = _Step(z[a], CS_STEP) if count is None else z[a] + 1j * CS_STEP
+        if count is None:
+            z[a] = _Stepped(z[a], CS_STEP)
+            z[a].coordinate = True
+        else:
+            z[a] = (z[a] + 1j * CS_STEP).view(_SteppedArray)
         try:
             shape, leaves = _leaves(field(z))
         except (TypeError, ValueError) as exc:

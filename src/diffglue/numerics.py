@@ -297,9 +297,9 @@ def _unary(x, f, df):
 
 def exp(x):
     """e^x of a generic value; a complex value (complex-step oracles) takes
-    cmath's exp, or numpy's over points."""
+    cmath's exp, keeping its type, or numpy's over points."""
     if isinstance(x, complex):
-        return cmath.exp(x)
+        return type(x)(cmath.exp(x))
     if isinstance(x, np.ndarray) and np.iscomplexobj(x):
         return np.exp(x)
     return _unary(x, math.exp, lambda v: exp(v))

@@ -10,8 +10,8 @@ import diffglue as dg
 from diffglue import connection as cx
 from diffglue.cli import main
 from diffglue.forms import coordinate_form
-from diffglue.numerics import DiffEngine, _primal, exp, point_count
-from diffglue.scenario import build_context, fixture_path, load_scenario
+from diffglue.numerics import DiffEngine, _primal, coordinate_arrays, exp, point_count
+from diffglue.scenario import build_context, fixture_path, load_scenario, parse_metric
 from diffglue.suites import SUITES, derivative_trust_sweep
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -271,8 +271,9 @@ def test_koszul_2d_curved_dual_gram(engine):
 
 
 def test_koszul_inverts_once_per_evaluation(engine, monkeypatch):
-    # the dual Gram is differentiated as one flattened field, so one
-    # Christoffel evaluation inverts the Gram once, not once per entry
+    # the Gram is differentiated as one flattened field and its inverse
+    # enters only the contraction, so one Christoffel evaluation inverts the
+    # float Gram once: no entry and no derivative goes through the inversion
     b = dg.EuclideanBlock(3, lambda x: True, [(0.5, 1.0, -0.5)], "cube")
     diag = lambda i: (lambda x: 1.0 + x[i] ** 2)
     off = lambda x: 0.1
@@ -284,6 +285,7 @@ def test_koszul_inverts_once_per_evaluation(engine, monkeypatch):
                         lambda rows: calls.append(rows) or invert(rows))
     gamma = C.gamma((0.3, -0.4, 0.2))
     assert len(calls) == 1
+    assert all(type(v) is float for row in calls[0] for v in row)
     oracle = cx.christoffel_closed_form(g, engine)
     assert gamma == pytest.approx(np.asarray(oracle([0.3, -0.4, 0.2])), abs=1e-10)
 
@@ -331,7 +333,7 @@ def test_koszul_solves_once_per_float_point(monkeypatch):
         batches = []
 
         def counted(self, mapping, coords, within=None):
-            if getattr(mapping, "__name__", None) == "dual_gram":
+            if getattr(mapping, "__name__", None) == "flat_gram":
                 if point_count(coords) is not None:
                     batches.append(point_count(coords))
                 for p in points_of(coords):
@@ -429,7 +431,7 @@ def test_koszul_values_primed_at_construction_equal_unprimed(name, mode, tmp_pat
         jacobian = DiffEngine.jacobian
 
         def counted(self, mapping, coords, within=None):
-            if getattr(mapping, "__name__", None) == "dual_gram":
+            if getattr(mapping, "__name__", None) == "flat_gram":
                 solves.append(coords)
             return jacobian(self, mapping, coords, within)
 
@@ -451,7 +453,7 @@ def test_point_query_context_solves_no_sample_point_up_front(monkeypatch):
     jacobian = DiffEngine.jacobian
 
     def counted(self, mapping, coords, within=None):
-        if getattr(mapping, "__name__", None) == "dual_gram":
+        if getattr(mapping, "__name__", None) == "flat_gram":
             solved.append(points_of(coords))
         return jacobian(self, mapping, coords, within)
 
@@ -490,6 +492,28 @@ def test_koszul_priming_that_raises_leaves_each_point_to_its_own_solve(engine):
     assert C.christoffel([0.5]) == cx.koszul_solve(g, engine).christoffel([0.5])
     with pytest.raises(dg.SingularGram):
         C.christoffel([0.0])
+
+
+@pytest.mark.parametrize("d", ladder.DIMS)
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+def test_koszul_on_ladder_grams(d, mode):
+    # the ladder's curved, coupled Grams: the solver agrees with the closed
+    # form within the suite row, is symmetric in its lower indices bit for
+    # bit, and its pass over points gives each point the bits of its own solve
+    eng = DiffEngine(dg.DiffConfig(mode))
+    rung = ladder.ladder_scenario(d, 0)
+    block = dg.EuclideanBlock(d, lambda x: True, rung["space"]["block1"]["seed_points"], "rung")
+    g = parse_metric(rung["metrics"]["g1"], block, "g1")
+    points = [tuple(p) for p in np.random.default_rng(d).uniform(-1.5, 1.5, (6, d)).tolist()]
+    primed = cx.koszul_solve(g, eng, points)
+    eng.jacobian = None   # the primed values are the pass's: no point is solved again
+    plain = cx.koszul_solve(g, DiffEngine(eng.config))
+    oracle = cx.christoffel_closed_form(g, eng)(coordinate_arrays(points))
+    for x, want in zip(points, oracle):
+        gamma = np.array(plain.christoffel(list(x)))
+        assert np.max(np.abs(gamma - want)) <= eng.config.suite_tol
+        assert gamma.tobytes() == gamma.transpose(0, 2, 1).tobytes()
+        assert np.array(primed.christoffel(list(x))).tobytes() == gamma.tobytes()
 
 
 def test_koszul_matches_closed_form_fd_mode():

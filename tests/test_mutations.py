@@ -15,6 +15,7 @@ import textwrap
 import pytest
 
 from diffglue import connection as cx
+from diffglue import scenario
 from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.suites import SUITES
 
@@ -36,16 +37,23 @@ MUTANTS = {
     "slot swap in _covariant_rows": (
         cx, "_covariant_rows", "total = jac[j][i]", "total = jac[i][j]", ("dual",),
         (set(), COMPAT | TORSION | {"leibniz", "covderiv-split"})),
+    "dropped Gram-derivative term in koszul_solve": (
+        cx, "koszul_solve", "0.5 * (_dot(gram[k], q) - p", "0.5 * (-p", ("dual",),
+        ({"koszul"} | COMPAT, {"koszul", "symmetry"} | COMPAT)),
 }
 
 
 def mutate(monkeypatch, owner, name, text, replacement):
-    """Monkeypatch ``owner.name`` with its source, ``text`` replaced once."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    """Monkeypatch ``owner.name`` with its source, ``text`` replaced once;
+    ``scenario``, which imports ``koszul_solve`` by name, gets the mutant too."""
+    original = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(text) == 1, (name, text)
     namespace = dict(vars(cx))
     exec(compile(source.replace(text, replacement), cx.__file__, "exec"), namespace)
     monkeypatch.setattr(owner, name, namespace[name])
+    if getattr(scenario, name, None) is original:
+        monkeypatch.setattr(scenario, name, namespace[name])
 
 
 @pytest.mark.parametrize("mutant,mode", [(mutant, mode) for mutant, row in MUTANTS.items()

@@ -24,7 +24,8 @@ from diffglue.errors import OutsideDomain, ValidationError
 from diffglue.fields import PolyField
 from diffglue.forms import BlockForm
 from diffglue.metric import BlockMetric
-from diffglue.numerics import DiffConfig, DiffEngine, DualScalar, _each_point, _primal, _seeds
+from diffglue.numerics import (DiffConfig, DiffEngine, DualScalar, _each_point, _primal, _seeds,
+                               coordinate_arrays, exp)
 from diffglue.scenario import build_context, fixture_path, load_scenario, parse_map
 from diffglue.space import EuclideanBlock
 from diffglue.suites import SUITES, _points, _section_pairs
@@ -454,6 +455,34 @@ def test_the_cubic_inverse_jacobian_has_no_complex_step_derivative():
         cx.complex_step(lambda z: cubic.inverse_jacobian(z)[0], [0.5])
     value, jac = cx.complex_step(cubic.inverse, [8.0])
     assert value == pytest.approx([2.0]) and jac == pytest.approx(np.array([[1.0 / 12.0]]))
+
+
+@pytest.mark.parametrize("field, x, slope", [
+    (lambda x: [abs(exp(x[0]) - 2.0)], [0.3], [-np.exp(0.3)]),
+    (lambda x: [abs(np.float64(2.0) * x[0] - 1.0)], [0.3], [-2.0]),
+    (lambda x: [abs(x[0] * x[0] - 0.04)], coordinate_arrays([(0.3,), (-0.1,)]), [0.6, 0.2]),
+], ids=["exp", "numpy scalar", "over points"])
+def test_the_oracle_takes_the_analytic_abs_of_every_stepped_value(field, x, slope):
+    # abs of a value computed from a moved coordinate, at a point or over
+    # coordinate arrays, keeps the step: a modulus would give slope 0
+    assert cx.complex_step(field, x)[1].ravel() == pytest.approx(slope, abs=1e-12)
+
+
+def test_the_closed_form_differentiates_abs_of_a_computed_gram_entry():
+    # g = 1 + 0.1 |x^2 + 1|: the oracle agrees with the solver, at a point
+    # and over coordinate arrays, instead of reading dg = 0 and Gamma = 0
+    line = EuclideanBlock(1, lambda x: True, [(1.0,), (-1.0,), (0.5,)], "line")
+    g = BlockMetric(line, ((lambda x: 1.0 + 0.1 * abs(x[0] ** 2 + 1.0),),))
+    engine = DiffEngine(DiffConfig())
+    solved = [cx.koszul_solve(g, engine).gamma((x,)) for x in (0.3, -0.4)]
+    oracle = cx.christoffel_closed_form(g, engine)
+    assert solved[0] == pytest.approx(np.full((1, 1, 1), -0.0271), abs=1e-4)
+    assert oracle([0.3]) == pytest.approx(solved[0], abs=1e-15)
+    assert oracle(coordinate_arrays([(0.3,), (-0.4,)])) == pytest.approx(np.array(solved),
+                                                                         abs=1e-15)
+    # a comparison of a computed value still has no complex-step derivative
+    with pytest.raises(ValidationError, match="complex"):
+        cx.complex_step(lambda x: [x[0] if 2.0 * x[0] > 0.0 else -x[0]], [0.3])
 
 
 def test_fd_stencil_leaving_the_domain_raises_as_before():

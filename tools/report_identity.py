@@ -17,8 +17,11 @@ comparing the two ``OUT_DIR/report_identity.json`` files shows whether a
 change moved any verdict, residual, witness or sample count.
 
 ``--compare`` prints each run whose exit code, stdout or report differs
-between the two files (or that only one file has), with the JSON paths that
-differ, and exits 0 only when nothing differs.
+between the two files (or that only one file has), with each JSON path that
+differs and its old and new value, and ends with one line that says whether
+any exit code, status, sample count, witness or note differs, or only the
+suites' ``max_residual`` values and their stdout lines.  It exits 0 only
+when nothing differs.
 
 The runs go through ``diffglue.cli.main`` in this process, against the
 ``src/`` next to this script.
@@ -30,6 +33,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -78,36 +82,66 @@ def reference_run(path: str, mode: str, seed, report_path: str) -> dict:
     return {"exit": code, "stdout": lines, "report": report}
 
 
+_ABSENT = object()
+_RESIDUAL_VALUE = re.compile(r"max_residual=\S+")
+
+
 def differing_paths(a, b, path: str = "") -> list:
-    """JSON paths at which two decoded JSON values differ."""
+    """(JSON path, value in a, value in b) for each place at which two decoded
+    JSON values differ; a key that only one side has gives _ABSENT on the other."""
     if isinstance(a, dict) and isinstance(b, dict):
         return [q for k in sorted(set(a) | set(b), key=str)
-                for q in (differing_paths(a[k], b[k], f"{path}.{k}")
-                          if k in a and k in b else [f"{path}.{k}"])]
+                for q in differing_paths(a.get(k, _ABSENT), b.get(k, _ABSENT), f"{path}.{k}")]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [q for i, (x, y) in enumerate(zip(a, b))
                 for q in differing_paths(x, y, f"{path}[{i}]")]
-    return [] if a == b else [path or "."]
+    return [] if a == b else [(path or ".", a, b)]
+
+
+def residual_only(path: str, a, b) -> bool:
+    """Whether a difference is a suite's max_residual: the report field, or a
+    stdout line that differs only in its ``max_residual=`` value."""
+    if path.endswith(".max_residual"):
+        return True
+    return (path.startswith(".stdout[") and isinstance(a, str) and isinstance(b, str)
+            and _RESIDUAL_VALUE.sub("", a) == _RESIDUAL_VALUE.sub("", b))
+
+
+def _shown(v) -> str:
+    return "(absent)" if v is _ABSENT else json.dumps(v)
 
 
 def compare(path_a: str, path_b: str) -> int:
+    """Print each differing run with old -> new at each differing path, then
+    one line saying whether anything but residuals differs."""
     with open(path_a, encoding="utf-8") as fh:
         runs_a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         runs_b = json.load(fh)
-    differing = 0
-    for key in sorted(set(runs_a) | set(runs_b)):
+    keys = sorted(set(runs_a) | set(runs_b))
+    differing, beyond = 0, 0
+    for key in keys:
         if key not in runs_a or key not in runs_b:
             print(f"{key}: only in {path_a if key in runs_a else path_b}")
-            differing += 1
+            differing, beyond = differing + 1, beyond + 1
             continue
-        paths = differing_paths(runs_a[key], runs_b[key])
-        if paths:
-            print(f"{key}:")
-            for p in paths:
-                print(f"  {p}")
-            differing += 1
-    print(f"{differing} of {len(set(runs_a) | set(runs_b))} runs differ")
+        diffs = differing_paths(runs_a[key], runs_b[key])
+        if not diffs:
+            continue
+        differing += 1
+        beyond += not all(residual_only(*d) for d in diffs)
+        print(f"{key}:")
+        for path, a, b in diffs:
+            print(f"  {path}: {_shown(a)} -> {_shown(b)}")
+    if not differing:
+        print(f"0 of {len(keys)} runs differ")
+    elif beyond:
+        print(f"{differing} of {len(keys)} runs differ; {beyond} of them in more than "
+              f"residuals (an exit code, status, sample count, witness or note)")
+    else:
+        print(f"{differing} of {len(keys)} runs differ, in residuals only (max_residual "
+              f"and its stdout line); every exit code, status, sample count, witness "
+              f"and note is the same")
     return 1 if differing else 0
 
 
