@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -674,8 +675,9 @@ def block_sides(points: Sequence[GluedPoint]) -> tuple:
 def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
                                   pairs: Sequence, points: Sequence,
                                   store: PointStore, tol: float) -> CompatResult:
-    """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points; the pairs
-    share each field's values at a point through ``store``."""
+    """d(g(s,t)) = g(nabla s, t) + g(s, nabla t) at sampled points, pair by
+    pair, up to the first sample that fails, which is the witness; the
+    pairs share each field's values at a point through ``store``."""
     out = Checks()
     for s, t in pairs:
         for x in points:
@@ -683,6 +685,8 @@ def check_metric_compatible_block(C: BlockConnection, g: BlockMetric,
             res = float(np.max(np.abs(lhs - rhs)))
             out.check(res, tol, point=list(x), residual=res,
                       lhs=lhs.tolist(), rhs=rhs.tolist())
+            if out.witnesses:
+                return out.compat()
     return out.compat()
 
 
@@ -922,32 +926,36 @@ def pushforward_form(space: GluedSpace, s1: BlockForm) -> BlockForm:
     return BlockForm(space.block2, field)
 
 
-def block_form_family(block: EuclideanBlock, rng: np.random.Generator,
-                      extra: int = 8) -> list:
-    """Coordinate sections, low-degree scaled sections, and random sections."""
+def block_form_family(block: EuclideanBlock, rng: np.random.Generator):
+    """Coordinate sections, low-degree scaled sections, then random sections
+    without end: a lazy family, each random section drawn from ``rng`` when
+    taken, so a caller draws only the prefix it takes."""
     d = block.dim
-    out = [coordinate_form(block, a) for a in range(d)]
+    for a in range(d):
+        yield coordinate_form(block, a)
     for a in range(d):
         for b in range(d):
             p = PolyField.coordinate(d, b)
-            out.append(BlockForm(block, lambda x, a=a, p=p: [p(x) if i == a else 0.0
-                                                             for i in range(d)]))
-    for _ in range(extra):
+            yield BlockForm(block, lambda x, a=a, p=p: [p(x) if i == a else 0.0
+                                                        for i in range(d)])
+    while True:
         polys = [random_poly(rng, d) for _ in range(d)]
-        out.append(BlockForm(block, lambda x, polys=polys: [f(x) for f in polys]))
-    return out
+        yield BlockForm(block, lambda x, polys=polys: [f(x) for f in polys])
 
 
-def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator,
-                             extra: int = 8) -> list:
-    """Compatible (s1, s2) pairs for glued-space suites.
+def compatible_section_pairs(space: GluedSpace, rng: np.random.Generator) -> list:
+    """Compatible (s1, s2) pairs for glued-space suites: each block's
+    coordinate and scaled sections and eight random ones.
 
     Point-set loci accept independent pairs (including one-sided ones);
     otherwise block-1 family members are pushed through the gluing map.
     """
-    fam1 = block_form_family(space.block1, rng, extra)
+    def family(block):
+        return list(islice(block_form_family(block, rng), block.dim * (block.dim + 1) + 8))
+
+    fam1 = family(space.block1)
     if space.locus.kind == "point_set":
-        fam2 = block_form_family(space.block2, rng, extra)
+        fam2 = family(space.block2)
         pairs = list(zip(fam1, fam2[::-1]))
         pairs.append((fam1[0], zero_block_form(space.block2)))
         pairs.append((zero_block_form(space.block1), fam2[0]))

@@ -514,6 +514,9 @@ class DiffConfig:
         return self.tol("suite")
 
 
+MAX_SAMPLE_COUNT = 1000   # per axis, locus samples and probe steps
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Where sampled checks evaluate: interior grids, locus points, probes."""
@@ -525,8 +528,11 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.per_axis < 1 or self.locus_count < 1 or self.probe_steps < 1:
-            raise ValueError("sample counts must be >= 1")
+        # checked before any grid is built: a count no desk-scale run can use
+        # would otherwise fail deep inside numpy
+        if not all(1 <= n <= MAX_SAMPLE_COUNT
+                   for n in (self.per_axis, self.locus_count, self.probe_steps)):
+            raise ValueError(f"sample counts must lie in [1, {MAX_SAMPLE_COUNT}]")
         if not 0.0 < self.probe_ratio < 1.0:
             raise ValueError("probe_ratio must lie in (0, 1)")
         if self.seed < 0:

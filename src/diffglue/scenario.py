@@ -20,8 +20,9 @@ import yaml
 from .errors import NotADiffeomorphism, ParseError, ValidationError
 from .fields import PolyField
 from .metric import BlockMetric, glue_metrics
-from .connection import (BlockConnection, PointStore, glue_connections, koszul_solve,
-                         section_family, zero_connection)
+from .connection import (BlockConnection, PointStore, glue_connections,
+                         glued_function_family, koszul_solve, section_family,
+                         zero_connection)
 from .numerics import DiffConfig, DiffEngine, DualScalar, SamplePlan, _primal
 from .space import (LOCUS, EuclideanBlock, GluedSpace, GluingMap, HypothesisFlags,
                     OpenSubdomainLocus, PointSetLocus, SubmanifoldLocus,
@@ -131,12 +132,16 @@ def parse_map(spec: dict, d1: int, d2: int, where: str) -> GluingMap:
 
 
 def parse_points(raw, dim: int, where: str) -> tuple:
-    """Coordinate tuples that must each have ``dim`` entries."""
-    points = tuple(tuple(p) for p in raw)
+    """Coordinate tuples that must each have ``dim`` entries, each finite
+    with a finite square (a metric or a chart squares them)."""
+    points = tuple(tuple(float(c) for c in p) for p in raw)
     for p in points:
         if len(p) != dim:
             raise ParseError(f"{where}: point {list(p)} has {len(p)} coordinates, "
                              f"expected {dim}")
+        if not all(math.isfinite(c * c) for c in p):
+            raise ParseError(f"{where}: point {list(p)} needs finite coordinates "
+                             f"with finite squares")
     return points
 
 
@@ -231,9 +236,9 @@ class Scenario:
 @dataclass
 class ScenarioContext:
     """Built objects of a scenario.  Each derived object (a block's Koszul
-    factor, the glued metric, the section family, the point store, the glued
-    connection of a connection pair) is built once and held here, not on the
-    space, so a run's objects are freed with its context;
+    factor, the glued metric, the section and function families, the point
+    store, the glued connection of a connection pair) is built once and held
+    here, not on the space, so a run's objects are freed with its context;
     ``nabla1``/``nabla2`` are the Koszul factors unless set.
     ``prime_koszul`` is set for a suite run, which asks a Koszul factor for
     every sample point, and left unset for a point query."""
@@ -281,6 +286,13 @@ class ScenarioContext:
         return self._once("sections", lambda: section_family(self.space))
 
     @property
+    def functions(self) -> list:
+        """The glued probe functions that leibniz and bracket-split share
+        (:func:`glued_function_family`, drawn from ``plan.seed + 2``)."""
+        return self._once("functions", lambda: glued_function_family(
+            self.space, np.random.default_rng(self.space.plan.seed + 2)))
+
+    @property
     def store(self) -> PointStore:
         """The point store that the gate and the suites of a run share."""
         return self._once("store", lambda: PointStore(self.engine))
@@ -300,7 +312,7 @@ def _section(where: str):
     """Report malformed data in one section of a scenario as a ParseError."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed ({type(exc).__name__}: {exc})") from exc
 
 

@@ -15,10 +15,11 @@ or half-weighted by :func:`seam_mean` (the metric, pairings, functions).
 
 Where checks evaluate is decided here too: :meth:`GluedSpace.region_samples`
 classifies the block grids and the sampled locus points once per space, and
-every sampled check and post-construction locus loop reads those points.
-The plan's seed does not move them; it drives the random families, whose
-sections (:func:`~diffglue.connection.section_family`) a run builds once and
-keeps on its scenario context, not on the space.
+every sampled check and post-construction locus loop reads those points;
+each suite takes the first points of each region.  The plan's seed does not
+move them; it drives the random families.  A run builds its sections, its
+probe functions and its point store once and keeps them on its scenario
+context, not on the space, and every suite takes them from there.
 """
 
 from __future__ import annotations

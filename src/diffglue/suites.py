@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -85,12 +86,12 @@ def _section_pairs(ctx, count: int = 6) -> list:
     return list(zip(family, family[1:]))[:count]
 
 
-def _points(ctx, per_region=None) -> tuple:
-    """Block-1, locus, then block-2 sample points, at most ``per_region`` of
-    each (all of them when it is None)."""
+def _points(ctx, per_block, per_locus) -> tuple:
+    """Block-1, locus, then block-2 sample points: at most ``per_block`` of
+    each block's and ``per_locus`` of the locus's (all of them for None)."""
     samples = ctx.space.region_samples()
-    return samples[BLOCK1][:per_region] + samples[LOCUS][:per_region] \
-        + samples[BLOCK2][:per_region]
+    return samples[BLOCK1][:per_block] + samples[LOCUS][:per_locus] \
+        + samples[BLOCK2][:per_block]
 
 
 # -- suites ---------------------------------------------------------------
@@ -200,25 +201,13 @@ def suite_koszul(ctx, out: Checks) -> None:
         # uniqueness spot check: perturbing the output breaks symmetry
         # or metric compatibility
         pts = grid[:4]
-        fam = cx.block_form_family(g.block, rng, extra=2)
-        pairs = list(zip(fam, fam[1:]))[:3]
+        fam = list(islice(cx.block_form_family(g.block, rng), 4))
+        pairs = list(zip(fam, fam[1:]))
         perturbed = cx.perturb_connection(solved, rng)
-        store = cx.PointStore(ctx.engine)
-        out.expect(not (_block_compatible(perturbed, g, pairs, pts, store, spot_tol)
-                        and _block_symmetric(perturbed, g, pairs, pts, store, spot_tol)),
+        out.expect(not (cx.check_metric_compatible_block(perturbed, g, pairs, pts, ctx.store,
+                                                         spot_tol)
+                        and _block_symmetric(perturbed, g, pairs, pts, ctx.store, spot_tol)),
                    block=which, detail="perturbed connection still passes")
-
-
-def _block_compatible(C, g, pairs, points, store, tol) -> bool:
-    """Whether C's metric-compatibility residual stays within ``tol`` on
-    every pair at every point, read from ``store`` up to the first that
-    does not."""
-    for s, t in pairs:
-        for x in points:
-            lhs, rhs = store.compat_sides(C, g, s, t, tuple(x))
-            if not float(np.max(np.abs(lhs - rhs))) <= tol:
-                return False
-    return True
 
 
 def _block_symmetric(C, g, pairs, points, store, tol) -> bool:
@@ -240,16 +229,14 @@ def suite_leibniz(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     nablas, blocks = (C.nabla1, C.nabla2), (space.block1, space.block2)
     tol = ctx.engine.config.tol("suite")
-    rng = np.random.default_rng(ctx.space.plan.seed + 2)
     sections = ctx.sections[:8]
-    functions = cx.glued_function_family(space, rng)
-    points = _points(ctx, per_region=4)
+    points = _points(ctx, 4, 4)
     # nabla s, s and dh at each point side come from the run's store, and
     # each nabla(h s) from the stored probes of h and s: no field is probed twice
     applied = [[C.tensor_pair(s, p) for p in points] for s in sections]
     s_values = [[[store.at((s.s1, s.s2)[w - 1], x) for w, x in p.sides] for p in points]
                 for s in sections]
-    for h in functions:
+    for h in ctx.functions:
         h.validate()
         dh_values = [[store.gradient((h.h1, h.h2)[w - 1], x, blocks[w - 1].contains)
                       for w, x in p.sides] for p in points]
@@ -276,7 +263,7 @@ def suite_symmetry(ctx, out: Checks) -> None:
     """Torsion of the glued connection vanishes over sampled section pairs."""
     C = ctx.glued_connection()
     pairs = _section_pairs(ctx)
-    points = _points(ctx, per_region=4)
+    points = _points(ctx, 4, 4)
     out.fold(cx.check_symmetric(C, pairs, points, ctx.engine.config.tol("suite")))
 
 
@@ -285,7 +272,7 @@ def suite_metric_compat(ctx, out: Checks) -> None:
     """Glued connection compatible with the glued metric."""
     C = ctx.glued_connection()
     pairs = _section_pairs(ctx)
-    out.fold(cx.check_metric_compatible_glued(C, pairs, _points(ctx, per_region=4),
+    out.fold(cx.check_metric_compatible_glued(C, pairs, _points(ctx, 4, 4),
                                               ctx.engine.config.tol("suite")))
 
 
@@ -294,11 +281,9 @@ def suite_bracket_split(ctx, out: Checks) -> None:
     """Glued bracket: action-composition route equals the case formula."""
     G = ctx.glued_metric()
     tol = ctx.engine.config.tol("split")
-    rng = np.random.default_rng(ctx.space.plan.seed + 3)
     pairs = _section_pairs(ctx, count=4)
-    points = _points(ctx, per_region=3)
-    probes = [(h, differential_glued(ctx.space, h))
-              for h in cx.glued_function_family(ctx.space, rng)]
+    points = _points(ctx, 3, 3)
+    probes = [(h, differential_glued(ctx.space, h)) for h in ctx.functions]
     for s, r in pairs:
         for p in points:
             res = _bracket_direct_residual(ctx, G, s, r, p, probes)
@@ -362,7 +347,7 @@ def suite_covderiv_split(ctx, out: Checks) -> None:
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
     pairs = _section_pairs(ctx, count=4)
-    points = _points(ctx, per_region=4)
+    points = _points(ctx, 4, 4)
     for sdir, s in pairs:
         for p in points:
             value = C.covariant(sdir, s, p)
@@ -375,14 +360,15 @@ def suite_covderiv_split(ctx, out: Checks) -> None:
 def suite_torsion_split(ctx, out: Checks) -> str:
     """Torsion splitting over the locus: the unweighted block pair, not half,
     of the point store's torsions equals the complex-step oracle's."""
-    space = ctx.space
     C = ctx.glued_connection()
     tol = ctx.engine.config.tol("split")
-    pairs = _section_pairs(ctx, count=3)
-    samples = space.region_samples()
+    # from dimension 3 up the family starts with coordinate forms, whose
+    # Jacobians are symmetric: the window starts where it holds x_1 dx_0
+    start = max(ctx.space.block1.dim - 2, 0)
+    pairs = _section_pairs(ctx, count=start + 3)[start:]
     half_gap = 0.0
     for s, r in pairs:
-        for p in samples[BLOCK1][:4] + samples[BLOCK2][:4] + samples[LOCUS]:
+        for p in _points(ctx, 4, None):
             value = C.torsion(s, r, p)
             expect = cx.oracle_element(C, p, cx.oracle_torsion, s, r).components
             if p.region == LOCUS and float(np.max(np.abs(value.components))) > 10 * tol:
@@ -404,26 +390,12 @@ def suite_torsion_split(ctx, out: Checks) -> str:
 @suite("levi-civita-inheritance")
 def suite_levi_civita_inheritance(ctx, out: Checks) -> None:
     """Koszul factors glue to the Levi-Civita connection of the glued metric."""
-    space = ctx.space
     ctx.glued_metric()   # the metric gate comes first
     tol = ctx.engine.config.tol("inheritance")
-    n1, n2 = ctx.koszul(1), ctx.koszul(2)
-    rng = np.random.default_rng(ctx.space.plan.seed + 4)
-    # factor-level gates
-    for which, (nb, g) in ((1, (n1, ctx.g1)), (2, (n2, ctx.g2))):
-        fam = cx.block_form_family(g.block, rng, extra=2)
-        pairs = list(zip(fam, fam[1:]))[:3]
-        pts = space.block_grid(which)[:6]
-        store = cx.PointStore(ctx.engine)
-        out.expect(_block_symmetric(nb, g, pairs, pts, store, tol), samples=0,
-                   block=which, detail="factor not symmetric")
-        comp = cx.check_metric_compatible_block(nb, g, pairs, pts, store, tol)
-        out.expect(bool(comp), samples=0, block=which, detail="factor not compatible",
-                   witness=comp.witness)
     # the Koszul factors, not the scenario's connections (they may differ)
-    C = ctx.glued_connection(n1, n2)
+    C = ctx.glued_connection(ctx.koszul(1), ctx.koszul(2))
     pairs = _section_pairs(ctx)
-    points = _points(ctx, per_region=4)
+    points = _points(ctx, 4, 4)
     sym = cx.check_symmetric(C, pairs, points, tol)
     comp = cx.check_metric_compatible_glued(C, pairs, points, tol)
     out.fold(sym, detail="glued connection not symmetric")
@@ -442,7 +414,7 @@ def derivative_trust_sweep(ctx) -> dict:
     error raised is the first failing entry's.
     """
     space, engine = ctx.space, ctx.engine
-    points = _points(ctx)
+    points = _points(ctx, None, None)
     sides, order = {1: [], 2: []}, []    # order: (side, index on it) in sample order
     for p in points:
         for w, x in p.sides:

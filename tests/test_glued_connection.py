@@ -310,7 +310,7 @@ def test_sampled_checks_fail_on_torsionful_connection(plane_axis, which):
     # witness of its worst residual
     G, C, g1, g2 = asymmetric_plane_setup(plane_axis)
     rng = np.random.default_rng(9)
-    raw = cx.compatible_section_pairs(plane_axis, rng, extra=2)
+    raw = cx.compatible_section_pairs(plane_axis, rng)
     sections = [dg.assemble_section(plane_axis, a, b) for a, b in raw[:4]]
     pairs = list(zip(sections, sections[1:]))
     samples = {k: v[:3] for k, v in plane_axis.region_samples().items()}
@@ -402,7 +402,7 @@ def test_glued_connection_end_to_end_levi_civita(halfline, engine):
     C = dg.glue_connections(halfline, G, dg.koszul_solve(g1, engine),
                             dg.koszul_solve(g2, engine), *run_data(halfline))
     rng = np.random.default_rng(9)
-    raw = cx.compatible_section_pairs(halfline, rng, extra=2)
+    raw = cx.compatible_section_pairs(halfline, rng)
     sections = [dg.assemble_section(halfline, a, b) for a, b in raw[:4]]
     pairs = list(zip(sections, sections[1:]))
     pts = [dg.classify_point(halfline, 1, c) for c in ((-1.0,), (0.5,), (-2.0,))]

@@ -6,10 +6,14 @@ full catalogue then runs on each fixture, in each mode its row names, and
 the test pins exactly which suites fail on each fixture, each with a
 witness; an empty set on a fixture records an equivalent mutant there.
 Each test prints its row of the kill matrix (``pytest -s`` shows them); the
-control row runs the unmutated code.
+control row runs the unmutated code.  The ladder rows run the same way on
+the d = 3 rung of ``benchmarks/ladder.py`` (seed 0), whose first sections
+are coordinate forms.
 """
 
 import inspect
+import os
+import sys
 import textwrap
 
 import pytest
@@ -18,6 +22,10 @@ from diffglue import connection as cx
 from diffglue import scenario
 from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.suites import SUITES
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "benchmarks"))
+import ladder  # noqa: E402
 
 FIXTURES = ("halfline_curved", "plane_axis_gluing")
 MODES = ("dual", "fd")
@@ -42,6 +50,13 @@ MUTANTS = {
         ({"koszul"} | COMPAT, {"koszul", "symmetry"} | COMPAT)),
 }
 
+# name of a mutant above: suites killing it on ladder d3, in dual mode.
+# torsion-split's pairs start where the family holds x_1 dx_0, whose
+# Jacobian is not symmetric, so it sees the swap there
+LADDER_D3 = {
+    "slot swap in _covariant_rows": COMPAT | TORSION | {"leibniz", "covderiv-split"},
+}
+
 
 def mutate(monkeypatch, owner, name, text, replacement):
     """Monkeypatch ``owner.name`` with its source, ``text`` replaced once;
@@ -56,21 +71,34 @@ def mutate(monkeypatch, owner, name, text, replacement):
         monkeypatch.setattr(scenario, name, namespace[name])
 
 
+def killed_cell(path, mode, killers) -> str:
+    """Run the whole catalogue on the scenario at ``path``, assert that
+    exactly ``killers`` fail, each with a witness, and return the cell."""
+    ctx = build_context(load_scenario(path),
+                        mode={"dual": "forward_dual", "fd": "central_fd"}[mode],
+                        prime_koszul=True)
+    results = {suite: run(ctx) for suite, run in SUITES.items()}
+    failed = {suite for suite, result in results.items() if not result.passed}
+    assert failed == killers, (path, failed)
+    assert all(results[suite].witnesses for suite in failed)
+    return " ".join(f"{suite} ({results[suite].max_residual:.3g})"
+                    for suite in sorted(failed)) or "–"
+
+
 @pytest.mark.parametrize("mutant,mode", [(mutant, mode) for mutant, row in MUTANTS.items()
                                          for mode in row[4]])
 def test_the_suites_that_kill_each_mutant(monkeypatch, mutant, mode):
     owner, name, text, replacement, _, killed = MUTANTS[mutant]
     if owner is not None:
         mutate(monkeypatch, owner, name, text, replacement)
-    row = []
-    for fixture, killers in zip(FIXTURES, killed):
-        ctx = build_context(load_scenario(fixture_path(fixture)),
-                            mode={"dual": "forward_dual", "fd": "central_fd"}[mode],
-                            prime_koszul=True)
-        results = {suite: run(ctx) for suite, run in SUITES.items()}
-        failed = {suite for suite, result in results.items() if not result.passed}
-        assert failed == killers, (fixture, failed)
-        assert all(results[suite].witnesses for suite in failed)
-        row.append(" ".join(f"{suite} ({results[suite].max_residual:.3g})"
-                            for suite in sorted(failed)) or "–")
+    row = [killed_cell(fixture_path(fixture), mode, killers)
+           for fixture, killers in zip(FIXTURES, killed)]
     print(f"\n| {mutant} ({mode}) | " + " | ".join(row) + " |")
+
+
+@pytest.mark.parametrize("mutant", LADDER_D3)
+def test_the_suites_that_kill_each_mutant_on_ladder_d3(monkeypatch, tmp_path, mutant):
+    mutate(monkeypatch, *MUTANTS[mutant][:4])
+    path = tmp_path / "ladder_d3.yaml"
+    path.write_text(ladder.ladder_yaml(3, 0))
+    print(f"\n| {mutant} (dual, ladder d3) | {killed_cell(path, 'dual', LADDER_D3[mutant])} |")

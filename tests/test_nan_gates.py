@@ -5,6 +5,7 @@ each of these gates.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def test_block_symmetry_gate_rejects_a_nan_connection(ctx):
     d = block.dim
     nan_connection = cx.BlockConnection(
         block, lambda x: [[[NAN] * d for _ in range(d)] for _ in range(d)])
-    fam = cx.block_form_family(block, np.random.default_rng(0), extra=2)
-    pairs = list(zip(fam, fam[1:]))[:3]
+    fam = list(islice(cx.block_form_family(block, np.random.default_rng(0)), 4))
+    pairs = list(zip(fam, fam[1:]))
     points = ctx.space.block_grid(1)[:4]
     assert _block_symmetric(ctx.koszul(1), ctx.g1, pairs, points,
                             cx.PointStore(ctx.engine), tol=1e-6)

@@ -9,10 +9,15 @@ import pytest
 
 import diffglue
 from diffglue import connection as cx
+from diffglue import scenario
 from diffglue.cli import main
 from diffglue.errors import ParseError, ValidationError
 from diffglue.scenario import (SUITE_CATALOGUE, build_context, fixture_path,
                                load_scenario, parse_locus, parse_poly)
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "benchmarks"))
+import ladder  # noqa: E402
 
 POSITIVE = ["cross_flat", "cross_mixed_grams", "halfline_curved",
             "plane_axis_gluing"]
@@ -172,19 +177,28 @@ def _counting(monkeypatch, names) -> dict:
 
 def test_run_builds_each_scenario_quantity_once(monkeypatch):
     counts = _counting(monkeypatch, ("koszul_solve", "compatible_section_pairs",
-                                     "check_connections_compatible"))
+                                     "check_connections_compatible", "glued_function_family"))
     assert main(["run", str(fixture_path("plane_axis_gluing"))]) == 0
     assert counts == {"koszul_solve": 2, "compatible_section_pairs": 1,
-                      "check_connections_compatible": 1}
+                      "check_connections_compatible": 1, "glued_function_family": 1}
+
+
+def test_a_koszul_only_run_builds_no_section_family(monkeypatch, tmp_path):
+    # the ladder's d4 rung runs koszul alone, which reads no glued section
+    path = tmp_path / "ladder_d4.yaml"
+    path.write_text(ladder.ladder_yaml(4, 0))
+    counts = _counting(monkeypatch, ("koszul_solve", "section_family"))
+    assert main(["run", str(path)]) == 0
+    assert counts == {"koszul_solve": 2, "section_family": 0}
 
 
 @pytest.mark.parametrize("suite", ["leibniz", "bracket-split"])
 def test_each_probe_function_is_validated_once_per_suite(monkeypatch, suite):
     from diffglue.forms import GluedFunction
     families, validated = [], []
-    family = cx.glued_function_family
+    family = scenario.glued_function_family
     validate = GluedFunction.validate
-    monkeypatch.setattr(cx, "glued_function_family",
+    monkeypatch.setattr(scenario, "glued_function_family",
                         lambda *a: families.append(family(*a)) or families[-1])
     monkeypatch.setattr(GluedFunction, "validate",
                         lambda self: validated.append(self) or validate(self))
@@ -372,6 +386,39 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, damage):
     assert main(["run", str(path)]) == 2
     assert main(["inspect", str(path), "--point", "block1:1.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _huge_per_axis(doc):
+    doc["samples"]["per_axis"] = 1e308
+
+
+def _infinite_per_axis(doc):
+    doc["samples"]["per_axis"] = float("inf")
+
+
+def _huge_locus_coordinate(doc):
+    doc["space"]["locus"]["param_samples"][0][0] = 1e308
+
+
+@pytest.mark.parametrize("damage, section", [
+    (_huge_per_axis, "samples: malformed (ValueError: sample counts must lie in [1, 1000])"),
+    (_infinite_per_axis, "samples: malformed (OverflowError"),
+    (_huge_locus_coordinate, "space.locus.param_samples: point [1e+308] needs finite "
+                             "coordinates with finite squares"),
+], ids=["per_axis 1e308", "per_axis inf", "locus coordinate 1e308"])
+def test_sizes_and_coordinates_no_run_can_use_exit_2(tmp_path, capsys, damage, section):
+    # rejected while parsing, before a grid is built or a coordinate squared:
+    # they used to raise out of numpy (an array too large, eigenvalues that
+    # do not converge, an infinite float to int)
+    import yaml
+    doc = load_scenario(fixture_path("plane_axis_gluing")).raw
+    damage(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path)]) == 2
+    assert main(["inspect", str(path), "--point", "block1:1.0,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert section in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])

@@ -4,10 +4,11 @@ or compare two such files.
 Usage: python3 tools/report_identity.py OUT_DIR
        python3 tools/report_identity.py --compare A.json B.json
 
-The 44 reference runs are ``diffglue run`` on the 7 bundled fixtures and on
-the dimension-ladder rungs d = 1..4 (``benchmarks/ladder.py``, seed 0), each
-in ``--mode dual`` and ``--mode fd``, with the scenario's own seed and with
-``--seed 3``.  The seed drives the suites' random section, function and
+The 52 reference runs are ``diffglue run`` on the 7 bundled fixtures, on
+the dimension-ladder rungs d = 1..4 (``benchmarks/ladder.py``, seed 0) and
+on the rungs d = 2 and 3 with the whole suite catalogue, so that the suites
+a rung leaves out are covered from dimension 2 up; each in ``--mode dual``
+and ``--mode fd``, with the scenario's own seed and with ``--seed 3``.  The seed drives the suites' random section, function and
 perturbation families; the sample grid does not depend on it, so the two
 runs of a scenario check the same points with different random data.  Each
 run records its exit code, its stdout without the wall-time and report
@@ -37,6 +38,8 @@ import re
 import sys
 import tempfile
 
+import yaml
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
@@ -45,13 +48,15 @@ from diffglue import cli  # noqa: E402
 import ladder  # noqa: E402
 
 LADDER_SEED = 0
+CATALOGUE_DIMS = (2, 3)   # rungs run once more with the whole catalogue
 MODES = ("dual", "fd")
 SEEDS = (None, 3)
 DROPPED_LINES = ("  wall time:", "  report written to")
 
 
 def scenarios(work_dir: str) -> dict:
-    """Name -> scenario path: the bundled fixtures, then the ladder rungs."""
+    """Name -> scenario path: the bundled fixtures, the ladder rungs, then the
+    rungs that run the whole catalogue."""
     fixtures = os.path.join(ROOT, "src", "diffglue", "fixtures")
     paths = {name[:-5]: os.path.join(fixtures, name)
              for name in sorted(os.listdir(fixtures)) if name.endswith(".yaml")}
@@ -60,6 +65,13 @@ def scenarios(work_dir: str) -> dict:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(ladder.ladder_yaml(d, LADDER_SEED))
         paths[f"ladder_d{d}"] = path
+    for d in CATALOGUE_DIMS:
+        doc = ladder.ladder_scenario(d, LADDER_SEED)
+        del doc["suites"]   # a scenario that lists no suites runs them all
+        path = os.path.join(work_dir, f"ladder_d{d}_catalogue.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=True)
+        paths[f"ladder_d{d}_catalogue"] = path
     return paths
 
 
