@@ -3,11 +3,11 @@
 A block connection is a Christoffel coefficient field Gamma[k][i][j] acting
 on covector sections by (nabla s)_{ij} = d_i s_j - Gamma^k_{ij} s_k, with the
 first index the direction-form slot.  The Levi-Civita solver evaluates the
-Koszul formula in the coordinate dual frame (whose brackets vanish, asserted
-numerically) from the engine's derivative of the Gram and one float inverse
-of it, the dual-side Gram; a closed-form Christoffel oracle that shares no
-code path with it (complex step, numpy's inverse, the classical form)
-cross-checks it.
+Koszul formula in the coordinate dual frame, whose brackets vanish because
+its coefficient fields are constant ([d_i, d_j] = 0), from the engine's
+derivative of the Gram and one float inverse of it, the dual-side Gram; a
+closed-form Christoffel oracle that shares no code path with it (complex
+step, numpy's inverse, the classical form) cross-checks it.
 At float sample points the covariant tensor, the pairing map, the bracket
 and the torsion are entries of one :class:`PointStore`; a complex-step
 oracle that takes no DiffEngine derivative checks them.
@@ -38,7 +38,7 @@ from .forms import (BlockForm, Checks, CompatResult, FibreElement, GluedFunction
                     coordinate_form, pair_residual, require_inside,
                     section_element, zero_block_form)
 from .metric import BlockMetric, GluedMetric
-from .numerics import (EPS_NUM, OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
+from .numerics import (OVER_POINTS_ERRORS, DiffEngine, coordinate_arrays,
                        float_semantics, invert_matrix_generic, nan_first, point_count,
                        _at_point, _dot, _each_point, _leaves, _over_points, _primal,
                        _stack_points)
@@ -96,17 +96,6 @@ def action_block(t: Callable, h: Callable, engine: DiffEngine,
     return lambda x: _dot(t(x), engine.gradient(h, x, within=block.contains))
 
 
-def lie_bracket_dual_block(t: Callable, u: Callable, engine: DiffEngine,
-                           block: EuclideanBlock) -> Callable:
-    """Classical bracket of coefficient fields: [t,u]^b = t^a d_a u^b - u^a d_a t^b."""
-    def field(x):
-        ju = engine.jacobian(u, x, within=block.contains)
-        jt = engine.jacobian(t, x, within=block.contains)
-        return _bracket_values(t(x), u(x), jt, ju)
-
-    return field
-
-
 def _bracket_values(tv, uv, jt, ju) -> list:
     """[t,u]^b = t^a d_a u^b - u^a d_a t^b from the values and Jacobians at a point."""
     out = []
@@ -133,37 +122,15 @@ def _image(rows, v) -> list:
     return [_dot(row, v) for row in rows]
 
 
-def covariant_dual_block(C: BlockConnection, t: Callable, u: Callable,
-                         engine: DiffEngine, coords) -> np.ndarray:
-    """Dual-bundle covariant derivative (nabla*_t u)^c = t^a (d_a u^c + G^c_ab u^b)."""
-    d = C.block.dim
-    gam = C.gamma(coords)
-    tv = _primal(t(list(coords)))
-    uv = _primal(u(list(coords)))
-    du = _primal(engine.jacobian(u, list(coords), within=C.block.contains))  # du[c][a] = d_a u^c
-    out = np.empty(d)
-    for c in range(d):
-        out[c] = float(tv @ du[c]) + float(tv @ gam[c] @ uv)
-    return out
-
-
-def torsion_dual_block(C: BlockConnection, t: Callable, u: Callable,
-                       engine: DiffEngine, coords) -> np.ndarray:
-    """Dual-side torsion value nabla*_t u - nabla*_u t - [t,u] at one point."""
-    br = lie_bracket_dual_block(t, u, engine, C.block)
-    brv = _primal(br(list(coords)))
-    return covariant_dual_block(C, t, u, engine, coords) \
-        - covariant_dual_block(C, u, t, engine, coords) - brv
-
-
 # -- Koszul solver ------------------------------------------------------------
 
 def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> BlockConnection:
     """Unique symmetric metric-compatible connection, by the Koszul identity.
 
-    Evaluates the Koszul formula on the coordinate dual frame (the three
-    bracket terms vanish for coordinate frames; asserted numerically at the
-    block seeds) in the dual-side Gram Gd = Gram^-1, whose derivative is
+    Evaluates the Koszul formula on the coordinate dual frame, whose three
+    bracket terms vanish identically: the frame's coefficient fields are
+    constant, so [d_i, d_j] = 0.  It works in the dual-side Gram
+    Gd = Gram^-1, whose derivative is
     -Gd R_c Gd with R_c = d_c Gram: one engine Jacobian of the flattened
     Gram, one Gauss-Jordan inverse of the Gram (raising SingularGram) and
     a generic contraction, for a <= b and mirrored, serve a float point, a
@@ -180,15 +147,6 @@ def koszul_solve(g: BlockMetric, engine: DiffEngine, points: Sequence = ()) -> B
     """
     block = g.block
     d = block.dim
-
-    # coordinate dual-frame brackets must vanish at the seeds; assert rather than trust
-    frame = [coordinate_form(block, a) for a in range(d)]
-    seeds = coordinate_arrays(block.seed_points)
-    for a in range(d):
-        for b in range(d):
-            br = lie_bracket_dual_block(frame[a], frame[b], engine, block)
-            if not np.max(np.abs(_over_points(br(seeds), len(block.seed_points)))) <= EPS_NUM:
-                raise ValidationError("coordinate-frame bracket failed to vanish")
 
     def flat_gram(x):
         """Gram, flattened row-major: entry (i, j) at i * d + j."""

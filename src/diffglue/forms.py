@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -187,48 +187,6 @@ def relation_matrix(space: GluedSpace, y) -> np.ndarray:
     return np.hstack([fr.t1.T, -fr.t2.T])
 
 
-@dataclass(frozen=True)
-class PullbackOperators:
-    """Restriction/pullback maps onto a locus point, in locus coordinates.
-
-    Locus covectors are represented through the tangent frame: all of
-    R^dim1 for an open locus, parameter components for a submanifold, the
-    zero space for a point set.  ``f_star`` is linear on each fibre; for an
-    open locus it is the transpose-Jacobian action of the gluing map.
-    """
-
-    space: GluedSpace
-    point: tuple
-
-    def _frames(self):
-        return self.space.locus_frames(self.point)
-
-    def i_star(self, a) -> np.ndarray:
-        """Restriction of a block-1 covector to the locus."""
-        fr = self._frames()
-        return fr.t1.T @ np.asarray(a, dtype=float)
-
-    def j_star(self, b) -> np.ndarray:
-        """Restriction of a block-2 covector to the glued image."""
-        fr = self._frames()
-        if self.space.locus.kind == "open_subdomain":
-            return np.asarray(b, dtype=float)
-        return fr.t2.T @ np.asarray(b, dtype=float)
-
-    def f_star(self, c) -> np.ndarray:
-        """Pullback from the image side to the locus side."""
-        if self.space.locus.kind == "open_subdomain":
-            fr = self._frames()
-            return fr.t2.T @ np.asarray(c, dtype=float)
-        return np.asarray(c, dtype=float)
-
-    def i_star_lambda(self, e: "FibreElement") -> np.ndarray:
-        return self.i_star(rho1(e))
-
-    def fj_star_lambda(self, e: "FibreElement") -> np.ndarray:
-        return self.f_star(self.j_star(rho2(e)))
-
-
 def nullspace_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal nullspace rows under the relative singular-value cutoff.
 
@@ -380,29 +338,10 @@ def differential_glued(space: GluedSpace, h: GluedFunction) -> LambdaSection:
     """Differential of a glued function, by the three-case rule.
 
     Off the locus this is the block differential; over the locus it is the
-    compatible pair of both block differentials (membership is automatic
-    for genuine glued functions and still verified numerically).
+    compatible pair of both block differentials, for ``h`` a genuine glued
+    function (one that passes :meth:`GluedFunction.validate`).
     """
-    h.validate()
     d1 = differential_block(space.block1, h.h1, space.engine)
     d2 = differential_block(space.block2, h.h2, space.engine)
     return LambdaSection(space, d1, d2)
 
-
-def vanishing_at_point(form: BlockForm, plots: Sequence, engine: DiffEngine) -> float:
-    """Test-oracle for vanishing forms on a single block.
-
-    Evaluates the pullback of the form along centered plots at the center
-    and returns the worst magnitude; a form vanishes at the base point when
-    this is ~0 over a generating family of plots.
-    """
-    worst = 0.0
-    for plot in plots:
-        rows = engine.jacobian(plot.mapping, list(plot.basepoint))
-        w = form(plot.mapping(list(plot.basepoint)))
-        for i in range(plot.domain_dim):
-            total = 0.0
-            for j in range(form.block.dim):
-                total += float(rows[j][i]) * float(w[j])
-            worst = max(worst, abs(total))
-    return worst

@@ -88,6 +88,14 @@ def eval_block_metric(g: BlockMetric, coords, u, v) -> float:
 
 # -- compatibility ---------------------------------------------------------
 
+def _inverse(matrix: np.ndarray, g: BlockMetric, coords) -> np.ndarray:
+    """Inverse of a matrix built from g's Gram at coords; SingularGram if it has none."""
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram(f"{exc}: Gram of {g.block.name} at {tuple(coords)}") from exc
+
+
 def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
                              g2: BlockMetric) -> CompatResult:
     """Sampled locus compatibility of two block metrics (rule per locus kind)."""
@@ -107,8 +115,8 @@ def check_metrics_compatible(space: GluedSpace, g1: BlockMetric,
         else:
             # dual Grams compared on the locus-tangent pushforwards; for an
             # open locus this is the compatible-pair graph rule
-            lhs = fr.t1.T @ np.linalg.inv(gram1) @ fr.t1
-            rhs = fr.t2.T @ np.linalg.inv(gram2) @ fr.t2
+            lhs = fr.t1.T @ _inverse(gram1, g1, p.coords) @ fr.t1
+            rhs = fr.t2.T @ _inverse(gram2, g2, p.coords2) @ fr.t2
         res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
         entry = {}
         if lhs.size:
@@ -139,10 +147,10 @@ def canonical_pair_elements(space: GluedSpace, g1: BlockMetric, g2: BlockMetric,
     if kind == "open_subdomain":
         return list(zip(fibre.block_basis(1), fibre.block_basis(2)))
     fr = space.locus_frames(y)
-    inv1 = np.linalg.inv(g1.gram(y))
-    inv2 = np.linalg.inv(g2.gram(fy))
-    m1 = np.linalg.inv(fr.t1.T @ inv1 @ fr.t1)
-    m2 = np.linalg.inv(fr.t2.T @ inv2 @ fr.t2)
+    inv1 = _inverse(g1.gram(y), g1, y)
+    inv2 = _inverse(g2.gram(fy), g2, fy)
+    m1 = _inverse(fr.t1.T @ inv1 @ fr.t1, g1, y)
+    m2 = _inverse(fr.t2.T @ inv2 @ fr.t2, g2, fy)
     out = []
     for tau in np.eye(fr.t1.shape[1]):
         a = inv1 @ fr.t1 @ (m1 @ tau)

@@ -490,6 +490,9 @@ def _stack_points(nests: list):
          for i in range(len(duals[0].partials))])
 
 
+MAX_FD_STEP = 1e-2   # a central difference with a wider step is no derivative check
+
+
 @dataclass(frozen=True)
 class DiffConfig:
     """Differentiation mode, finite-difference step and check tolerances."""
@@ -502,6 +505,8 @@ class DiffConfig:
             raise ValueError(f"unknown diff mode {self.mode!r}")
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
+        if self.fd_step > MAX_FD_STEP:
+            raise ValueError(f"fd_step must be at most {MAX_FD_STEP}, got {self.fd_step}")
 
     def tol(self, check: str) -> float:
         """Pass bound of ``check`` (a key of TOLERANCES) in this mode."""

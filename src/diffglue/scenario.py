@@ -288,9 +288,10 @@ class ScenarioContext:
     @property
     def functions(self) -> list:
         """The glued probe functions that leibniz and bracket-split share
-        (:func:`glued_function_family`, drawn from ``plan.seed + 2``)."""
-        return self._once("functions", lambda: glued_function_family(
-            self.space, np.random.default_rng(self.space.plan.seed + 2)))
+        (:func:`glued_function_family`, drawn from ``plan.seed + 2``), each
+        validated once, here."""
+        return self._once("functions", lambda: [h.validate() for h in glued_function_family(
+            self.space, np.random.default_rng(self.space.plan.seed + 2))])
 
     @property
     def store(self) -> PointStore:
@@ -314,6 +315,15 @@ def _section(where: str):
         yield
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _flag(spec: dict, key: str) -> bool:
+    """A hypothesis flag: a YAML boolean, False when absent."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"space.hypothesis_flags: {key} must be true or false, "
+                         f"got {value!r}")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -374,8 +384,8 @@ def build_context(scenario: Scenario, mode: Optional[str] = None,
     with _section("space.hypothesis_flags"):
         flags_spec = sp.get("hypothesis_flags")
         flags = None if flags_spec is None else HypothesisFlags(
-            bool(flags_spec.get("pullback_equality_asserted", False)),
-            bool(flags_spec.get("omega_diffeology_equality_asserted", False)))
+            _flag(flags_spec, "pullback_equality_asserted"),
+            _flag(flags_spec, "omega_diffeology_equality_asserted"))
     space = build_glued_space(block1, block2, locus, gmap, flags,
                               engine=engine, plan=plan)
 

@@ -13,6 +13,7 @@ from diffglue.forms import coordinate_form
 from diffglue.numerics import DiffEngine, _primal, coordinate_arrays, exp, point_count
 from diffglue.scenario import build_context, fixture_path, load_scenario, parse_metric
 from diffglue.suites import SUITES, derivative_trust_sweep
+from oracles import lie_bracket_dual_block, torsion_dual_block
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "benchmarks"))
@@ -83,7 +84,7 @@ def test_bracket_constant_fields(engine):
     b = line()
     t = lambda x: [2.0]
     u = lambda x: [-3.0]
-    br = cx.lie_bracket_dual_block(t, u, engine, b)
+    br = lie_bracket_dual_block(t, u, engine, b)
     assert br((0.5,))[0] == pytest.approx(0.0)
 
 
@@ -92,14 +93,14 @@ def test_bracket_classic_example(engine):
     b = line()
     t = lambda x: [x[0]]
     u = lambda x: [1.0]
-    br = cx.lie_bracket_dual_block(t, u, engine, b)
+    br = lie_bracket_dual_block(t, u, engine, b)
     assert br((0.9,))[0] == pytest.approx(-1.0)
 
 
 def test_bracket_antisymmetry(engine):
     b = line()
     t = lambda x: [x[0] ** 2]
-    br = cx.lie_bracket_dual_block(t, t, engine, b)
+    br = lie_bracket_dual_block(t, t, engine, b)
     assert br((1.3,))[0] == pytest.approx(0.0)
 
 
@@ -113,7 +114,7 @@ def test_bracket_jacobi(engine):
                                       for a in range(2)])
     t, u, v = fields
     def bracket(a, b_):
-        return cx.lie_bracket_dual_block(a, b_, engine, b)
+        return lie_bracket_dual_block(a, b_, engine, b)
     total = np.zeros(2)
     x = (0.4, -0.7)
     for a, b_, c_ in ((t, u, v), (u, v, t), (v, t, u)):
@@ -178,9 +179,9 @@ def test_torsion_one_dimensional_always_zero(engine):
         r = dg.BlockForm(b, lambda x, c=c2: [c[0] + c[1] * x[0] + c[3] * x[0] ** 3])
         val = cx.PointStore(engine).torsion(C, g, s, r, (0.6,))
         assert val == pytest.approx([0.0], abs=1e-10)
-        dualval = cx.torsion_dual_block(C, lambda x, c=c1: [c[0] + c[1] * x[0]],
-                                        lambda x, c=c2: [c[0] + c[1] * x[0]],
-                                        engine, (0.6,))
+        dualval = torsion_dual_block(C, lambda x, c=c1: [c[0] + c[1] * x[0]],
+                                     lambda x, c=c2: [c[0] + c[1] * x[0]],
+                                     engine, (0.6,))
         assert dualval == pytest.approx([0.0], abs=1e-10)
 
 
@@ -193,7 +194,7 @@ def test_torsion_detects_asymmetric_christoffel(engine):
     C = dg.BlockConnection(b, lambda x: gamma.tolist())
     t = lambda x: [1.0, 0.0]
     u = lambda x: [0.0, 1.0]
-    val = cx.torsion_dual_block(C, t, u, engine, (0.4, 0.2))
+    val = torsion_dual_block(C, t, u, engine, (0.4, 0.2))
     oracle = np.array([gamma[c][0][1] - gamma[c][1][0] for c in range(2)])
     assert val == pytest.approx(oracle)
     assert np.max(np.abs(val)) > 0.5
@@ -288,6 +289,26 @@ def test_koszul_inverts_once_per_evaluation(engine, monkeypatch):
     assert all(type(v) is float for row in calls[0] for v in row)
     oracle = cx.christoffel_closed_form(g, engine)
     assert gamma == pytest.approx(np.asarray(oracle([0.3, -0.4, 0.2])), abs=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["forward_dual", "central_fd"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_koszul_construction_without_points_probes_nothing(monkeypatch, mode, d):
+    # the coordinate frame's brackets vanish identically ([d_i, d_j] = 0),
+    # so building a factor takes no derivative: only a solve at a point does
+    b = dg.EuclideanBlock(d, lambda x: True, [tuple([0.5] * d), tuple([-0.3] * d)], f"R{d}")
+    g = dg.BlockMetric(b, tuple(tuple((lambda x, i=i: 1.0 + x[i] ** 2) if i == j
+                                      else (lambda x: 0.0) for j in range(d))
+                                for i in range(d)))
+    engine = DiffEngine(dg.DiffConfig(mode))
+    probes = []
+    probe = DiffEngine.probe
+    monkeypatch.setattr(DiffEngine, "probe",
+                        lambda self, *a, **k: probes.append(a) or probe(self, *a, **k))
+    C = cx.koszul_solve(g, engine)
+    assert probes == []
+    C.gamma(tuple([0.2] * d))
+    assert len(probes) == 1
 
 
 def test_koszul_memo_values_are_equal_and_immutable(engine):

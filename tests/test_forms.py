@@ -7,10 +7,11 @@ import pytest
 
 import diffglue as dg
 from diffglue.forms import (Checks, CompatResult, coordinate_form, nullspace_basis,
-                            relation_matrix, vanishing_at_point, zero_block_form)
+                            relation_matrix, zero_block_form)
 from diffglue.connection import pushforward_form
 from diffglue.numerics import _primal
 from diffglue.scenario import parse_map
+from oracles import PullbackOperators, vanishing_at_point
 
 
 # parametrized map from R^domain_dim into a block, centred at basepoint
@@ -346,10 +347,10 @@ def test_differential_glued_halfline(halfline):
     assert dg.rho2(e) == pytest.approx([-2.0])
 
 
-def test_differential_glued_rejects_non_functions(halfline):
+def test_glued_function_validate_rejects_non_functions(halfline):
     h = dg.GluedFunction(halfline, lambda x: x[0], lambda z: z[0] + 1.0)
     with pytest.raises(dg.NotAFunctionOnGluedSpace):
-        dg.differential_glued(halfline, h)
+        h.validate()
 
 
 def test_differential_linearity(halfline):
@@ -382,8 +383,6 @@ def test_leibniz_for_differential(halfline):
 
 
 def test_pullback_operators(halfline, plane_axis):
-    from diffglue.forms import PullbackOperators
-
     # open locus: f_star is the transpose-Jacobian action (identity here)
     ops = PullbackOperators(halfline, (-1.0,))
     assert ops.i_star([3.0]) == pytest.approx([3.0])

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from diffglue import connection as cx
-from diffglue.errors import IncompatiblePair, NotAFunctionOnGluedSpace, ValidationError
+from diffglue.errors import IncompatiblePair, NotAFunctionOnGluedSpace
 from diffglue.forms import GluedFunction, compute_fibre, rho_pair_inverse
-from diffglue.metric import constant_metric
 from diffglue.scenario import build_context, fixture_path, load_scenario
 from diffglue.suites import _block_symmetric
 
@@ -58,12 +57,3 @@ def test_block_symmetry_gate_rejects_a_nan_connection(ctx):
                             cx.PointStore(ctx.engine), tol=1e-6)
     assert not _block_symmetric(nan_connection, ctx.g1, pairs, points,
                                 cx.PointStore(ctx.engine), tol=1e-6)
-
-
-def test_koszul_seed_bracket_assertion_rejects_nan(monkeypatch, ctx):
-    g = constant_metric(ctx.g1.block, np.eye(ctx.g1.block.dim).tolist())
-    cx.koszul_solve(g, ctx.engine)
-    monkeypatch.setattr(cx, "lie_bracket_dual_block",
-                        lambda t, u, engine, block: lambda x: [NAN] * block.dim)
-    with pytest.raises(ValidationError, match="bracket"):
-        cx.koszul_solve(g, ctx.engine)

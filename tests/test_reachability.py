@@ -17,11 +17,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "diffglue"
 
 SUITE = "a registered suite, called through suites.SUITES"
 ALLOWLIST = {
-    "PullbackOperators": "test oracle for the restriction and pullback maps",
-    "i_star_lambda": "method of the PullbackOperators test oracle",
-    "fj_star_lambda": "method of the PullbackOperators test oracle",
-    "vanishing_at_point": "test oracle for vanishing forms",
-    "torsion_dual_block": "dual-side torsion, reserved for the dual-side checks (ROADMAP item 3)",
     "pairing_apply": "pairing map, reserved for the dual-side checks (ROADMAP item 3)",
     "pairing_invert": "inverse pairing map, reserved for the dual-side checks (ROADMAP item 3)",
     "suite_tol": "read by the benchmark's query check",

@@ -192,8 +192,9 @@ def test_a_koszul_only_run_builds_no_section_family(monkeypatch, tmp_path):
     assert counts == {"koszul_solve": 2, "section_family": 0}
 
 
-@pytest.mark.parametrize("suite", ["leibniz", "bracket-split"])
-def test_each_probe_function_is_validated_once_per_suite(monkeypatch, suite):
+def test_each_probe_function_is_validated_once_per_run(monkeypatch):
+    # leibniz and bracket-split share the run's functions, validated where
+    # the run builds them
     from diffglue.forms import GluedFunction
     families, validated = [], []
     family = scenario.glued_function_family
@@ -202,10 +203,31 @@ def test_each_probe_function_is_validated_once_per_suite(monkeypatch, suite):
                         lambda *a: families.append(family(*a)) or families[-1])
     monkeypatch.setattr(GluedFunction, "validate",
                         lambda self: validated.append(self) or validate(self))
-    assert main(["run", str(fixture_path("plane_axis_gluing")), "--suite", suite]) == 0
+    assert main(["run", str(fixture_path("plane_axis_gluing")),
+                 "--suite", "leibniz", "--suite", "bracket-split"]) == 0
     functions, = families
     assert len(functions) == 8
     assert [id(h) for h in validated] == [id(h) for h in functions]
+
+
+def test_a_probe_function_off_the_seam_fails_both_suites_alike(monkeypatch, tmp_path):
+    from diffglue.forms import GluedFunction
+    family = scenario.glued_function_family
+
+    def with_a_non_function(space, rng):
+        return family(space, rng) + [GluedFunction(space, lambda x: x[0],
+                                                   lambda z: z[0] + 1.0)]
+
+    monkeypatch.setattr(scenario, "glued_function_family", with_a_non_function)
+    out = tmp_path / "report.json"
+    assert main(["run", str(fixture_path("plane_axis_gluing")), "--suite", "leibniz",
+                 "--suite", "bracket-split", "--report-out", str(out)]) == 1
+    suites = json.loads(out.read_text())["suites"]
+    assert [r["suite"] for r in suites] == ["bracket-split", "leibniz"]
+    witness = suites[0]["witnesses"]
+    assert witness[0]["error"] == "NotAFunctionOnGluedSpace"
+    assert suites[1]["witnesses"] == witness
+    assert all(r["status"] == "fail" for r in suites)
 
 
 def test_inheritance_glues_koszul_factors_not_the_scenario_connections(tmp_path):
@@ -400,12 +422,17 @@ def _huge_locus_coordinate(doc):
     doc["space"]["locus"]["param_samples"][0][0] = 1e308
 
 
+def _huge_fd_step(doc):
+    doc["diff"]["fd_step"] = 1e308
+
+
 @pytest.mark.parametrize("damage, section", [
     (_huge_per_axis, "samples: malformed (ValueError: sample counts must lie in [1, 1000])"),
     (_infinite_per_axis, "samples: malformed (OverflowError"),
     (_huge_locus_coordinate, "space.locus.param_samples: point [1e+308] needs finite "
                              "coordinates with finite squares"),
-], ids=["per_axis 1e308", "per_axis inf", "locus coordinate 1e308"])
+    (_huge_fd_step, "diff: malformed (ValueError: fd_step must be at most 0.01, got 1e+308)"),
+], ids=["per_axis 1e308", "per_axis inf", "locus coordinate 1e308", "fd_step 1e308"])
 def test_sizes_and_coordinates_no_run_can_use_exit_2(tmp_path, capsys, damage, section):
     # rejected while parsing, before a grid is built or a coordinate squared:
     # they used to raise out of numpy (an array too large, eigenvalues that
@@ -419,6 +446,55 @@ def test_sizes_and_coordinates_no_run_can_use_exit_2(tmp_path, capsys, damage, s
     assert main(["inspect", str(path), "--point", "block1:1.0,0.5"]) == 2
     err = capsys.readouterr().err
     assert section in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["x", "true", 1, 0.0, None, [True]], ids=repr)
+def test_hypothesis_flags_accept_only_booleans(tmp_path, capsys, value):
+    import yaml
+    doc = load_scenario(fixture_path("plane_axis_gluing")).raw
+    doc["space"]["hypothesis_flags"] = {"pullback_equality_asserted": True,
+                                        "omega_diffeology_equality_asserted": value}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--suite", "fibres"]) == 2
+    err = capsys.readouterr().err
+    assert "hypothesis_flags: omega_diffeology_equality_asserted" in err
+    assert "Traceback" not in err
+
+
+def test_a_missing_hypothesis_flag_is_false(tmp_path):
+    import yaml
+    doc = load_scenario(fixture_path("plane_axis_gluing")).raw
+    del doc["space"]["hypothesis_flags"]["omega_diffeology_equality_asserted"]
+    path = tmp_path / "half.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--suite", "fibres", "--report-out", str(out)]) == 1
+    witness, = json.loads(out.read_text())["suites"][0]["witnesses"]
+    assert witness["error"] == "HypothesisNotAsserted"
+
+
+def test_a_gram_singular_on_the_locus_fails_through_singular_gram(tmp_path, capsys):
+    # g2 = diag(1, x^2) is positive-definite at the seeds and singular over
+    # the locus point (0, 0)
+    import yaml
+    from diffglue.errors import SingularGram
+    from diffglue.forms import compute_fibre
+    from diffglue.metric import canonical_pair_elements
+    doc = load_scenario(fixture_path("plane_axis_gluing")).raw
+    doc["metrics"]["g2"]["entries"]["1,1"] = {"2,0": 1.0}
+    path = tmp_path / "singular.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--suite", "metric-gluing", "--report-out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    witness, = json.loads(out.read_text())["suites"][0]["witnesses"]
+    assert witness["error"] == "SingularGram"
+    assert "(0.0, 0.0)" in witness["detail"]
+    ctx = build_context(load_scenario(path))
+    point, = [p for p in ctx.space.region_samples()["locus"] if p.coords == (0.0, 0.0)]
+    with pytest.raises(SingularGram):
+        canonical_pair_elements(ctx.space, ctx.g1, ctx.g2, compute_fibre(ctx.space, point))
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
